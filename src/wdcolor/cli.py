@@ -30,8 +30,7 @@ from .io import (FormatError, load_coloring, load_graph,
                  serialize_graph_dimacs, serialize_graph_json)
 from .pipeline import (InvariantBreachError, NonplanarInputError,
                        wd3_color_planar)
-from .reductions import (SHORT_KINDS, apply_reduction, certify_lemma,
-                         detect_configuration)
+from .reductions import SHORT_KINDS, certify_lemma, reduce_fully
 from .verify import is_weak_dynamic, palette_size
 
 EXIT_OK = 0
@@ -210,14 +209,8 @@ def color(graph_file: str, trace_out: str | None) -> None:
 def reduce(graph_file: str, with_trace: bool) -> None:
     """Shrink a graph to an irreducible core."""
     g = _load_graph_or_die(graph_file)
-    steps = []
-    cur = g
-    while True:
-        conf = detect_configuration(cur)
-        if conf is None:
-            break
-        cur, step = apply_reduction(cur, conf)
-        steps.append(step)
+    cur, stack = reduce_fully(g)
+    steps = [step for _, step in stack]
     out: dict[str, object] = {
         "input": {"n": g.n, "m": g.m},
         "steps_applied": len(steps),

@@ -13,6 +13,7 @@ always yields the identical graph.
 from __future__ import annotations
 
 import random
+from collections import deque
 
 from .graphs import Graph
 from .planarity import is_planar
@@ -82,6 +83,20 @@ def triangulation(n: int, rng: random.Random) -> Graph:
     return Graph.from_edges(sorted(edges), vertices=range(n))
 
 
+def _reaches(adj: dict[int, set[int]], s: int, t: int) -> bool:
+    """Breadth-first search from s that stops as soon as it meets t."""
+    seen = {s}
+    frontier = deque([s])
+    while frontier:
+        for y in adj[frontier.popleft()]:
+            if y == t:
+                return True
+            if y not in seen:
+                seen.add(y)
+                frontier.append(y)
+    return False
+
+
 def random_planar(n: int, target_density: float, seed: int) -> Graph:
     """Connected planar graph on ``n`` vertices, deterministic per seed.
 
@@ -97,17 +112,25 @@ def random_planar(n: int, target_density: float, seed: int) -> Graph:
         return Graph.from_edges([], vertices=[0])
     if n == 2:
         return Graph.from_edges([(0, 1)])
-    g = triangulation(n, rng)
+    tri = triangulation(n, rng)
     full = 3 * n - 6
     target = min(full, max(n - 1, round(target_density * full)))
-    order = sorted(g.edges())
+    order = list(tri.edges())
     rng.shuffle(order)
+    adj = {v: set(tri.neighbors(v)) for v in tri.vertices()}
+    m = tri.m
     for u, v in order:
-        if g.m <= target:
+        if m <= target:
             break
-        candidate = g.delete_edge(u, v)
-        if candidate.is_connected():
-            g = candidate
+        adj[u].discard(v)
+        adj[v].discard(u)
+        # the graph is connected, so it stays so iff uv is not a bridge
+        if _reaches(adj, u, v):
+            m -= 1
+        else:
+            adj[u].add(v)
+            adj[v].add(u)
+    g = Graph({v: frozenset(nbrs) for v, nbrs in adj.items()})
     cert = is_planar(g)
     if not cert.is_planar or not g.is_connected():
         raise AssertionError("random planar construction broke its contract")

@@ -10,20 +10,34 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping
 
 
 class Graph:
     """Simple undirected graph. Instances are immutable; all mutating
     operations return new graphs."""
 
-    __slots__ = ("_adj", "next_fresh", "_edge_count")
+    __slots__ = ("_adj", "next_fresh", "_edge_count", "_sorted")
 
     def __init__(self, adj: dict[int, frozenset[int]], next_fresh: int | None = None):
         self._adj = adj
         top = max(adj) + 1 if adj else 0
         self.next_fresh = top if next_fresh is None else max(next_fresh, top)
         self._edge_count = sum(len(nbrs) for nbrs in adj.values()) // 2
+        self._sorted: tuple[int, ...] | None = None
+
+    @classmethod
+    def _derived(cls, adj: dict[int, frozenset[int]], next_fresh: int,
+                 m: int) -> "Graph":
+        """A graph whose ``next_fresh`` and edge count the caller already
+        knows, so nothing is recounted."""
+        g = cls.__new__(cls)
+        g._adj = adj
+        g.next_fresh = next_fresh
+        g._edge_count = m
+        g._sorted = None
+        return g
 
     # -- construction -------------------------------------------------
 
@@ -53,7 +67,15 @@ class Graph:
         return self._edge_count
 
     def vertices(self) -> tuple[int, ...]:
-        return tuple(sorted(self._adj))
+        """All vertices, ascending (sorted once per graph)."""
+        if self._sorted is None:
+            self._sorted = tuple(sorted(self._adj))
+        return self._sorted
+
+    def adjacency(self) -> Mapping[int, frozenset[int]]:
+        """Read-only view of the whole adjacency, for hot loops that would
+        otherwise pay a checked ``degree``/``neighbors`` call per probe."""
+        return MappingProxyType(self._adj)
 
     def has_vertex(self, v: int) -> bool:
         return v in self._adj
@@ -91,13 +113,16 @@ class Graph:
 
     # -- derived graphs --------------------------------------------------
 
+    # Derived graphs copy the vertex dict at C speed and rebuild only the
+    # entries they touch; every other neighbor set is shared with the source.
+
     def delete_edge(self, u: int, v: int) -> "Graph":
         if not self.has_edge(u, v):
             raise KeyError(f"no edge {u}-{v}")
         adj = dict(self._adj)
         adj[u] = adj[u] - {v}
         adj[v] = adj[v] - {u}
-        return Graph(adj, self.next_fresh)
+        return Graph._derived(adj, self.next_fresh, self._edge_count - 1)
 
     def delete_vertex(self, v: int) -> "Graph":
         self._require(v)
@@ -107,8 +132,19 @@ class Graph:
         dead = set(vs)
         for v in dead:
             self._require(v)
-        adj = {u: nbrs - dead for u, nbrs in self._adj.items() if u not in dead}
-        return Graph(adj, self.next_fresh)
+        adj = dict(self._adj)
+        touched: set[int] = set()
+        ends = inner = 0
+        for v in dead:
+            nbrs = adj.pop(v)
+            touched |= nbrs
+            ends += len(nbrs)
+            inner += len(nbrs & dead)
+        for u in touched - dead:
+            adj[u] = adj[u] - dead
+        # an edge inside ``dead`` has two ends there, any other edge one
+        return Graph._derived(adj, self.next_fresh,
+                              self._edge_count - ends + inner // 2)
 
     def induced_subgraph(self, vs: Iterable[int]) -> "Graph":
         keep = set(vs)
@@ -121,16 +157,19 @@ class Graph:
         if u == v:
             raise ValueError("self-loop")
         adj = dict(self._adj)
+        new = not self.has_edge(u, v)
         adj[u] = adj.get(u, frozenset()) | {v}
         adj[v] = adj.get(v, frozenset()) | {u}
-        return Graph(adj, self.next_fresh)
+        return Graph._derived(adj, max(self.next_fresh, u + 1, v + 1),
+                              self._edge_count + new)
 
     def add_vertex(self, v: int) -> "Graph":
         if v in self._adj:
             return self
         adj = dict(self._adj)
         adj[v] = frozenset()
-        return Graph(adj, self.next_fresh)
+        return Graph._derived(adj, max(self.next_fresh, v + 1),
+                              self._edge_count)
 
     def contract_edge(self, u: int, v: int) -> tuple["Graph", int]:
         """Contract the edge uv into a fresh vertex adjacent to
@@ -151,11 +190,15 @@ class Graph:
     def _merge(self, u: int, v: int) -> tuple["Graph", int]:
         fresh = self.next_fresh
         merged = (self._adj[u] | self._adj[v]) - {u, v}
-        adj = {w: nbrs for w, nbrs in self._adj.items() if w not in (u, v)}
+        adj = dict(self._adj)
+        del adj[u], adj[v]
         for w in merged:
             adj[w] = (adj[w] - {u, v}) | {fresh}
         adj[fresh] = frozenset(merged)
-        return Graph(adj, fresh + 1), fresh
+        lost = (len(self._adj[u]) + len(self._adj[v])
+                - self.has_edge(u, v))
+        return (Graph._derived(adj, fresh + 1,
+                               self._edge_count - lost + len(merged)), fresh)
 
     # -- traversal helpers ----------------------------------------------
 

@@ -28,8 +28,8 @@ from .exact import chromatic_number_exact, wd_number_exact
 from .graphs import Graph
 from .listcolor import DependencyColoringError, color_dependency_graph
 from .planarity import is_planar
-from .reductions import (LiftError, ReductionStep, apply_reduction,
-                         detect_configuration, lift_coloring)
+from .reductions import (LiftError, ReductionStep, lift_coloring,
+                         reduce_fully)
 from .verify import Coloring, is_weak_dynamic, palette_size
 
 logger = logging.getLogger(__name__)
@@ -283,17 +283,9 @@ def _exact_wd3_cap6(g: Graph, why: str) -> Coloring:
 def _color_component_wd3(g: Graph,
                          trace: list[ReductionStep] | None = None) -> Coloring:
     """Reduce to an irreducible core, construct there, lift back."""
-    stack: list[tuple[Graph, ReductionStep]] = []
-    cur = g
-    while True:
-        conf = detect_configuration(cur)
-        if conf is None:
-            break
-        before = cur
-        cur, step = apply_reduction(cur, conf)
-        stack.append((before, step))
-        if trace is not None:
-            trace.append(step)
+    cur, stack = reduce_fully(g)
+    if trace is not None:
+        trace.extend(step for _, step in stack)
     if cur.n == 0:
         coloring: Coloring = {}
     else:

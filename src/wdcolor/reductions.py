@@ -6,7 +6,18 @@ order and returns the first match, scanning vertices in ascending id order
 inside each kind, so detection is fully deterministic.  ``apply_reduction``
 shrinks the graph (strictly fewer edges) and records a replayable
 ``ReductionStep``; ``lift_coloring`` extends a valid coloring of the reduced
-graph back to the original graph, re-verifying the result before returning.
+graph back to the original graph, verifying the result before returning.
+
+Apart from the detection scans and C-level dict copies, a step costs work in
+proportion to the step, not to the graph.  The finders read degrees straight
+from ``Graph.adjacency()``.  A reduction edits the adjacency only within the
+closed neighborhood N[M] of the matched vertices M, plus the fresh vertex
+of a contraction or identification, and the reduced graph shares every
+untouched neighbor set with its source.  So a lift is verified on N[M ∪ D]
+only, where D holds every vertex whose color differs from the input
+coloring: any vertex outside that ball has the same neighbors, the same
+demand and the same seen colors as in the reduced graph, where the input
+coloring was valid.  The driver re-checks the whole graph once at the end.
 
 Every lift step draws colors through ``pick_color`` under a color order
 derived from the input coloring's first-use order, which makes the whole
@@ -30,11 +41,12 @@ from .graphs import Graph
 from .listcolor import (ColorOrder, DependencyColoringError, Lists,
                         color_dependency_graph, pick_color)
 from .planarity import is_planar
-from .verify import Coloring, is_weak_dynamic
+from .verify import Coloring, _weak_dynamic_violations
 
 log = logging.getLogger(__name__)
 
 PALETTE: tuple[int, ...] = (1, 2, 3, 4, 5, 6)
+_PALETTE_SET = frozenset(PALETTE)
 
 KIND_L1A = "L1a-degree1"
 KIND_L1B = "L1b-2vertex-3minus"
@@ -174,7 +186,10 @@ def _color_order_from(coloring: Coloring) -> tuple[int, ...]:
     """First-use order of colors over ascending vertex ids, then the rest
     of the palette numerically.  Permutation-equivariant by construction."""
     order: list[int] = []
+    used = len(set(coloring.values()))
     for v in sorted(coloring):
+        if len(order) == used:
+            break
         c = coloring[v]
         if c not in order:
             order.append(c)
@@ -271,13 +286,14 @@ def _hit(stats: dict | None, label: str) -> None:
 # detection
 
 def _boundary_of(g: Graph, members) -> tuple[int, ...]:
+    adj = g.adjacency()
     mem = set(members)
     ring: set[int] = set()
     for v in mem:
-        ring |= g.neighbors(v)
+        ring |= adj[v]
     ball = set(ring)
     for v in ring:
-        ball |= g.neighbors(v)
+        ball |= adj[v]
     return tuple(sorted((ring | ball) - mem))
 
 
@@ -296,53 +312,71 @@ def _only(s) -> int:
 
 
 def _find_l1a(g: Graph) -> Configuration | None:
-    for v in sorted(g.vertices()):
-        if g.degree(v) == 1:
-            u = _only(g.neighbors(v))
+    adj = g.adjacency()
+    for v in g.vertices():
+        if len(adj[v]) == 1:
+            u = _only(adj[v])
             return _configuration(g, KIND_L1A, [("v1", v), ("u1", u)])
     return None
 
 
 def _find_l1b(g: Graph) -> Configuration | None:
-    for v1 in sorted(g.vertices()):
-        if g.degree(v1) != 2:
+    adj = g.adjacency()
+    for v1 in g.vertices():
+        nbrs = adj[v1]
+        if len(nbrs) != 2:
             continue
-        lows = sorted(u for u in g.neighbors(v1) if g.degree(u) <= 3)
+        lows = [u for u in nbrs if len(adj[u]) <= 3]
         if not lows:
             continue
-        v2 = lows[0]
-        u1 = _only(g.neighbors(v1) - {v2})
+        v2 = min(lows)
+        u1 = _only(nbrs - {v2})
         return _configuration(g, KIND_L1B, [("v1", v1), ("v2", v2),
                                             ("u1", u1)])
     return None
 
 
 def _find_l2(g: Graph) -> Configuration | None:
-    for u, w in sorted(g.edges()):
-        if g.degree(u) >= 4 and g.degree(w) >= 4:
-            return _configuration(g, KIND_L2, [("v1", u), ("v2", w)])
+    """The lexicographically first edge joining two 4+ vertices."""
+    adj = g.adjacency()
+    for u in g.vertices():
+        if len(adj[u]) < 4:
+            continue
+        higher = [w for w in adj[u] if w > u and len(adj[w]) >= 4]
+        if higher:
+            return _configuration(g, KIND_L2, [("v1", u), ("v2", min(higher))])
     return None
 
 
-def _l3_sides(g: Graph, mid: int, other: int):
+def _l3_sides(adj, mid: int, other: int):
     """Split N(mid) - {other} into (one 4+ vertex, one 3-vertex), or None."""
-    rest = g.neighbors(mid) - {other}
+    rest = adj[mid] - {other}
     if len(rest) != 2:
         return None
-    fours = sorted(u for u in rest if g.degree(u) >= 4)
-    threes = sorted(u for u in rest if g.degree(u) == 3)
+    fours = [u for u in rest if len(adj[u]) >= 4]
+    threes = [u for u in rest if len(adj[u]) == 3]
     if len(fours) != 1 or len(threes) != 1:
         return None
     return fours[0], threes[0]
 
 
-def _find_l3(g: Graph) -> Configuration | None:
-    for a, b in sorted(g.edges()):
-        if g.degree(a) != 3 or g.degree(b) != 3:
+def _deg3_edges(g: Graph) -> Iterator[tuple[int, int]]:
+    """Edges ``(a, b)``, ``a < b``, joining two 3-vertices, ascending."""
+    adj = g.adjacency()
+    for a in g.vertices():
+        if len(adj[a]) != 3:
             continue
+        for b in sorted(adj[a]):
+            if b > a and len(adj[b]) == 3:
+                yield a, b
+
+
+def _find_l3(g: Graph) -> Configuration | None:
+    adj = g.adjacency()
+    for a, b in _deg3_edges(g):
         for v2, v3 in ((a, b), (b, a)):
-            left = _l3_sides(g, v2, v3)
-            right = _l3_sides(g, v3, v2)
+            left = _l3_sides(adj, v2, v3)
+            right = _l3_sides(adj, v3, v2)
             if left is None or right is None:
                 continue
             v1, v5 = left
@@ -356,12 +390,10 @@ def _find_l3(g: Graph) -> Configuration | None:
 
 
 def _find_l4(g: Graph) -> Configuration | None:
-    for u, w in sorted(g.edges()):
-        if g.degree(u) != 3 or g.degree(w) != 3:
-            continue
-        rest_u = g.neighbors(u) - {w}
-        rest_w = g.neighbors(w) - {u}
-        if rest_u != rest_w:
+    adj = g.adjacency()
+    for u, w in _deg3_edges(g):
+        rest_u = adj[u] - {w}
+        if rest_u != adj[w] - {u}:
             continue
         v2, v4 = sorted(rest_u)
         return _configuration(g, KIND_L4, [("v1", u), ("v2", v2), ("v3", w),
@@ -370,45 +402,42 @@ def _find_l4(g: Graph) -> Configuration | None:
 
 
 def _find_l5(g: Graph) -> Configuration | None:
-    for a in sorted(g.vertices()):
-        if g.degree(a) != 3:
-            continue
-        for b in sorted(g.neighbors(a)):
-            if b <= a or g.degree(b) != 3:
+    adj = g.adjacency()
+    for a, b in _deg3_edges(g):
+        for c in sorted(adj[a] & adj[b]):
+            if c <= b or len(adj[c]) != 3:
                 continue
-            for c in sorted(g.neighbors(a) & g.neighbors(b)):
-                if c <= b or g.degree(c) != 3:
-                    continue
-                w1 = _only(g.neighbors(a) - {b, c})
-                w2 = _only(g.neighbors(b) - {a, c})
-                w3 = _only(g.neighbors(c) - {a, b})
-                if len({w1, w2, w3}) != 3:
-                    continue
-                if min(g.degree(w1), g.degree(w2), g.degree(w3)) < 3:
-                    continue
-                return _configuration(g, KIND_L5, [("v1", a), ("v2", b),
-                                                   ("v3", c), ("w1", w1),
-                                                   ("w2", w2), ("w3", w3)])
+            w1 = _only(adj[a] - {b, c})
+            w2 = _only(adj[b] - {a, c})
+            w3 = _only(adj[c] - {a, b})
+            if len({w1, w2, w3}) != 3:
+                continue
+            if min(len(adj[w1]), len(adj[w2]), len(adj[w3])) < 3:
+                continue
+            return _configuration(g, KIND_L5, [("v1", a), ("v2", b),
+                                               ("v3", c), ("w1", w1),
+                                               ("w2", w2), ("w3", w3)])
     return None
 
 
 def _find_l6(g: Graph) -> Configuration | None:
-    for v3 in sorted(g.vertices()):
-        if g.degree(v3) != 3:
+    adj = g.adjacency()
+    for v3 in g.vertices():
+        if len(adj[v3]) != 3:
             continue
-        for v1 in sorted(g.neighbors(v3)):
-            if g.degree(v1) < 4:
+        for v1 in sorted(adj[v3]):
+            if len(adj[v1]) < 4:
                 continue
-            v2, v4 = sorted(g.neighbors(v3) - {v1})
-            if g.degree(v2) != 3 or g.degree(v4) != 3:
+            v2, v4 = sorted(adj[v3] - {v1})
+            if len(adj[v2]) != 3 or len(adj[v4]) != 3:
                 continue
-            if not (g.has_edge(v1, v2) and g.has_edge(v1, v4)):
+            if not (v2 in adj[v1] and v4 in adj[v1]):
                 continue
-            if g.has_edge(v2, v4):
+            if v4 in adj[v2]:
                 continue
-            v5 = _only(g.neighbors(v2) - {v1, v3})
-            v6 = _only(g.neighbors(v4) - {v1, v3})
-            if g.degree(v5) < 3 or g.degree(v6) < 3:
+            v5 = _only(adj[v2] - {v1, v3})
+            v6 = _only(adj[v4] - {v1, v3})
+            if len(adj[v5]) < 3 or len(adj[v6]) < 3:
                 continue
             return _configuration(g, KIND_L6, [("v1", v1), ("v2", v2),
                                                ("v3", v3), ("v4", v4),
@@ -417,26 +446,27 @@ def _find_l6(g: Graph) -> Configuration | None:
 
 
 def _find_apex_triangle(g: Graph, apex_test) -> Configuration | None:
-    for v3 in sorted(g.vertices()):
-        if not apex_test(g.degree(v3)):
+    adj = g.adjacency()
+    for v3 in g.vertices():
+        if not apex_test(len(adj[v3])):
             continue
-        pairs = itertools.combinations(sorted(g.neighbors(v3)), 2)
+        pairs = itertools.combinations(sorted(adj[v3]), 2)
         for v1, v2 in pairs:
-            if not g.has_edge(v1, v2):
+            if v2 not in adj[v1]:
                 continue
-            if g.degree(v1) != 3 or g.degree(v2) != 3:
+            if len(adj[v1]) != 3 or len(adj[v2]) != 3:
                 continue
-            v4 = _only(g.neighbors(v1) - {v2, v3})
-            v5 = _only(g.neighbors(v2) - {v1, v3})
+            v4 = _only(adj[v1] - {v2, v3})
+            v5 = _only(adj[v2] - {v1, v3})
             if v4 == v5:
                 continue
-            if g.degree(v4) != 3 or g.degree(v5) != 3:
+            if len(adj[v4]) != 3 or len(adj[v5]) != 3:
                 continue
             roles = [("v1", v1), ("v2", v2), ("v3", v3), ("v4", v4),
                      ("v5", v5)]
-            if g.degree(v3) == 4:
-                v6, v7 = sorted(g.neighbors(v3) - {v1, v2})
-                if g.degree(v6) > 3 or g.degree(v7) > 3:
+            if len(adj[v3]) == 4:
+                v6, v7 = sorted(adj[v3] - {v1, v2})
+                if len(adj[v6]) > 3 or len(adj[v7]) > 3:
                     continue
                 roles += [("v6", v6), ("v7", v7)]
                 return _configuration(g, KIND_L7, roles)
@@ -456,7 +486,8 @@ def _chordless_deg3_cycles(g: Graph) -> Iterator[tuple[int, ...]]:
     """Chordless cycles whose vertices all have degree three, ascending by
     length, then by canonical labeling (minimum vertex first, second vertex
     smaller than last)."""
-    deg3 = [v for v in sorted(g.vertices()) if g.degree(v) == 3]
+    adj = g.adjacency()
+    deg3 = [v for v in g.vertices() if len(adj[v]) == 3]
     if len(deg3) < 3:
         return
     allowed = set(deg3)
@@ -465,16 +496,16 @@ def _chordless_deg3_cycles(g: Graph) -> Iterator[tuple[int, ...]]:
         start = path[0]
         tail = path[-1]
         if len(path) == target_len:
-            if (g.has_edge(tail, start) and path[1] < path[-1]):
+            if start in adj[tail] and path[1] < path[-1]:
                 yield tuple(path)
             return
-        for w in sorted(g.neighbors(tail)):
+        for w in sorted(adj[tail]):
             if w <= start or w in path or w not in allowed:
                 continue
             # chordlessness: w may touch only the tail (and the start when
             # it is about to close the cycle)
             body = path if len(path) + 1 < target_len else path[1:]
-            if any(g.has_edge(w, p) for p in body[:-1]):
+            if any(p in adj[w] for p in body[:-1]):
                 continue
             path.append(w)
             yield from extend(path, target_len)
@@ -487,10 +518,11 @@ def _chordless_deg3_cycles(g: Graph) -> Iterator[tuple[int, ...]]:
 
 def _cycle_hubs(g: Graph, cycle: tuple[int, ...]) -> list[int] | None:
     """Per-position outside neighbor of each cycle vertex (all degree 3)."""
+    adj = g.adjacency()
     k = len(cycle)
     hubs = []
     for i, v in enumerate(cycle):
-        rest = g.neighbors(v) - {cycle[i - 1], cycle[(i + 1) % k]}
+        rest = adj[v] - {cycle[i - 1], cycle[(i + 1) % k]}
         if len(rest) != 1:
             return None
         hubs.append(_only(rest))
@@ -498,16 +530,17 @@ def _cycle_hubs(g: Graph, cycle: tuple[int, ...]) -> list[int] | None:
 
 
 def _find_l9(g: Graph) -> Configuration | None:
+    adj = g.adjacency()
     for cycle in _chordless_deg3_cycles(g):
         k = len(cycle)
         hubs = _cycle_hubs(g, cycle)
         if hubs is None:
             continue
-        if any(g.degree(h) < 3 for h in hubs):
+        if any(len(adj[h]) < 3 for h in hubs):
             continue
         if any(hubs[i] == hubs[(i + 1) % k] for i in range(k)):
             continue
-        free = [i for i in range(k) if g.degree(hubs[i]) == 3]
+        free = [i for i in range(k) if len(adj[hubs[i]]) == 3]
         if not free:
             continue
         roles = [(f"v{i + 1}", cycle[i]) for i in range(k)]
@@ -526,20 +559,21 @@ def _find_l9(g: Graph) -> Configuration | None:
 def _l10_orientation(g: Graph, cycle: tuple[int, ...]):
     """A rotation/reflection of the cycle whose even positions carry 4+
     hubs and odd positions carry 3-hubs, with the published side rules."""
+    adj = g.adjacency()
     k = len(cycle)
     if k % 2:
         return None
     base_variants = [tuple(cycle), tuple(reversed(cycle))]
     for variant in base_variants:
         hubs = _cycle_hubs(g, variant)
-        if hubs is None or any(g.degree(h) < 3 for h in hubs):
+        if hubs is None or any(len(adj[h]) < 3 for h in hubs):
             return None
         for r in range(k):
             rot = variant[r:] + variant[:r]
             roth = hubs[r:] + hubs[:r]
-            if any(g.degree(roth[i]) < 4 for i in range(0, k, 2)):
+            if any(len(adj[roth[i]]) < 4 for i in range(0, k, 2)):
                 continue
-            if any(g.degree(roth[i]) != 3 for i in range(1, k, 2)):
+            if any(len(adj[roth[i]]) != 3 for i in range(1, k, 2)):
                 continue
             mult: dict[int, int] = {}
             for h in roth[1::2]:
@@ -547,7 +581,7 @@ def _l10_orientation(g: Graph, cycle: tuple[int, ...]):
             if any(c > 2 or (c == 2 and k != 4) for c in mult.values()):
                 continue
             w1, w3 = roth[0], roth[2]
-            if w1 != w3 and g.has_edge(w1, w3):
+            if w1 != w3 and w3 in adj[w1]:
                 continue
             return rot, w1, w3
     return None
@@ -634,8 +668,9 @@ def validate_configuration(g: Graph, conf: Configuration) -> bool:
             six = [r[f"v{i}"] for i in range(1, 7)]
             if len(set(six)) != 6 or not g.has_edge(r["v2"], r["v3"]):
                 return False
-            return (_l3_sides(g, r["v2"], r["v3"]) == (r["v1"], r["v5"])
-                    and _l3_sides(g, r["v3"], r["v2"]) == (r["v4"], r["v6"]))
+            adj = g.adjacency()
+            return (_l3_sides(adj, r["v2"], r["v3"]) == (r["v1"], r["v5"])
+                    and _l3_sides(adj, r["v3"], r["v2"]) == (r["v4"], r["v6"]))
         if conf.kind == KIND_L4:
             if not g.has_edge(r["v1"], r["v3"]):
                 return False
@@ -822,7 +857,7 @@ def apply_reduction(g: Graph, conf: Configuration) -> tuple[Graph, ReductionStep
         kind=conf.kind, matched=conf.matched, boundary=conf.boundary,
         removed_vertices=removed_v, removed_edges=removed_e,
         contracted=contracted, identified=identified, fresh=fresh,
-        local=local, reduced_vertices=tuple(sorted(reduced.vertices())))
+        local=local, reduced_vertices=reduced.vertices())
     return reduced, step
 
 
@@ -1274,16 +1309,26 @@ def lift_coloring(g: Graph, step: ReductionStep, c_reduced: Coloring,
                   stats: dict | None = None) -> Coloring:
     """Extend a valid coloring of the reduced graph to the original graph.
 
-    ``g`` is the graph the step was applied to.  The output is always
-    re-verified; a failed lift raises LiftError carrying the local state,
-    never returning a degraded coloring.
+    ``g`` is the graph the step was applied to, and ``c_reduced`` must be a
+    valid 3-weak-dynamic coloring of the reduced graph.  The output is
+    always verified before it is returned: it must color exactly the
+    vertices of ``g`` from the palette, and every vertex of the closed
+    neighborhood N_g[M ∪ D] must see min(d(v), 3) colors, where M is the
+    step's matched vertices and D every vertex whose color differs from
+    ``c_reduced`` (newly colored or recolored, wherever it lies).  That is
+    the whole rule on ``g``: every removed, contracted or identified vertex
+    and every endpoint of a removed edge is in N_g[M], so a vertex outside
+    N_g[M ∪ D] has the same neighbors in ``g`` as in the reduced graph, and
+    they carry the same colors as in ``c_reduced``; it sees what it saw
+    there.  A failed lift raises LiftError carrying the local state, never
+    returning a degraded coloring.
     """
     for v, nbrs in step.local:
         if not g.has_vertex(v) or g.neighbors(v) != frozenset(nbrs):
             raise StaleConfigurationError(
                 f"graph changed at {v} since the {step.kind} step was taken")
-    expected = set(step.reduced_vertices)
-    if set(c_reduced) != expected:
+    expected = step.reduced_vertices
+    if c_reduced.keys() != set(expected):
         raise LiftError(
             f"reduced coloring covers {len(c_reduced)} vertices, expected"
             f" {len(expected)}", kind=step.kind, matched=step.matched)
@@ -1295,14 +1340,20 @@ def lift_coloring(g: Graph, step: ReductionStep, c_reduced: Coloring,
         raise LiftError(f"{step.kind} lift failed: {e}", kind=step.kind,
                         matched=step.matched, stage=e.stage,
                         coloring=c) from e
-    if set(c) != set(g.vertices()):
+    adj = g.adjacency()
+    if c.keys() != adj.keys():
         raise LiftError("lift left the wrong vertex set colored",
                         kind=step.kind, matched=step.matched, coloring=c)
-    if any(col not in PALETTE for col in c.values()):
+    if not _PALETTE_SET.issuperset(c.values()):
         raise LiftError("lift used a color outside the palette",
                         kind=step.kind, matched=step.matched, coloring=c)
-    ok, violations = is_weak_dynamic(g, c, 3)
-    if not ok:
+    centers = {v for v, col in c.items() if c_reduced.get(v) != col}
+    centers.update(v for _, v in step.matched)
+    ball = set(centers)
+    for v in centers:
+        ball |= adj[v]
+    violations = _weak_dynamic_violations(adj, c, 3, ball)
+    if violations:
         raise LiftError(
             f"lifted coloring fails verification: {violations[:3]}",
             kind=step.kind, matched=step.matched, coloring=c)

@@ -8,6 +8,7 @@ through these checkers before returning.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Mapping
 
 from .graphs import Graph
 
@@ -30,21 +31,36 @@ def seen_colors(g: Graph, c: Coloring, v: int) -> set[int]:
     return {c[u] for u in g.neighbors(v) if u in c}
 
 
+def _weak_dynamic_violations(adj: Mapping[int, frozenset[int]],
+                             c: Coloring, k: int,
+                             vs: Iterable[int]) -> list[Violation]:
+    """Violations of the k-weak-dynamic rule among the vertices ``vs``.
+
+    ``adj`` is a whole adjacency (``Graph.adjacency()``) and ``c`` must
+    color every neighbor of ``vs``.  One pass in ascending vertex order.
+    """
+    violations = []
+    for v in sorted(vs):
+        nbrs = adj[v]
+        need = min(len(nbrs), k)
+        if need:
+            got = len({c[u] for u in nbrs})
+            if got < need:
+                violations.append(Violation(v, got, need))
+    return violations
+
+
 def is_weak_dynamic(g: Graph, c: Coloring, k: int) -> tuple[bool, list[Violation]]:
     """Every vertex must see at least min(d(v), k) distinct neighbor colors.
 
     Returns (ok, violations); violations are ordered by vertex id and carry
     the seen-color count for debugging lemma lifts.
     """
-    missing = [v for v in g.vertices() if v not in c]
-    if missing:
+    adj = g.adjacency()
+    if not c.keys() >= adj.keys():
+        missing = sorted(adj.keys() - c.keys())
         raise ValueError(f"coloring is partial; uncolored: {missing[:5]}")
-    violations = []
-    for v in g.vertices():
-        need = min(g.degree(v), k)
-        got = len(seen_colors(g, c, v))
-        if got < need:
-            violations.append(Violation(v, got, need))
+    violations = _weak_dynamic_violations(adj, c, k, adj)
     return not violations, violations
 
 

@@ -172,3 +172,33 @@ def connected_atlas(max_n: int):
                 [(mapping[u], mapping[v]) for u, v in G.edges()],
                 vertices=range(G.number_of_nodes())))
     return out
+
+
+# ---------------------------------------------------------------------------
+# random planar graphs, thinned by whole-graph copies
+# ---------------------------------------------------------------------------
+
+
+def random_planar_by_copies(n: int, target_density: float,
+                            seed: int) -> Graph:
+    """``wdcolor.generators.random_planar`` as first written: every
+    tentative deletion copies the graph and re-checks the connectivity of
+    the whole copy.  Same seeded draws, so it must give the same graph."""
+    from wdcolor.generators import triangulation
+    rng = random.Random(seed)
+    if n == 1:
+        return Graph.from_edges([], vertices=[0])
+    if n == 2:
+        return Graph.from_edges([(0, 1)])
+    g = triangulation(n, rng)
+    full = 3 * n - 6
+    target = min(full, max(n - 1, round(target_density * full)))
+    order = sorted(g.edges())
+    rng.shuffle(order)
+    for u, v in order:
+        if g.m <= target:
+            break
+        candidate = g.delete_edge(u, v)
+        if candidate.is_connected():
+            g = candidate
+    return g

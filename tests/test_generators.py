@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+import oracles
 from wdcolor.exact import wd_number_exact
 from wdcolor.generators import (
     NAMED_GRAPH_NAMES,
@@ -126,3 +127,21 @@ class TestRandomPlanar:
         sparse = sum(random_planar(12, 0.2, s).m for s in range(6))
         dense = sum(random_planar(12, 0.9, s).m for s in range(6))
         assert sparse < dense
+
+    def test_same_graphs_as_thinning_by_whole_copies(self):
+        rng = random.Random(2024)
+        for _ in range(200):
+            n = rng.randint(1, 60)
+            d = rng.choice((0.0, 0.2, 0.4, 0.6, 0.8, 1.0))
+            seed = rng.randrange(10**6)
+            g = random_planar(n, d, seed)
+            old = oracles.random_planar_by_copies(n, d, seed)
+            assert g == old, (n, d, seed)
+            assert (g.m, g.next_fresh) == (old.m, old.next_fresh)
+
+    def test_same_graphs_as_thinning_by_whole_copies_at_scale(self):
+        # the sizes of the benchmark's tri-reduce workload
+        for i, (n, d) in enumerate(((150, 1.0), (200, 0.9), (250, 1.0),
+                                    (300, 0.8), (500, 0.6), (700, 0.4))):
+            assert random_planar(n, d, 7000 + i) \
+                == oracles.random_planar_by_copies(n, d, 7000 + i), n

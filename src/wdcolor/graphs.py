@@ -1,4 +1,7 @@
-"""Immutable simple undirected graphs with integer vertex ids.
+"""Simple undirected graphs with integer vertex ids.
+
+``Graph`` is immutable.  ``EditableGraph`` is one graph that the reduction
+engine edits in place and restores through an undo log.
 
 Vertex identities are stable: deletion never reindexes, and contraction /
 identification allocate a fresh id (tracked by ``next_fresh``) that is never
@@ -14,7 +17,55 @@ from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
 
-class Graph:
+class _Adjacency:
+    """Read-only queries shared by ``Graph`` and ``EditableGraph``."""
+
+    __slots__ = ()
+    _adj: dict[int, frozenset[int]]
+    _edge_count: int
+
+    @property
+    def n(self) -> int:
+        return len(self._adj)
+
+    @property
+    def m(self) -> int:
+        return self._edge_count
+
+    def adjacency(self) -> Mapping[int, frozenset[int]]:
+        """Read-only view of the whole adjacency, for hot loops that would
+        otherwise pay a checked ``degree``/``neighbors`` call per probe."""
+        return MappingProxyType(self._adj)
+
+    def has_vertex(self, v: int) -> bool:
+        return v in self._adj
+
+    def has_edge(self, u: int, v: int) -> bool:
+        return u in self._adj and v in self._adj[u]
+
+    def edges(self) -> Iterator[tuple[int, int]]:
+        for u in sorted(self._adj):
+            for v in sorted(self._adj[u]):
+                if u < v:
+                    yield (u, v)
+
+    def neighbors(self, v: int) -> frozenset[int]:
+        self._require(v)
+        return self._adj[v]
+
+    def degree(self, v: int) -> int:
+        self._require(v)
+        return len(self._adj[v])
+
+    def _require(self, v: int) -> None:
+        if v not in self._adj:
+            raise KeyError(f"unknown vertex {v}")
+
+    def __contains__(self, v: int) -> bool:
+        return v in self._adj
+
+
+class Graph(_Adjacency):
     """Simple undirected graph. Instances are immutable; all mutating
     operations return new graphs."""
 
@@ -58,44 +109,11 @@ class Graph:
 
     # -- basic queries -------------------------------------------------
 
-    @property
-    def n(self) -> int:
-        return len(self._adj)
-
-    @property
-    def m(self) -> int:
-        return self._edge_count
-
     def vertices(self) -> tuple[int, ...]:
         """All vertices, ascending (sorted once per graph)."""
         if self._sorted is None:
             self._sorted = tuple(sorted(self._adj))
         return self._sorted
-
-    def adjacency(self) -> Mapping[int, frozenset[int]]:
-        """Read-only view of the whole adjacency, for hot loops that would
-        otherwise pay a checked ``degree``/``neighbors`` call per probe."""
-        return MappingProxyType(self._adj)
-
-    def has_vertex(self, v: int) -> bool:
-        return v in self._adj
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return u in self._adj and v in self._adj[u]
-
-    def edges(self) -> Iterator[tuple[int, int]]:
-        for u in sorted(self._adj):
-            for v in sorted(self._adj[u]):
-                if u < v:
-                    yield (u, v)
-
-    def neighbors(self, v: int) -> frozenset[int]:
-        self._require(v)
-        return self._adj[v]
-
-    def degree(self, v: int) -> int:
-        self._require(v)
-        return len(self._adj[v])
 
     def second_neighborhood(self, v: int) -> frozenset[int]:
         """Vertices sharing at least one common neighbor with v (v itself
@@ -107,44 +125,24 @@ class Graph:
         out.discard(v)
         return frozenset(out)
 
-    def _require(self, v: int) -> None:
-        if v not in self._adj:
-            raise KeyError(f"unknown vertex {v}")
-
     # -- derived graphs --------------------------------------------------
 
     # Derived graphs copy the vertex dict at C speed and rebuild only the
     # entries they touch; every other neighbor set is shared with the source.
+    # The reduction edits are made once, by EditableGraph.
 
     def delete_edge(self, u: int, v: int) -> "Graph":
-        if not self.has_edge(u, v):
-            raise KeyError(f"no edge {u}-{v}")
-        adj = dict(self._adj)
-        adj[u] = adj[u] - {v}
-        adj[v] = adj[v] - {u}
-        return Graph._derived(adj, self.next_fresh, self._edge_count - 1)
+        e = EditableGraph(self)
+        e.delete_edge(u, v)
+        return e.release()
 
     def delete_vertex(self, v: int) -> "Graph":
-        self._require(v)
         return self.delete_vertices([v])
 
     def delete_vertices(self, vs: Iterable[int]) -> "Graph":
-        dead = set(vs)
-        for v in dead:
-            self._require(v)
-        adj = dict(self._adj)
-        touched: set[int] = set()
-        ends = inner = 0
-        for v in dead:
-            nbrs = adj.pop(v)
-            touched |= nbrs
-            ends += len(nbrs)
-            inner += len(nbrs & dead)
-        for u in touched - dead:
-            adj[u] = adj[u] - dead
-        # an edge inside ``dead`` has two ends there, any other edge one
-        return Graph._derived(adj, self.next_fresh,
-                              self._edge_count - ends + inner // 2)
+        e = EditableGraph(self)
+        e.delete_vertices(vs)
+        return e.release()
 
     def induced_subgraph(self, vs: Iterable[int]) -> "Graph":
         keep = set(vs)
@@ -174,31 +172,16 @@ class Graph:
     def contract_edge(self, u: int, v: int) -> tuple["Graph", int]:
         """Contract the edge uv into a fresh vertex adjacent to
         N(u) ∪ N(v) − {u, v}; parallel edges merge (result stays simple)."""
-        if not self.has_edge(u, v):
-            raise KeyError(f"no edge {u}-{v} to contract")
-        return self._merge(u, v)
+        e = EditableGraph(self)
+        fresh = e.contract_edge(u, v)
+        return e.release(), fresh
 
     def identify_vertices(self, u: int, v: int) -> tuple["Graph", int]:
         """Merge two distinct vertices (adjacency not required) into a fresh
         vertex; equivalent to contract_edge when uv is an edge."""
-        if u == v:
-            raise ValueError("cannot identify a vertex with itself")
-        self._require(u)
-        self._require(v)
-        return self._merge(u, v)
-
-    def _merge(self, u: int, v: int) -> tuple["Graph", int]:
-        fresh = self.next_fresh
-        merged = (self._adj[u] | self._adj[v]) - {u, v}
-        adj = dict(self._adj)
-        del adj[u], adj[v]
-        for w in merged:
-            adj[w] = (adj[w] - {u, v}) | {fresh}
-        adj[fresh] = frozenset(merged)
-        lost = (len(self._adj[u]) + len(self._adj[v])
-                - self.has_edge(u, v))
-        return (Graph._derived(adj, fresh + 1,
-                               self._edge_count - lost + len(merged)), fresh)
+        e = EditableGraph(self)
+        fresh = e.identify_vertices(u, v)
+        return e.release(), fresh
 
     # -- traversal helpers ----------------------------------------------
 
@@ -236,9 +219,6 @@ class Graph:
 
     # -- dunder ----------------------------------------------------------
 
-    def __contains__(self, v: int) -> bool:
-        return v in self._adj
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Graph) and self._adj == other._adj
 
@@ -247,6 +227,140 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
+
+
+class EditableGraph(_Adjacency):
+    """One graph edited in place, with an undo log.
+
+    It starts from a C-level copy of a ``Graph``'s vertex dict.  Neighbor
+    sets stay frozensets shared with their source: an edit replaces the
+    sets of the vertices it touches, costing O(degree), never O(n).  Each
+    edit records the sets it replaces (None for a vertex it creates) in
+    the newest undo entry, which ``checkpoint`` opens; ``undo`` drops that
+    entry and restores the graph, edge count and ``next_fresh`` included,
+    as they were when it was opened.  Edits made before any checkpoint
+    are not recorded.
+    """
+
+    __slots__ = ("_adj", "next_fresh", "_edge_count", "_undo")
+
+    def __init__(self, g: Graph) -> None:
+        self._adj = dict(g._adj)
+        self.next_fresh = g.next_fresh
+        self._edge_count = g._edge_count
+        self._undo: list[tuple[int, int, list[tuple[int, frozenset[int] | None]]]] = []
+
+    def vertices(self) -> tuple[int, ...]:
+        """All vertices, ascending (sorted on every call)."""
+        return tuple(sorted(self._adj))
+
+    def snapshot(self) -> Graph:
+        """The current graph as an immutable ``Graph`` (one dict copy)."""
+        return Graph._derived(dict(self._adj), self.next_fresh,
+                              self._edge_count)
+
+    def release(self) -> Graph:
+        """Hand the adjacency over to an immutable ``Graph`` without a
+        copy; this editable graph must not be used afterwards."""
+        g = Graph._derived(self._adj, self.next_fresh, self._edge_count)
+        self._adj = None  # type: ignore[assignment]
+        return g
+
+    # -- undo log ----------------------------------------------------------
+
+    @property
+    def depth(self) -> int:
+        """The number of undo entries."""
+        return len(self._undo)
+
+    def checkpoint(self) -> None:
+        """Open an undo entry; later edits record into it."""
+        self._undo.append((self._edge_count, self.next_fresh, []))
+
+    def undo(self) -> None:
+        """Revert every edit since the newest checkpoint, and drop it."""
+        m, next_fresh, saved = self._undo.pop()
+        adj = self._adj
+        for v, old in reversed(saved):
+            if old is None:
+                del adj[v]
+            else:
+                adj[v] = old
+        self._edge_count = m
+        self.next_fresh = next_fresh
+
+    def changed_since(self, depth: int) -> dict[int, frozenset[int] | None]:
+        """Every vertex whose neighbor set an edit replaced, created or
+        deleted in the undo entries from ``depth`` on, with the set it had
+        at ``depth`` (None if it did not exist then)."""
+        # newest first, so the oldest saved set is the one that stays
+        return {v: old for _, _, saved in reversed(self._undo[depth:])
+                for v, old in reversed(saved)}
+
+    def _saved(self) -> list[tuple[int, frozenset[int] | None]]:
+        return self._undo[-1][2] if self._undo else []
+
+    # -- edits ---------------------------------------------------------------
+
+    def delete_edge(self, u: int, v: int) -> None:
+        if not self.has_edge(u, v):
+            raise KeyError(f"no edge {u}-{v}")
+        adj = self._adj
+        saved = self._saved()
+        saved += ((u, adj[u]), (v, adj[v]))
+        adj[u] = adj[u] - {v}
+        adj[v] = adj[v] - {u}
+        self._edge_count -= 1
+
+    def delete_vertices(self, vs: Iterable[int]) -> None:
+        dead = set(vs)
+        for v in dead:
+            self._require(v)
+        adj = self._adj
+        saved = self._saved()
+        touched: set[int] = set()
+        ends = inner = 0
+        for v in dead:
+            nbrs = adj.pop(v)
+            saved.append((v, nbrs))
+            touched |= nbrs
+            ends += len(nbrs)
+            inner += len(nbrs & dead)
+        for u in touched - dead:
+            saved.append((u, adj[u]))
+            adj[u] = adj[u] - dead
+        # an edge inside ``dead`` has two ends there, any other edge one
+        self._edge_count -= ends - inner // 2
+
+    def contract_edge(self, u: int, v: int) -> int:
+        """Contract the edge uv into a fresh vertex; returns its id."""
+        if not self.has_edge(u, v):
+            raise KeyError(f"no edge {u}-{v} to contract")
+        return self._merge(u, v)
+
+    def identify_vertices(self, u: int, v: int) -> int:
+        """Merge two distinct vertices into a fresh vertex; returns its id."""
+        if u == v:
+            raise ValueError("cannot identify a vertex with itself")
+        self._require(u)
+        self._require(v)
+        return self._merge(u, v)
+
+    def _merge(self, u: int, v: int) -> int:
+        adj = self._adj
+        saved = self._saved()
+        fresh = self.next_fresh
+        au, av = adj.pop(u), adj.pop(v)
+        saved += ((u, au), (v, av))
+        merged = (au | av) - {u, v}
+        for w in merged:
+            saved.append((w, adj[w]))
+            adj[w] = (adj[w] - {u, v}) | {fresh}
+        saved.append((fresh, None))
+        adj[fresh] = frozenset(merged)
+        self._edge_count += len(merged) - len(au) - len(av) + (v in au)
+        self.next_fresh = fresh + 1
+        return fresh
 
 
 @dataclass(frozen=True)

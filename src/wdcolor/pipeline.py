@@ -25,11 +25,11 @@ import logging
 from dataclasses import dataclass
 
 from .exact import chromatic_number_exact, wd_number_exact
-from .graphs import Graph
+from .graphs import EditableGraph, Graph
 from .listcolor import DependencyColoringError, color_dependency_graph
 from .planarity import is_planar
-from .reductions import (LiftError, ReductionStep, lift_coloring,
-                         reduce_fully)
+from .reductions import (LiftColoring, LiftError, ReductionStep,
+                         lift_coloring, reduce_in_place)
 from .verify import Coloring, is_weak_dynamic, palette_size
 
 logger = logging.getLogger(__name__)
@@ -187,7 +187,9 @@ def build_H(g: Graph, gprime: Graph, cls: VertexClassification) -> Graph:
         for x, y in itertools.combinations(anchor_nbrs, 2):
             edges.add((x, y))
     h = Graph.from_edges(sorted(edges), vertices=sorted(kept))
-    if is_planar(g).is_planar and not is_planar(h).is_planar:
+    # H is certified first: the input's certificate is needed only when
+    # H fails, and the driver has already certified the input
+    if not is_planar(h).is_planar and is_planar(g).is_planar:
         raise InvariantBreachError(
             "anchor graph of a planar input came out nonplanar; offending"
             f" input edges: {sorted(g.edges())}")
@@ -283,9 +285,11 @@ def _exact_wd3_cap6(g: Graph, why: str) -> Coloring:
 def _color_component_wd3(g: Graph,
                          trace: list[ReductionStep] | None = None) -> Coloring:
     """Reduce to an irreducible core, construct there, lift back."""
-    cur, stack = reduce_fully(g)
+    e = EditableGraph(g)
+    steps = reduce_in_place(e)
     if trace is not None:
-        trace.extend(step for _, step in stack)
+        trace.extend(steps)
+    cur = e.snapshot()
     if cur.n == 0:
         coloring: Coloring = {}
     else:
@@ -297,13 +301,20 @@ def _color_component_wd3(g: Graph,
             logger.warning("construction invariant breached on the core"
                            " (n=%d m=%d): %s", cur.n, cur.m, exc)
             coloring = _exact_wd3_cap6(cur, "invariant breach")
-    for before, step in reversed(stack):
+    # one coloring, lifted in place while the undo log restores each
+    # graph before its step
+    c = LiftColoring(coloring, cur.adjacency().keys())
+    for step in reversed(steps):
+        e.undo()
         try:
-            coloring = lift_coloring(before, step, coloring)
+            c = lift_coloring(e, step, c)
         except LiftError as exc:
             logger.warning("lift failed at a %s step: %s", step.kind, exc)
-            coloring = _exact_wd3_cap6(before, f"lift failure at {step.kind}")
-    return coloring
+            before = e.snapshot()
+            c = LiftColoring(
+                _exact_wd3_cap6(before, f"lift failure at {step.kind}"),
+                before.adjacency().keys())
+    return c
 
 
 def wd3_color_planar(g: Graph,

@@ -2,22 +2,31 @@
 
 Each reducible pattern kind carries a stable string identifier (see
 ``KIND_ORDER``).  ``detect_configuration`` scans the kinds in that fixed
-order and returns the first match, scanning vertices in ascending id order
-inside each kind, so detection is fully deterministic.  ``apply_reduction``
-shrinks the graph (strictly fewer edges) and records a replayable
-``ReductionStep``; ``lift_coloring`` extends a valid coloring of the reduced
-graph back to the original graph, verifying the result before returning.
+order and returns the first match, scanning anchor vertices in ascending
+id order inside each kind, so detection is fully deterministic.
+``apply_reduction`` shrinks the graph (strictly fewer edges) and records a
+replayable ``ReductionStep``; ``lift_coloring`` extends a valid coloring of
+the reduced graph back to the original graph, verifying the result before
+returning.
 
-Apart from the detection scans and C-level dict copies, a step costs work in
-proportion to the step, not to the graph.  The finders read degrees straight
-from ``Graph.adjacency()``.  A reduction edits the adjacency only within the
-closed neighborhood N[M] of the matched vertices M, plus the fresh vertex
-of a contraction or identification, and the reduced graph shares every
-untouched neighbor set with its source.  So a lift is verified on N[M ∪ D]
-only, where D holds every vertex whose color differs from the input
-coloring: any vertex outside that ball has the same neighbors, the same
+A reduce-and-lift step costs work in proportion to the step, not to the
+graph.  The driver reduces one ``EditableGraph`` in place
+(``reduce_in_place``): each step replaces only the neighbor sets within
+the closed neighborhood N[M] of the matched vertices M, plus the fresh
+vertex of a contraction or identification, and records the sets it
+replaced in an undo entry.  A ``DetectionIndex`` keeps the matching
+anchors of kinds L1a-L8 and re-matches, when a kind is next asked, only
+the anchors near the vertices those entries name; it picks what the full
+scan would.  The full scan runs only when none of them matches, for L9
+and L10, which order by cycle length.  The driver then lifts one
+``LiftColoring`` in place while popping the undo entries, so each lift
+sees exactly the graph before its step.  The coloring records the keys a
+lift writes, the set D, and a lift is verified on N[D] and the ends of
+removed edges only: any other vertex has the same neighbors, the same
 demand and the same seen colors as in the reduced graph, where the input
-coloring was valid.  The driver re-checks the whole graph once at the end.
+coloring was valid.  The driver re-checks the whole graph once at the
+end.  The public functions on an immutable ``Graph`` and a plain dict run
+the same edits and the same checks on a copy.
 
 Every lift step draws colors through ``pick_color`` under a color order
 derived from the input coloring's first-use order, which makes the whole
@@ -31,13 +40,15 @@ re-lifting renamed inputs.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import logging
+import math
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
-from .graphs import Graph
+from .graphs import EditableGraph, Graph
 from .listcolor import (ColorOrder, DependencyColoringError, Lists,
                         color_dependency_graph, pick_color)
 from .planarity import is_planar
@@ -136,10 +147,9 @@ class Configuration:
 class ReductionStep:
     """One replayable reduction: what was removed, merged, and frozen.
 
-    ``local`` freezes the adjacency (in the pre-reduction graph) of every
+    ``local`` keeps the neighbor set (in the pre-reduction graph) of every
     matched vertex so a later lift can check it is being replayed against
-    the same graph.  ``reduced_vertices`` records the vertex set of the
-    reduced graph, which the input coloring of a lift must cover exactly.
+    the same graph.
     """
 
     kind: str
@@ -150,8 +160,7 @@ class ReductionStep:
     contracted: tuple[int, int] | None
     identified: tuple[int, int] | None
     fresh: int | None
-    local: tuple[tuple[int, tuple[int, ...]], ...]
-    reduced_vertices: tuple[int, ...]
+    local: tuple[tuple[int, frozenset[int]], ...]
 
     def roles(self) -> dict[str, int]:
         return dict(self.matched)
@@ -182,21 +191,74 @@ class ReductionTrace:
 # --------------------------------------------------------------------------
 # color-order and protection helpers
 
-def _color_order_from(coloring: Coloring) -> tuple[int, ...]:
-    """First-use order of colors over ascending vertex ids, then the rest
-    of the palette numerically.  Permutation-equivariant by construction."""
-    order: list[int] = []
-    used = len(set(coloring.values()))
-    for v in sorted(coloring):
-        if len(order) == used:
-            break
-        c = coloring[v]
-        if c not in order:
-            order.append(c)
-    for c in PALETTE:
-        if c not in order:
-            order.append(c)
-    return tuple(order)
+class LiftColoring(dict):
+    """The coloring that lifts write in place.
+
+    A dict that records every key written since ``begin``.  It also keeps
+    the smallest vertex of each color, which gives the first-use color
+    order of a lift with no sort of the whole coloring: a write can only
+    lower the smallest vertex of its color, and one sorted pass is needed
+    again only after a color's smallest vertex was recolored or deleted.
+    Deleting a key is not recorded as a write: a lift's check counts the
+    colored vertices instead.
+    """
+
+    __slots__ = ("written", "_firsts")
+
+    def __init__(self, coloring: Coloring, vertices) -> None:
+        """A copy of ``coloring``, which must color exactly ``vertices``
+        (a set or a dict's keys) from the palette."""
+        if coloring.keys() != vertices:
+            raise LiftError(f"coloring covers {len(coloring)} vertices,"
+                            f" expected {len(vertices)}")
+        if not _PALETTE_SET.issuperset(coloring.values()):
+            raise LiftError("coloring uses a color outside the palette")
+        super().__init__(coloring)
+        self.written: set[int] = set()
+        self._firsts: dict[int, int] | None = None
+
+    def begin(self) -> None:
+        """Forget the keys written so far."""
+        self.written = set()
+
+    def __setitem__(self, v: int, col: int) -> None:
+        dict.__setitem__(self, v, col)
+        self.written.add(v)
+        firsts = self._firsts
+        if firsts is not None and v < firsts.get(col, v + 1):
+            firsts[col] = v
+
+    # every way of writing goes through __setitem__, so no write escapes
+    # ``written``, which the lift's check relies on
+
+    def update(self, *args, **kwargs) -> None:
+        for v, col in dict(*args, **kwargs).items():
+            self[v] = col
+
+    def setdefault(self, v: int, col: int) -> int:
+        if v not in self:
+            self[v] = col
+        return self[v]
+
+    def __ior__(self, other):
+        self.update(other)
+        return self
+
+    def color_order(self) -> tuple[int, ...]:
+        """First-use order of colors over ascending vertex ids, then the
+        rest of the palette numerically.  Permutation-equivariant by
+        construction."""
+        firsts = self._firsts
+        if firsts is None or any(self.get(v) != col
+                                 for col, v in firsts.items()):
+            firsts = self._firsts = {}
+            used = len(set(self.values()))
+            for v in sorted(self):
+                firsts.setdefault(self[v], v)
+                if len(firsts) == used:
+                    break
+        order = sorted(firsts, key=firsts.__getitem__)
+        return tuple(order + [c for c in PALETTE if c not in firsts])
 
 
 def _palette_in(order: ColorOrder) -> tuple[int, ...]:
@@ -285,25 +347,20 @@ def _hit(stats: dict | None, label: str) -> None:
 # --------------------------------------------------------------------------
 # detection
 
-def _boundary_of(g: Graph, members) -> tuple[int, ...]:
+def _boundary_of(g: Graph | EditableGraph, members) -> tuple[int, ...]:
+    """The vertices within distance two of ``members``, outside them."""
     adj = g.adjacency()
     mem = set(members)
-    ring: set[int] = set()
-    for v in mem:
-        ring |= adj[v]
-    ball = set(ring)
-    for v in ring:
-        ball |= adj[v]
-    return tuple(sorted((ring | ball) - mem))
+    ring = set().union(*map(adj.__getitem__, mem))
+    ball = ring.union(*map(adj.__getitem__, ring))
+    return tuple(sorted(ball - mem))
 
 
-def _configuration(g: Graph, kind: str, roles) -> Configuration:
-    conf = Configuration(kind=kind, matched=tuple(roles),
+def _configuration(g: Graph | EditableGraph, kind: str,
+                   roles) -> Configuration:
+    """The configuration of a match; ``apply_reduction`` validates it."""
+    return Configuration(kind=kind, matched=tuple(roles),
                          boundary=_boundary_of(g, (v for _, v in roles)))
-    if not validate_configuration(g, conf):
-        raise ReductionError(f"constructed {kind} configuration fails its"
-                             f" own invariants: {roles}")
-    return conf
 
 
 def _only(s) -> int:
@@ -311,41 +368,32 @@ def _only(s) -> int:
     return x
 
 
-def _find_l1a(g: Graph) -> Configuration | None:
-    adj = g.adjacency()
-    for v in g.vertices():
-        if len(adj[v]) == 1:
-            u = _only(adj[v])
-            return _configuration(g, KIND_L1A, [("v1", v), ("u1", u)])
-    return None
+# Each kind L1a-L8 is matched at an anchor vertex whose degree lies in the
+# kind's range (see ``_ANCHORED``): ``_match_*(adj, v)`` gives the roles
+# of the kind's first match anchored at ``v``, in the kind's own inner
+# order, or None.  The full scan of a kind picks its smallest matching
+# anchor.
+
+def _match_l1a(adj, v: int):
+    return [("v1", v), ("u1", _only(adj[v]))]
 
 
-def _find_l1b(g: Graph) -> Configuration | None:
-    adj = g.adjacency()
-    for v1 in g.vertices():
-        nbrs = adj[v1]
-        if len(nbrs) != 2:
-            continue
-        lows = [u for u in nbrs if len(adj[u]) <= 3]
-        if not lows:
-            continue
-        v2 = min(lows)
-        u1 = _only(nbrs - {v2})
-        return _configuration(g, KIND_L1B, [("v1", v1), ("v2", v2),
-                                            ("u1", u1)])
-    return None
+def _match_l1b(adj, v1: int):
+    nbrs = adj[v1]
+    lows = [u for u in nbrs if len(adj[u]) <= 3]
+    if not lows:
+        return None
+    v2 = min(lows)
+    return [("v1", v1), ("v2", v2), ("u1", _only(nbrs - {v2}))]
 
 
-def _find_l2(g: Graph) -> Configuration | None:
-    """The lexicographically first edge joining two 4+ vertices."""
-    adj = g.adjacency()
-    for u in g.vertices():
-        if len(adj[u]) < 4:
-            continue
-        higher = [w for w in adj[u] if w > u and len(adj[w]) >= 4]
-        if higher:
-            return _configuration(g, KIND_L2, [("v1", u), ("v2", min(higher))])
-    return None
+def _match_l2(adj, u: int):
+    """At ``u``, the edge to its smallest higher 4+ neighbor; so the
+    smallest anchor gives the lexicographically first 4+/4+ edge."""
+    higher = [w for w in adj[u] if w > u and len(adj[w]) >= 4]
+    if not higher:
+        return None
+    return [("v1", u), ("v2", min(higher))]
 
 
 def _l3_sides(adj, mid: int, other: int):
@@ -360,20 +408,14 @@ def _l3_sides(adj, mid: int, other: int):
     return fours[0], threes[0]
 
 
-def _deg3_edges(g: Graph) -> Iterator[tuple[int, int]]:
-    """Edges ``(a, b)``, ``a < b``, joining two 3-vertices, ascending."""
-    adj = g.adjacency()
-    for a in g.vertices():
-        if len(adj[a]) != 3:
-            continue
-        for b in sorted(adj[a]):
-            if b > a and len(adj[b]) == 3:
-                yield a, b
+def _deg3_partners(adj, a: int) -> list[int]:
+    """The 3-vertices b > a next to a 3-vertex ``a``, ascending: anchored
+    at their smaller end, 3-3 edges come in lexicographic order."""
+    return sorted(b for b in adj[a] if b > a and len(adj[b]) == 3)
 
 
-def _find_l3(g: Graph) -> Configuration | None:
-    adj = g.adjacency()
-    for a, b in _deg3_edges(g):
+def _match_l3(adj, a: int):
+    for b in _deg3_partners(adj, a):
         for v2, v3 in ((a, b), (b, a)):
             left = _l3_sides(adj, v2, v3)
             right = _l3_sides(adj, v3, v2)
@@ -383,27 +425,23 @@ def _find_l3(g: Graph) -> Configuration | None:
             v4, v6 = right
             if len({v1, v2, v3, v4, v5, v6}) != 6:
                 continue
-            return _configuration(g, KIND_L3, [("v1", v1), ("v2", v2),
-                                               ("v3", v3), ("v4", v4),
-                                               ("v5", v5), ("v6", v6)])
+            return [("v1", v1), ("v2", v2), ("v3", v3), ("v4", v4),
+                    ("v5", v5), ("v6", v6)]
     return None
 
 
-def _find_l4(g: Graph) -> Configuration | None:
-    adj = g.adjacency()
-    for u, w in _deg3_edges(g):
+def _match_l4(adj, u: int):
+    for w in _deg3_partners(adj, u):
         rest_u = adj[u] - {w}
         if rest_u != adj[w] - {u}:
             continue
         v2, v4 = sorted(rest_u)
-        return _configuration(g, KIND_L4, [("v1", u), ("v2", v2), ("v3", w),
-                                           ("v4", v4)])
+        return [("v1", u), ("v2", v2), ("v3", w), ("v4", v4)]
     return None
 
 
-def _find_l5(g: Graph) -> Configuration | None:
-    adj = g.adjacency()
-    for a, b in _deg3_edges(g):
+def _match_l5(adj, a: int):
+    for b in _deg3_partners(adj, a):
         for c in sorted(adj[a] & adj[b]):
             if c <= b or len(adj[c]) != 3:
                 continue
@@ -414,72 +452,115 @@ def _find_l5(g: Graph) -> Configuration | None:
                 continue
             if min(len(adj[w1]), len(adj[w2]), len(adj[w3])) < 3:
                 continue
-            return _configuration(g, KIND_L5, [("v1", a), ("v2", b),
-                                               ("v3", c), ("w1", w1),
-                                               ("w2", w2), ("w3", w3)])
+            return [("v1", a), ("v2", b), ("v3", c), ("w1", w1),
+                    ("w2", w2), ("w3", w3)]
     return None
 
 
-def _find_l6(g: Graph) -> Configuration | None:
-    adj = g.adjacency()
-    for v3 in g.vertices():
-        if len(adj[v3]) != 3:
+def _match_l6(adj, v3: int):
+    for v1 in sorted(adj[v3]):
+        if len(adj[v1]) < 4:
             continue
-        for v1 in sorted(adj[v3]):
-            if len(adj[v1]) < 4:
-                continue
-            v2, v4 = sorted(adj[v3] - {v1})
-            if len(adj[v2]) != 3 or len(adj[v4]) != 3:
-                continue
-            if not (v2 in adj[v1] and v4 in adj[v1]):
-                continue
-            if v4 in adj[v2]:
-                continue
-            v5 = _only(adj[v2] - {v1, v3})
-            v6 = _only(adj[v4] - {v1, v3})
-            if len(adj[v5]) < 3 or len(adj[v6]) < 3:
-                continue
-            return _configuration(g, KIND_L6, [("v1", v1), ("v2", v2),
-                                               ("v3", v3), ("v4", v4),
-                                               ("v5", v5), ("v6", v6)])
-    return None
-
-
-def _find_apex_triangle(g: Graph, apex_test) -> Configuration | None:
-    adj = g.adjacency()
-    for v3 in g.vertices():
-        if not apex_test(len(adj[v3])):
+        v2, v4 = sorted(adj[v3] - {v1})
+        if len(adj[v2]) != 3 or len(adj[v4]) != 3:
             continue
-        pairs = itertools.combinations(sorted(adj[v3]), 2)
-        for v1, v2 in pairs:
-            if v2 not in adj[v1]:
-                continue
-            if len(adj[v1]) != 3 or len(adj[v2]) != 3:
-                continue
-            v4 = _only(adj[v1] - {v2, v3})
-            v5 = _only(adj[v2] - {v1, v3})
-            if v4 == v5:
-                continue
-            if len(adj[v4]) != 3 or len(adj[v5]) != 3:
-                continue
-            roles = [("v1", v1), ("v2", v2), ("v3", v3), ("v4", v4),
-                     ("v5", v5)]
-            if len(adj[v3]) == 4:
-                v6, v7 = sorted(adj[v3] - {v1, v2})
-                if len(adj[v6]) > 3 or len(adj[v7]) > 3:
-                    continue
-                roles += [("v6", v6), ("v7", v7)]
-                return _configuration(g, KIND_L7, roles)
-            return _configuration(g, KIND_L8, roles)
+        if not (v2 in adj[v1] and v4 in adj[v1]):
+            continue
+        if v4 in adj[v2]:
+            continue
+        v5 = _only(adj[v2] - {v1, v3})
+        v6 = _only(adj[v4] - {v1, v3})
+        if len(adj[v5]) < 3 or len(adj[v6]) < 3:
+            continue
+        return [("v1", v1), ("v2", v2), ("v3", v3), ("v4", v4), ("v5", v5),
+                ("v6", v6)]
     return None
 
 
-def _find_l7(g: Graph) -> Configuration | None:
-    return _find_apex_triangle(g, lambda d: d == 4)
+def _match_apex_triangle(adj, v3: int):
+    """A triangle of two 3-vertices on the apex ``v3``, each with one more
+    3-vertex neighbor; with a degree-4 apex both of its other neighbors
+    must have degree at most three."""
+    for v1, v2 in itertools.combinations(sorted(adj[v3]), 2):
+        if v2 not in adj[v1]:
+            continue
+        if len(adj[v1]) != 3 or len(adj[v2]) != 3:
+            continue
+        v4 = _only(adj[v1] - {v2, v3})
+        v5 = _only(adj[v2] - {v1, v3})
+        if v4 == v5:
+            continue
+        if len(adj[v4]) != 3 or len(adj[v5]) != 3:
+            continue
+        roles = [("v1", v1), ("v2", v2), ("v3", v3), ("v4", v4), ("v5", v5)]
+        if len(adj[v3]) == 4:
+            v6, v7 = sorted(adj[v3] - {v1, v2})
+            if len(adj[v6]) > 3 or len(adj[v7]) > 3:
+                continue
+            roles += [("v6", v6), ("v7", v7)]
+        return roles
+    return None
 
 
-def _find_l8(g: Graph) -> Configuration | None:
-    return _find_apex_triangle(g, lambda d: d >= 5)
+class _Anchored(NamedTuple):
+    """How one kind is matched at an anchor, and what the match reads.
+
+    ``match(adj, v)`` is called on anchors of degree ``lo`` to ``hi``.  It
+    reads whole neighbor sets within ``sets`` of the anchor only, and
+    beyond them, up to ``degrees``, only degree classes (see
+    ``_degree_class``).
+    """
+
+    kind: str
+    match: Callable
+    lo: int
+    hi: float
+    sets: int
+    degrees: int
+
+
+#: The anchored kinds in detection order.  The far reads: L1b and L2 the
+#: degrees of the anchor's neighbors, L3 those of the far side's
+#: neighbors, L5 those of the hubs, L6 of v5 and v6, L7/L8 of v4 and v5.
+_ANCHORED: tuple[_Anchored, ...] = (
+    _Anchored(KIND_L1A, _match_l1a, 1, 1, 0, 0),
+    _Anchored(KIND_L1B, _match_l1b, 2, 2, 0, 1),
+    _Anchored(KIND_L2, _match_l2, 4, math.inf, 0, 1),
+    _Anchored(KIND_L3, _match_l3, 3, 3, 1, 2),
+    _Anchored(KIND_L4, _match_l4, 3, 3, 1, 1),
+    _Anchored(KIND_L5, _match_l5, 3, 3, 1, 2),
+    _Anchored(KIND_L6, _match_l6, 3, 3, 1, 2),
+    _Anchored(KIND_L7, _match_apex_triangle, 4, 4, 1, 2),
+    _Anchored(KIND_L8, _match_apex_triangle, 5, math.inf, 1, 2),
+)
+_ANCHORED_AT = {row.kind: i for i, row in enumerate(_ANCHORED)}
+
+
+def _degree_class(nbrs: frozenset[int] | None) -> int:
+    """All that a matcher sees of a non-anchor vertex's degree, which it
+    compares only with 3 and 4; -1 for a vertex that does not exist."""
+    return -1 if nbrs is None else min(len(nbrs), 4)
+
+
+def _ball(adj, centers, radius: int) -> set[int]:
+    """The vertices within ``radius`` of ``centers``."""
+    ball = set(centers)
+    ring = ball
+    for _ in range(radius):
+        ring = ring.union(*map(adj.__getitem__, ring)) - ball
+        ball |= ring
+    return ball
+
+
+def _scan_anchors(g: Graph | EditableGraph, i: int) -> Configuration | None:
+    kind, match, lo, hi, _, _ = _ANCHORED[i]
+    adj = g.adjacency()
+    for v in g.vertices():
+        if lo <= len(adj[v]) <= hi:
+            roles = match(adj, v)
+            if roles is not None:
+                return _configuration(g, kind, roles)
+    return None
 
 
 def _chordless_deg3_cycles(g: Graph) -> Iterator[tuple[int, ...]]:
@@ -491,6 +572,21 @@ def _chordless_deg3_cycles(g: Graph) -> Iterator[tuple[int, ...]]:
     if len(deg3) < 3:
         return
     allowed = set(deg3)
+    # a cycle lies inside one component of the subgraph the 3-vertices
+    # induce, so a start in a component smaller than the length is skipped
+    size: dict[int, int] = {}
+    for s in deg3:
+        if s in size:
+            continue
+        comp = [s]
+        size[s] = 0
+        for v in comp:
+            for w in adj[v]:
+                if w in allowed and w not in size:
+                    size[w] = 0
+                    comp.append(w)
+        for v in comp:
+            size[v] = len(comp)
 
     def extend(path: list[int], target_len: int) -> Iterator[tuple[int, ...]]:
         start = path[0]
@@ -511,9 +607,10 @@ def _chordless_deg3_cycles(g: Graph) -> Iterator[tuple[int, ...]]:
             yield from extend(path, target_len)
             path.pop()
 
-    for length in range(3, len(deg3) + 1):
+    for length in range(3, max(size.values()) + 1):
         for s in deg3:
-            yield from extend([s], length)
+            if size[s] >= length:
+                yield from extend([s], length)
 
 
 def _cycle_hubs(g: Graph, cycle: tuple[int, ...]) -> list[int] | None:
@@ -599,36 +696,128 @@ def _find_l10(g: Graph) -> Configuration | None:
     return None
 
 
-_DETECTORS: tuple[tuple[str, Callable[[Graph], Configuration | None]], ...] = (
-    (KIND_L1A, _find_l1a), (KIND_L1B, _find_l1b), (KIND_L2, _find_l2),
-    (KIND_L3, _find_l3), (KIND_L4, _find_l4), (KIND_L5, _find_l5),
-    (KIND_L6, _find_l6), (KIND_L7, _find_l7), (KIND_L8, _find_l8),
-    (KIND_L9, _find_l9), (KIND_L10, _find_l10),
-)
+_CYCLE_FINDERS = {KIND_L9: _find_l9, KIND_L10: _find_l10}
 
 
-def detect_configuration(g: Graph, kind: str | None = None) -> Configuration | None:
+def detect_configuration(g: Graph | EditableGraph,
+                         kind: str | None = None) -> Configuration | None:
     """First matching configuration in kind order, or None when the graph
     is reduction-free.  Deterministic; never raises on valid graphs.
 
-    With ``kind`` given, scan for that single pattern only (the graph may
-    well contain earlier patterns elsewhere); used to exercise one rule
-    in isolation.
+    Each kind L1a-L8 is scanned by anchor vertex, ascending, and the first
+    anchor that matches wins; L9 and L10 take their chordless cycles of
+    3-vertices shortest first.  With ``kind`` given, scan for that single
+    pattern only (the graph may well contain earlier patterns elsewhere);
+    used to exercise one rule in isolation.
     """
     if kind is not None:
-        finder = dict(_DETECTORS).get(kind)
-        if finder is None:
-            raise ReductionError(f"unknown configuration kind {kind!r}")
-        return finder(g)
-    for _, finder in _DETECTORS:
-        conf = finder(g)
+        return _detect_kind(g, kind)
+    for k in KIND_ORDER:
+        conf = _detect_kind(g, k)
         if conf is not None:
             return conf
     return None
 
 
+def _detect_kind(g: Graph | EditableGraph, kind: str) -> Configuration | None:
+    if kind in _CYCLE_FINDERS:
+        return _CYCLE_FINDERS[kind](g)
+    if kind not in _ANCHORED_AT:
+        raise ReductionError(f"unknown configuration kind {kind!r}")
+    return _scan_anchors(g, _ANCHORED_AT[kind])
+
+
+class DetectionIndex:
+    """The configuration of kinds L1a-L8 that ``detect_configuration``
+    would pick on an ``EditableGraph``, kept current while reductions edit
+    it.
+
+    For each anchored kind (L1a-L8) the index holds the set of anchors
+    that match, with a heap for the smallest.  Between two looks at a kind,
+    its answer can change only at an anchor within ``sets`` of a vertex
+    whose neighbor set an edit replaced, or within ``degrees`` of one
+    whose degree class changed: the first read that differs follows a path
+    of neighbor sets that read the same in both graphs, so the path exists
+    in both and the changed vertex at its end is as near now as before.
+    A kind catches up with the graph's undo log only when it is asked, so
+    the later kinds pay nothing for steps the earlier kinds settle.  L9
+    and L10 order by cycle length first and are not indexed: the driver
+    runs the full scan when no anchored kind matches.
+
+    The index is valid while the graph's undo log only grows.
+    """
+
+    def __init__(self, g: EditableGraph) -> None:
+        self._g = g
+        self._adj = g.adjacency()
+        kinds = len(_ANCHORED)
+        self._depth: list[int | None] = [None] * kinds
+        self._cands: list[set[int]] = [set() for _ in range(kinds)]
+        self._heaps: list[list[int]] = [[] for _ in range(kinds)]
+        # the changes since one depth, shared by the kinds that ask for
+        # them at the same depth: (since, until, old sets, present ones)
+        self._changes: tuple = (None, None, {}, set())
+
+    def pick(self) -> Configuration | None:
+        """The first configuration of the anchored kinds, in kind order, as
+        the full scan's; None when no anchored kind matches."""
+        for i in range(len(_ANCHORED)):
+            conf = self._first_anchored(i)
+            if conf is not None:
+                return conf
+        return None
+
+    def first(self, kind: str) -> Configuration | None:
+        """The configuration of one kind that the full scan would pick; for
+        L9 and L10, the full scan's."""
+        i = _ANCHORED_AT.get(kind)
+        if i is None:
+            return _detect_kind(self._g, kind)
+        return self._first_anchored(i)
+
+    def _first_anchored(self, i: int) -> Configuration | None:
+        self._catch_up(i)
+        heap, cands = self._heaps[i], self._cands[i]
+        while heap and heap[0] not in cands:
+            heapq.heappop(heap)
+        if not heap:
+            return None
+        row = _ANCHORED[i]
+        return _configuration(self._g, row.kind, row.match(self._adj, heap[0]))
+
+    def _catch_up(self, i: int) -> None:
+        depth = self._g.depth
+        seen = self._depth[i]
+        if seen == depth:
+            return
+        self._depth[i] = depth
+        _, match, lo, hi, sets, degrees = _ANCHORED[i]
+        adj, cands, heap = self._adj, self._cands[i], self._heaps[i]
+        if seen is None:
+            anchors = adj.keys()
+        else:
+            since, until, before, present = self._changes
+            if (since, until) != (seen, depth):
+                before = self._g.changed_since(seen)
+                present = before.keys() & adj.keys()
+                self._changes = (seen, depth, before, present)
+            cands -= before.keys() - present
+            anchors = _ball(adj, present, sets)
+            if degrees > sets:
+                reclassed = [v for v in present if _degree_class(before[v])
+                             != _degree_class(adj[v])]
+                anchors |= _ball(adj, reclassed, degrees)
+        for v in anchors:
+            if lo <= len(adj[v]) <= hi and match(adj, v) is not None:
+                if v not in cands:
+                    cands.add(v)
+                    heapq.heappush(heap, v)
+            else:
+                cands.discard(v)
+
+
 # --------------------------------------------------------------------------
-# configuration validation (used at construction and against stale graphs)
+# configuration validation (used against stale graphs)
 
 def _valid_cycle(g: Graph, cycle: list[int]) -> bool:
     k = len(cycle)
@@ -787,92 +976,123 @@ def _conf_cycle(conf: Configuration) -> list[int]:
 # --------------------------------------------------------------------------
 # reduction
 
-def apply_reduction(g: Graph, conf: Configuration) -> tuple[Graph, ReductionStep]:
+def apply_reduction(g: Graph | EditableGraph, conf: Configuration
+                    ) -> tuple[Graph | EditableGraph, ReductionStep]:
     """Shrink the graph according to the configuration's kind.
 
-    Raises StaleConfigurationError when the graph no longer matches the
-    configuration.  The result always has strictly fewer edges.
+    A ``Graph`` is left as it is: the reduced graph is a new one that
+    shares every untouched neighbor set with ``g``.  An ``EditableGraph``
+    is reduced in place under one new undo entry, so ``g.undo()`` restores
+    it, and is returned itself.  Raises StaleConfigurationError when the
+    graph no longer matches the configuration.  The result always has
+    strictly fewer edges.
     """
     if not validate_configuration(g, conf):
         raise StaleConfigurationError(
             f"{conf.kind} configuration {conf.roles()} does not match the"
             f" current graph")
+    if isinstance(g, EditableGraph):
+        return g, _reduce_in_place(g, conf)
+    e = EditableGraph(g)
+    step = _reduce_in_place(e, conf)
+    return e.release(), step
+
+
+def _reduce_in_place(g: EditableGraph, conf: Configuration) -> ReductionStep:
     r = conf.roles()
     removed_v: tuple[int, ...] = ()
     removed_e: tuple[tuple[int, int], ...] = ()
     contracted = identified = None
     fresh = None
+    adj = g.adjacency()
 
     def incident(vs) -> tuple[tuple[int, int], ...]:
-        vset = set(vs)
-        out = {tuple(sorted((a, b))) for a in vset for b in g.neighbors(a)}
+        out = {(min(a, b), max(a, b)) for a in vs for b in adj[a]}
         return tuple(sorted(out))
 
+    local = tuple((v, adj[v]) for v in sorted(set(conf.vertices())))
+    m = g.m
+    g.checkpoint()
     if conf.kind == KIND_L1A:
         removed_v = (r["v1"],)
-        removed_e = incident(removed_v)
-        reduced = g.delete_vertex(r["v1"])
     elif conf.kind in (KIND_L1B, KIND_L2):
         removed_e = (tuple(sorted((r["v1"], r["v2"]))),)
-        reduced = g.delete_edge(r["v1"], r["v2"])
+        g.delete_edge(r["v1"], r["v2"])
     elif conf.kind == KIND_L3:
         removed_v = tuple(sorted((r["v2"], r["v3"])))
-        removed_e = incident(removed_v)
-        reduced = g.delete_vertices(removed_v)
     elif conf.kind == KIND_L4:
         contracted = (r["v1"], r["v3"])
-        reduced, fresh = g.contract_edge(r["v1"], r["v3"])
+        fresh = g.contract_edge(r["v1"], r["v3"])
     elif conf.kind == KIND_L5:
         removed_v = tuple(sorted((r["v1"], r["v2"], r["v3"])))
-        removed_e = incident(removed_v)
-        reduced = g.delete_vertices(removed_v)
     elif conf.kind == KIND_L6:
         removed_v = (r["v3"],)
-        removed_e = incident(removed_v)
-        reduced = g.delete_vertex(r["v3"])
     elif conf.kind == KIND_L7:
         contracted = (r["v1"], r["v2"])
-        reduced, fresh = g.contract_edge(r["v1"], r["v2"])
+        fresh = g.contract_edge(r["v1"], r["v2"])
     elif conf.kind == KIND_L8:
         removed_v = tuple(sorted((r["v1"], r["v2"])))
-        removed_e = incident(removed_v)
-        reduced = g.delete_vertices(removed_v)
     elif conf.kind in (KIND_L9, KIND_L10):
-        cycle = _conf_cycle(conf)
-        removed_v = tuple(sorted(cycle))
-        removed_e = incident(removed_v)
-        reduced = g.delete_vertices(removed_v)
-        if conf.kind == KIND_L10 and r["w1"] != r["w3"]:
-            identified = (r["w1"], r["w3"])
-            reduced, fresh = reduced.identify_vertices(r["w1"], r["w3"])
+        removed_v = tuple(sorted(_conf_cycle(conf)))
     else:
+        g.undo()
         raise ReductionError(f"unknown kind {conf.kind}")
-
-    if reduced.m >= g.m:
+    if removed_v:
+        removed_e = incident(removed_v)
+        g.delete_vertices(removed_v)
+    if conf.kind == KIND_L10 and r["w1"] != r["w3"]:
+        identified = (r["w1"], r["w3"])
+        fresh = g.identify_vertices(r["w1"], r["w3"])
+    if g.m >= m:
+        g.undo()
         raise ReductionError(
             f"{conf.kind} reduction failed to decrease the edge count")
-    local = tuple((v, tuple(sorted(g.neighbors(v))))
-                  for v in sorted(set(conf.vertices())))
-    step = ReductionStep(
+    return ReductionStep(
         kind=conf.kind, matched=conf.matched, boundary=conf.boundary,
         removed_vertices=removed_v, removed_edges=removed_e,
         contracted=contracted, identified=identified, fresh=fresh,
-        local=local, reduced_vertices=reduced.vertices())
-    return reduced, step
+        local=local)
+
+
+def reduce_in_place(g: EditableGraph) -> list[ReductionStep]:
+    """Apply reductions to ``g`` in place until none matches; returns the
+    steps in applied order.
+
+    Each step leaves one undo entry on ``g``, so undoing them one by one
+    restores the graph before each step, newest first.  Detection goes
+    through a ``DetectionIndex``.  When no anchored kind matches, the full
+    ``detect_configuration`` scan looks for L9 and L10, and at the end it
+    confirms the core.
+    """
+    index = DetectionIndex(g)
+    steps = []
+    while True:
+        conf = index.pick()
+        if conf is None:
+            conf = detect_configuration(g)
+            if conf is None:
+                return steps
+            if conf.kind not in _CYCLE_FINDERS:
+                log.warning("detection index missed a %s configuration",
+                            conf.kind)
+        steps.append(apply_reduction(g, conf)[1])
 
 
 def reduce_fully(g: Graph) -> tuple[Graph, list[tuple[Graph, ReductionStep]]]:
     """Apply reductions until none matches.  Returns the reduction-free
-    core and the stack of (graph-before-step, step) pairs, applied order."""
-    stack: list[tuple[Graph, ReductionStep]] = []
-    cur = g
-    while True:
-        conf = detect_configuration(cur)
-        if conf is None:
-            return cur, stack
-        nxt, step = apply_reduction(cur, conf)
-        stack.append((cur, step))
-        cur = nxt
+    core and the stack of (graph-before-step, step) pairs, applied order.
+
+    The steps are those of ``reduce_in_place``; each graph is a snapshot
+    taken while its undo entry is popped."""
+    e = EditableGraph(g)
+    steps = reduce_in_place(e)
+    core = e.snapshot()
+    stack = []
+    for step in reversed(steps):
+        e.undo()
+        stack.append((e.snapshot(), step))
+    stack.reverse()
+    return core, stack
 
 
 def trace_of(stack: list[tuple[Graph, ReductionStep]]) -> ReductionTrace:
@@ -1305,59 +1525,82 @@ _LIFTERS = {
 }
 
 
-def lift_coloring(g: Graph, step: ReductionStep, c_reduced: Coloring,
-                  stats: dict | None = None) -> Coloring:
+def lift_coloring(g: Graph | EditableGraph, step: ReductionStep,
+                  c_reduced: Coloring, stats: dict | None = None) -> Coloring:
     """Extend a valid coloring of the reduced graph to the original graph.
 
     ``g`` is the graph the step was applied to, and ``c_reduced`` must be a
-    valid 3-weak-dynamic coloring of the reduced graph.  The output is
-    always verified before it is returned: it must color exactly the
-    vertices of ``g`` from the palette, and every vertex of the closed
-    neighborhood N_g[M ∪ D] must see min(d(v), 3) colors, where M is the
-    step's matched vertices and D every vertex whose color differs from
-    ``c_reduced`` (newly colored or recolored, wherever it lies).  That is
-    the whole rule on ``g``: every removed, contracted or identified vertex
-    and every endpoint of a removed edge is in N_g[M], so a vertex outside
-    N_g[M ∪ D] has the same neighbors in ``g`` as in the reduced graph, and
-    they carry the same colors as in ``c_reduced``; it sees what it saw
-    there.  A failed lift raises LiftError carrying the local state, never
-    returning a degraded coloring.
+    valid 3-weak-dynamic coloring of the reduced graph.  A plain dict is
+    checked to color exactly the reduced graph's vertices from the palette
+    and is left as it is; the lift writes a copy and returns a new dict.
+    A ``LiftColoring`` is lifted in place and returned itself: the lift
+    loop of the driver passes one, which covers the reduced graph because
+    it did so from the start and every earlier lift checked it again.
+
+    The output is always verified before it is returned, on what the lift
+    wrote.  Every written vertex must be a vertex of ``g`` with a palette
+    color, the fresh vertex of a contraction or identification must be
+    gone, and the count of colored vertices must be that of ``g``; so
+    exactly ``g`` is colored.  Then every vertex of N_g[D] and every
+    endpoint of a removed edge must see min(d(v), 3) colors, where D is
+    the set of written vertices (newly colored or recolored, wherever they
+    lie).  That is the whole rule on ``g``.  Every removed, contracted or
+    identified vertex is new in ``g``, so it was written; a vertex outside
+    that set keeps its neighbors, as it is no endpoint of a removed edge
+    and touches no merged vertex, and its neighbors keep their colors from
+    ``c_reduced``, so it sees what it saw in the reduced graph.  A failed
+    lift raises LiftError carrying the local state, never returning a
+    degraded coloring.
     """
+    adj = g.adjacency()
     for v, nbrs in step.local:
-        if not g.has_vertex(v) or g.neighbors(v) != frozenset(nbrs):
+        if adj.get(v) != nbrs:
             raise StaleConfigurationError(
                 f"graph changed at {v} since the {step.kind} step was taken")
-    expected = step.reduced_vertices
-    if c_reduced.keys() != set(expected):
-        raise LiftError(
-            f"reduced coloring covers {len(c_reduced)} vertices, expected"
-            f" {len(expected)}", kind=step.kind, matched=step.matched)
-    order = _color_order_from(c_reduced)
-    c = dict(c_reduced)
+    in_place = isinstance(c_reduced, LiftColoring)
+    if in_place:
+        c = c_reduced
+    else:
+        try:
+            c = LiftColoring(c_reduced, _reduced_vertices(adj, step))
+        except LiftError as e:
+            raise LiftError(f"reduced coloring: {e}", kind=step.kind,
+                            matched=step.matched) from e
+    order = c.color_order()
+    c.begin()
     try:
         _LIFTERS[step.kind](g, step, c, order, stats)
     except LiftError as e:
         raise LiftError(f"{step.kind} lift failed: {e}", kind=step.kind,
                         matched=step.matched, stage=e.stage,
                         coloring=c) from e
-    adj = g.adjacency()
-    if c.keys() != adj.keys():
+    written = c.written
+    if (len(c) != len(adj) or step.fresh in c
+            or not written <= adj.keys()):
         raise LiftError("lift left the wrong vertex set colored",
                         kind=step.kind, matched=step.matched, coloring=c)
-    if not _PALETTE_SET.issuperset(c.values()):
+    if any(c[v] not in _PALETTE_SET for v in written):
         raise LiftError("lift used a color outside the palette",
                         kind=step.kind, matched=step.matched, coloring=c)
-    centers = {v for v, col in c.items() if c_reduced.get(v) != col}
-    centers.update(v for _, v in step.matched)
-    ball = set(centers)
-    for v in centers:
-        ball |= adj[v]
-    violations = _weak_dynamic_violations(adj, c, 3, ball)
+    ball = written.union(*map(adj.__getitem__, written))
+    for edge in step.removed_edges:
+        ball.update(edge)
+    out = c if in_place else dict(c)
+    violations = _weak_dynamic_violations(adj, out, 3, ball)
     if violations:
         raise LiftError(
             f"lifted coloring fails verification: {violations[:3]}",
             kind=step.kind, matched=step.matched, coloring=c)
-    return c
+    return out
+
+
+def _reduced_vertices(adj, step: ReductionStep) -> set[int]:
+    """The vertex set of the graph ``step`` produced from ``adj``."""
+    out = set(adj).difference(step.removed_vertices, step.contracted or (),
+                              step.identified or ())
+    if step.fresh is not None:
+        out.add(step.fresh)
+    return out
 
 
 # --------------------------------------------------------------------------

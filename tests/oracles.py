@@ -202,3 +202,42 @@ def random_planar_by_copies(n: int, target_density: float,
         if candidate.is_connected():
             g = candidate
     return g
+
+
+# ---------------------------------------------------------------------------
+# chordless cycles of 3-vertices, by a scan of every length and start
+# ---------------------------------------------------------------------------
+
+
+def chordless_deg3_cycles_by_length_scan(g: Graph):
+    """The chordless cycles of 3-vertices that the L9/L10 finders walk,
+    enumerated as first written: every length from 3 to the number of
+    3-vertices, from every 3-vertex as a start.  Shortest first, then by
+    canonical labeling (minimum vertex first, second vertex smaller than
+    the last)."""
+    adj = g.adjacency()
+    deg3 = [v for v in g.vertices() if len(adj[v]) == 3]
+    if len(deg3) < 3:
+        return
+    allowed = set(deg3)
+
+    def extend(path, target_len):
+        start = path[0]
+        tail = path[-1]
+        if len(path) == target_len:
+            if start in adj[tail] and path[1] < path[-1]:
+                yield tuple(path)
+            return
+        for w in sorted(adj[tail]):
+            if w <= start or w in path or w not in allowed:
+                continue
+            body = path if len(path) + 1 < target_len else path[1:]
+            if any(p in adj[w] for p in body[:-1]):
+                continue
+            path.append(w)
+            yield from extend(path, target_len)
+            path.pop()
+
+    for length in range(3, len(deg3) + 1):
+        for s in deg3:
+            yield from extend([s], length)

@@ -1,0 +1,285 @@
+"""The in-place reduce-and-lift engine against the plain definitions.
+
+* ``DetectionIndex`` picks, kind by kind and at every step, what the full
+  scan ``detect_configuration(graph, kind=k)`` picks on the same graph,
+  including "none", whether it is asked every step or only now and then;
+  its pick is the full scan's whenever that is an anchored kind (L1a-L8).
+* ``EditableGraph.undo`` restores each graph before its step exactly, and
+  ``changed_since`` names every vertex whose neighbor set changed.
+* Lifting in place through one ``LiftColoring`` gives the colorings that
+  the public ``lift_coloring`` gives on immutable graphs and plain dicts.
+* The driver survives a lifter that recolors a vertex far from its step.
+* The chordless-cycle enumeration skips only starts that cannot yield.
+"""
+
+from __future__ import annotations
+
+import logging
+import random
+
+import networkx as nx
+
+import oracles
+from wdcolor import reductions
+from wdcolor.exact import wd_number_exact
+from wdcolor.generators import named, random_planar, triangulation
+from wdcolor.graphs import EditableGraph, Graph
+from wdcolor.hosts import host_for
+from wdcolor.pipeline import wd3_color_planar
+from wdcolor.reductions import (KIND_L9, KIND_L10, KIND_ORDER, PALETTE,
+                                Configuration, DetectionIndex, LiftColoring,
+                                apply_reduction, detect_configuration,
+                                lift_coloring, reduce_fully, reduce_in_place)
+from wdcolor.verify import is_weak_dynamic
+
+
+def radial_graph(g: Graph) -> Graph:
+    """The vertex-face incidence graph of a planar embedding of ``g``:
+    each face becomes a new vertex joined to the vertices around it."""
+    ok, emb = nx.check_planarity(nx.Graph(list(g.edges())))
+    assert ok
+    marked: set = set()
+    faces = []
+    for u, v in emb.edges():
+        if (u, v) not in marked:
+            faces.append(set(emb.traverse_face(u, v, mark_half_edges=marked)))
+    top = g.next_fresh
+    return Graph.from_edges([(x, top + i) for i, face in enumerate(faces)
+                             for x in sorted(face)])
+
+
+def prism(k: int) -> Graph:
+    """Two k-cycles joined by a perfect matching: cubic and planar."""
+    return Graph.from_edges([(i, (i + 1) % k) for i in range(k)]
+                            + [(k + i, k + (i + 1) % k) for i in range(k)]
+                            + [(i, k + i) for i in range(k)])
+
+
+def random_graphs(count: int, seed: int):
+    rng = random.Random(seed)
+    for s in range(count):
+        yield random_planar(rng.randint(6, 40),
+                            rng.choice((0.3, 0.5, 0.7, 0.85, 1.0)), s)
+
+
+def host_graphs(per_kind: int = 8):
+    """The certification hosts of every kind; no kind has more than eight
+    base graphs."""
+    for kind in KIND_ORDER:
+        for idx in range(per_kind):
+            yield host_for(kind, idx)
+
+
+def radial_graphs():
+    for n in range(4, 13):
+        yield radial_graph(triangulation(n, random.Random(n)))
+
+
+def test_index_picks_what_the_full_scan_picks():
+    graphs = (list(random_graphs(40, 21)) + list(host_graphs())
+              + list(radial_graphs()))
+    rng = random.Random(8)
+    found: set[str] = set()
+    steps = 0
+    for every_step in (True, False):
+        for g in graphs:
+            e = EditableGraph(g)
+            index = DetectionIndex(e)
+            while True:
+                snap = e.snapshot()
+                if every_step or rng.random() < 0.2:
+                    for kind in KIND_ORDER:
+                        want = detect_configuration(snap, kind=kind)
+                        assert index.first(kind) == want, kind
+                        if want is not None:
+                            found.add(kind)
+                want = detect_configuration(snap)
+                conf = index.pick()
+                if want is None or want.kind in (KIND_L9, KIND_L10):
+                    assert conf is None
+                    conf = want
+                assert conf == want
+                if conf is None:
+                    break
+                apply_reduction(e, conf)
+                steps += 1
+    assert found == set(KIND_ORDER)
+    assert steps > 2000
+
+
+def test_undo_restores_each_graph_before_its_step():
+    graphs = list(random_graphs(30, 4)) + list(host_graphs(2))
+    for g in graphs:
+        core, stack = reduce_fully(g)
+        cur = g
+        for before, step in stack:
+            assert before == cur
+            assert (before.m, before.next_fresh) == (cur.m, cur.next_fresh)
+            conf = Configuration(step.kind, step.matched, step.boundary)
+            cur, replayed = apply_reduction(cur, conf)
+            assert replayed == step
+        assert core == cur and (core.m, core.next_fresh) == (cur.m,
+                                                            cur.next_fresh)
+
+
+def adjacency_state(e: EditableGraph):
+    return dict(e.adjacency()), e.m, e.next_fresh
+
+
+def random_edit(e: EditableGraph, rng: random.Random) -> None:
+    vs = list(e.vertices())
+    edges = list(e.edges())
+    op = rng.randrange(4)
+    if op == 0 and edges:
+        e.delete_edge(*rng.choice(edges))
+    elif op == 1 and edges:
+        e.contract_edge(*rng.choice(edges))
+    elif op == 2 and len(vs) >= 2:
+        e.identify_vertices(*rng.sample(vs, 2))
+    elif vs:
+        e.delete_vertices(rng.sample(vs, rng.randint(1, min(3, len(vs)))))
+
+
+def test_editable_graph_undo_and_changed_since():
+    rng = random.Random(17)
+    for seed in range(40):
+        e = EditableGraph(random_planar(rng.randint(4, 30), rng.random(),
+                                        seed))
+        states = [adjacency_state(e)]
+        for _ in range(rng.randint(1, 8)):
+            e.checkpoint()
+            for _ in range(rng.randint(1, 2)):
+                random_edit(e, rng)
+            adj = e.adjacency()
+            assert all(v in adj[w] for v in adj for w in adj[v])
+            assert e.m == sum(len(n) for n in adj.values()) // 2
+            states.append(adjacency_state(e))
+        now = states[-1][0]
+        for depth, (then, _, _) in enumerate(states[:-1]):
+            changed = e.changed_since(depth)
+            assert {v for v in then.keys() | now.keys()
+                    if then.get(v) != now.get(v)} <= changed.keys()
+            assert all(old == then.get(v) for v, old in changed.items())
+        while e.depth:
+            states.pop()
+            e.undo()
+            assert adjacency_state(e) == states[-1]
+
+
+def test_in_place_lifts_equal_public_lifts():
+    rng = random.Random(5)
+    lifts = 0
+    for seed in range(25):
+        g = random_planar(rng.randint(6, 30), rng.choice((0.4, 0.7, 1.0)),
+                          seed)
+        core, stack = reduce_fully(g)
+        base = wd_number_exact(core, 3, 6).witness
+        public = []
+        c = base
+        for before, step in reversed(stack):
+            c = lift_coloring(before, step, c)
+            public.append(c)
+        e = EditableGraph(g)
+        steps = reduce_in_place(e)
+        assert steps == [step for _, step in stack]
+        shared = LiftColoring(base, e.adjacency().keys())
+        for step, want in zip(reversed(steps), public):
+            e.undo()
+            assert lift_coloring(e, step, shared) is shared
+            assert shared == want
+            lifts += 1
+    assert lifts > 200
+
+
+def first_use_order(c: dict) -> tuple[int, ...]:
+    order: list[int] = []
+    for v in sorted(c):
+        if c[v] not in order:
+            order.append(c[v])
+    return tuple(order + [col for col in PALETTE if col not in order])
+
+
+def test_lift_coloring_records_writes_and_keeps_the_color_order():
+    rng = random.Random(2)
+    for _ in range(200):
+        n = rng.randint(1, 12)
+        c = LiftColoring({v: rng.choice(PALETTE) for v in range(n)},
+                         set(range(n)))
+        c.begin()
+        wrote: set[int] = set()
+        for _ in range(rng.randint(1, 10)):
+            v = rng.randrange(n + 4)
+            op = rng.randrange(4)
+            if op == 0:
+                c[v] = rng.choice(PALETTE)
+                wrote.add(v)
+            elif op == 1:
+                part = {w: rng.choice(PALETTE) for w in rng.sample(
+                    range(n + 4), 2)}
+                c.update(part)
+                wrote |= part.keys()
+            elif op == 2:
+                if v not in c:
+                    wrote.add(v)
+                c.setdefault(v, rng.choice(PALETTE))
+            else:
+                c.pop(v, None)
+            assert c.written == wrote
+            assert c.color_order() == first_use_order(c)
+
+
+def test_driver_catches_a_far_recoloring_and_falls_back(monkeypatch, caplog):
+    """The last lift, the one that colors the input graph itself, also
+    recolors a vertex three or more steps from the step's vertices, so
+    that some vertex stops seeing enough colors.  No later lift can notice
+    it; the lift's own check must, and the driver must fall back and
+    still return a valid coloring."""
+    g = random_planar(14, 0.6, 3)
+    lifts = len(reduce_fully(g)[1])
+    honest = dict(reductions._LIFTERS)
+    calls: list[str] = []
+    corrupted: list[int] = []
+
+    def spoil(kind):
+        def lifter(h, step, c, order, stats):
+            honest[kind](h, step, c, order, stats)
+            calls.append(kind)
+            if len(calls) != lifts:
+                return
+            adj = h.adjacency()
+            near = {v for _, v in step.matched}
+            for _ in range(2):
+                near |= {w for v in near for w in adj[v]}
+            for v in sorted(adj.keys() - near):
+                for col in PALETTE:
+                    trial = dict(c)
+                    trial[v] = col
+                    if not is_weak_dynamic(h, trial, 3)[0]:
+                        c[v] = col
+                        corrupted.append(v)
+                        return
+        return lifter
+
+    for kind in KIND_ORDER:
+        monkeypatch.setitem(reductions._LIFTERS, kind, spoil(kind))
+    with caplog.at_level(logging.WARNING, logger="wdcolor.pipeline"):
+        coloring = wd3_color_planar(g)
+    assert corrupted and len(calls) == lifts
+    assert is_weak_dynamic(g, coloring, 3)[0]
+    assert max(coloring.values()) <= 6
+    failed = [r.message for r in caplog.records if "lift failed" in r.message]
+    assert len(failed) == 1
+    assert failed[0].startswith(f"lift failed at a {calls[-1]} step")
+
+
+def test_chordless_cycles_skip_only_starts_that_cannot_yield():
+    graphs = (list(random_graphs(60, 9)) + list(radial_graphs())
+              + [prism(k) for k in range(3, 7)] + [named("cube")]
+              + [host_for(kind, i) for kind in (KIND_L9, KIND_L10)
+                 for i in range(6)])
+    cycles = 0
+    for g in graphs:
+        got = list(reductions._chordless_deg3_cycles(g))
+        assert got == list(oracles.chordless_deg3_cycles_by_length_scan(g))
+        cycles += len(got)
+    assert cycles > 100

@@ -25,12 +25,12 @@ import click
 
 from .exact import wd_number_exact
 from .generators import NAMED_GRAPH_NAMES, named, random_planar
-from .graphs import Graph
+from .graphs import EditableGraph, Graph
 from .io import (FormatError, load_coloring, load_graph,
                  serialize_graph_dimacs, serialize_graph_json)
 from .pipeline import (InvariantBreachError, NonplanarInputError,
                        wd3_color_planar)
-from .reductions import SHORT_KINDS, certify_lemma, reduce_fully
+from .reductions import SHORT_KINDS, certify_lemma, reduce_in_place
 from .verify import is_weak_dynamic, palette_size
 
 EXIT_OK = 0
@@ -209,8 +209,9 @@ def color(graph_file: str, trace_out: str | None) -> None:
 def reduce(graph_file: str, with_trace: bool) -> None:
     """Shrink a graph to an irreducible core."""
     g = _load_graph_or_die(graph_file)
-    cur, stack = reduce_fully(g)
-    steps = [step for _, step in stack]
+    e = EditableGraph(g)
+    steps = reduce_in_place(e)
+    cur = e.release()
     out: dict[str, object] = {
         "input": {"n": g.n, "m": g.m},
         "steps_applied": len(steps),

@@ -329,8 +329,9 @@ def wd3_color_planar(g: Graph,
     """
     cert = is_planar(g)
     if not cert.is_planar:
-        raise NonplanarInputError(
-            f"input is not planar (contains a {cert.minor_kind} minor)")
+        minor = (f" (contains a {cert.minor_kind} minor)"
+                 if cert.minor_kind is not None else "")
+        raise NonplanarInputError(f"input is not planar{minor}")
     coloring: Coloring = {}
     for comp in sorted(g.connected_components(), key=min):
         sub = g.induced_subgraph(comp)

@@ -9,6 +9,11 @@ replayable ``ReductionStep``; ``lift_coloring`` extends a valid coloring of
 the reduced graph back to the original graph, verifying the result before
 returning.
 
+Each kind is defined once, by one matcher at a seed: an anchor vertex for
+L1a-L8, a chordless cycle of 3-vertices for L9 and L10.  Detection runs it
+at every seed; validation runs it again at the seed a configuration's roles
+name, so ``apply_reduction`` accepts only the roles detection gives there.
+
 A reduce-and-lift step costs work in proportion to the step, not to the
 graph.  The driver reduces one ``EditableGraph`` in place
 (``reduce_in_place``): each step replaces only the neighbor sets within
@@ -505,14 +510,16 @@ def _match_apex_triangle(adj, v3: int):
 class _Anchored(NamedTuple):
     """How one kind is matched at an anchor, and what the match reads.
 
-    ``match(adj, v)`` is called on anchors of degree ``lo`` to ``hi``.  It
-    reads whole neighbor sets within ``sets`` of the anchor only, and
+    ``match(adj, v)`` is called on anchors of degree ``lo`` to ``hi``.  The
+    anchor of a match is its smallest vertex among the ``anchor`` roles.
+    It reads whole neighbor sets within ``sets`` of the anchor only, and
     beyond them, up to ``degrees``, only degree classes (see
     ``_degree_class``).
     """
 
     kind: str
     match: Callable
+    anchor: tuple[str, ...]
     lo: int
     hi: float
     sets: int
@@ -523,15 +530,15 @@ class _Anchored(NamedTuple):
 #: degrees of the anchor's neighbors, L3 those of the far side's
 #: neighbors, L5 those of the hubs, L6 of v5 and v6, L7/L8 of v4 and v5.
 _ANCHORED: tuple[_Anchored, ...] = (
-    _Anchored(KIND_L1A, _match_l1a, 1, 1, 0, 0),
-    _Anchored(KIND_L1B, _match_l1b, 2, 2, 0, 1),
-    _Anchored(KIND_L2, _match_l2, 4, math.inf, 0, 1),
-    _Anchored(KIND_L3, _match_l3, 3, 3, 1, 2),
-    _Anchored(KIND_L4, _match_l4, 3, 3, 1, 1),
-    _Anchored(KIND_L5, _match_l5, 3, 3, 1, 2),
-    _Anchored(KIND_L6, _match_l6, 3, 3, 1, 2),
-    _Anchored(KIND_L7, _match_apex_triangle, 4, 4, 1, 2),
-    _Anchored(KIND_L8, _match_apex_triangle, 5, math.inf, 1, 2),
+    _Anchored(KIND_L1A, _match_l1a, ("v1",), 1, 1, 0, 0),
+    _Anchored(KIND_L1B, _match_l1b, ("v1",), 2, 2, 0, 1),
+    _Anchored(KIND_L2, _match_l2, ("v1",), 4, math.inf, 0, 1),
+    _Anchored(KIND_L3, _match_l3, ("v2", "v3"), 3, 3, 1, 2),
+    _Anchored(KIND_L4, _match_l4, ("v1",), 3, 3, 1, 1),
+    _Anchored(KIND_L5, _match_l5, ("v1",), 3, 3, 1, 2),
+    _Anchored(KIND_L6, _match_l6, ("v3",), 3, 3, 1, 2),
+    _Anchored(KIND_L7, _match_apex_triangle, ("v3",), 4, 4, 1, 2),
+    _Anchored(KIND_L8, _match_apex_triangle, ("v3",), 5, math.inf, 1, 2),
 )
 _ANCHORED_AT = {row.kind: i for i, row in enumerate(_ANCHORED)}
 
@@ -553,7 +560,7 @@ def _ball(adj, centers, radius: int) -> set[int]:
 
 
 def _scan_anchors(g: Graph | EditableGraph, i: int) -> Configuration | None:
-    kind, match, lo, hi, _, _ = _ANCHORED[i]
+    kind, match, _, lo, hi, _, _ = _ANCHORED[i]
     adj = g.adjacency()
     for v in g.vertices():
         if lo <= len(adj[v]) <= hi:
@@ -613,57 +620,80 @@ def _chordless_deg3_cycles(g: Graph) -> Iterator[tuple[int, ...]]:
                 yield from extend([s], length)
 
 
-def _cycle_hubs(g: Graph, cycle: tuple[int, ...]) -> list[int] | None:
-    """Per-position outside neighbor of each cycle vertex (all degree 3)."""
-    adj = g.adjacency()
+def _is_chordless_deg3_cycle(adj, cycle: tuple[int, ...]) -> bool:
+    """Whether ``cycle`` lists, in order, the distinct vertices of a
+    chordless cycle of 3-vertices: each one's neighbors on the cycle are
+    exactly the two beside it."""
     k = len(cycle)
-    hubs = []
+    cset = set(cycle)
+    if k < 3 or len(cset) != k:
+        return False
     for i, v in enumerate(cycle):
-        rest = adj[v] - {cycle[i - 1], cycle[(i + 1) % k]}
-        if len(rest) != 1:
-            return None
-        hubs.append(_only(rest))
-    return hubs
+        nbrs = adj.get(v)
+        if (nbrs is None or len(nbrs) != 3
+                or nbrs & cset != {cycle[i - 1], cycle[(i + 1) % k]}):
+            return False
+    return True
 
 
-def _find_l9(g: Graph) -> Configuration | None:
-    adj = g.adjacency()
-    for cycle in _chordless_deg3_cycles(g):
-        k = len(cycle)
-        hubs = _cycle_hubs(g, cycle)
-        if hubs is None:
-            continue
-        if any(len(adj[h]) < 3 for h in hubs):
-            continue
-        if any(hubs[i] == hubs[(i + 1) % k] for i in range(k)):
-            continue
-        free = [i for i in range(k) if len(adj[hubs[i]]) == 3]
-        if not free:
-            continue
-        roles = [(f"v{i + 1}", cycle[i]) for i in range(k)]
-        if k % 2 == 0:
-            even = [i for i in free if i % 2 == 0]
-            odd = [i for i in free if i % 2 == 1]
-            if not even or not odd:
-                continue
-            roles += [("wfree1", hubs[even[0]]), ("wfree2", hubs[odd[0]])]
-        else:
-            roles += [("wfree1", hubs[free[0]])]
-        return _configuration(g, KIND_L9, roles)
-    return None
+def _canonical_cycle(cycle: tuple[int, ...]) -> tuple[int, ...]:
+    """The rotation or reflection of ``cycle`` that the cycle search walks:
+    minimum vertex first, second vertex smaller than the last."""
+    i = cycle.index(min(cycle))
+    rot = cycle[i:] + cycle[:i]
+    return rot if rot[1] < rot[-1] else rot[:1] + rot[:0:-1]
 
 
-def _l10_orientation(g: Graph, cycle: tuple[int, ...]):
-    """A rotation/reflection of the cycle whose even positions carry 4+
-    hubs and odd positions carry 3-hubs, with the published side rules."""
-    adj = g.adjacency()
+def _cycle_of(roles: dict[str, int]) -> tuple[int, ...]:
+    """The cycle v1, v2, ... that an L9 or L10 configuration names."""
+    out: list[int] = []
+    while f"v{len(out) + 1}" in roles:
+        out.append(roles[f"v{len(out) + 1}"])
+    return tuple(out)
+
+
+def _cycle_hubs(adj, cycle: tuple[int, ...]) -> list[int]:
+    """Per-position outside neighbor of each vertex of a chordless cycle
+    of 3-vertices."""
+    k = len(cycle)
+    return [_only(adj[v] - {cycle[i - 1], cycle[(i + 1) % k]})
+            for i, v in enumerate(cycle)]
+
+
+# L9 and L10 are matched at a chordless cycle of 3-vertices, the seed:
+# ``_match_*(adj, cycle)`` gives the roles of the kind's match on it, or
+# None.  The full scan walks the cycles shortest first.
+
+def _match_l9(adj, cycle: tuple[int, ...]):
+    """The cycle with distinct hubs beside each other and a free (degree-3)
+    hub; an even cycle needs one at an even and one at an odd position."""
+    k = len(cycle)
+    hubs = _cycle_hubs(adj, cycle)
+    if any(len(adj[h]) < 3 for h in hubs):
+        return None
+    if any(hubs[i] == hubs[(i + 1) % k] for i in range(k)):
+        return None
+    free = [i for i in range(k) if len(adj[hubs[i]]) == 3]
+    roles = [(f"v{i + 1}", cycle[i]) for i in range(k)]
+    if k % 2:
+        return roles + [("wfree1", hubs[free[0]])] if free else None
+    even = [i for i in free if i % 2 == 0]
+    odd = [i for i in free if i % 2 == 1]
+    if not even or not odd:
+        return None
+    return roles + [("wfree1", hubs[even[0]]), ("wfree2", hubs[odd[0]])]
+
+
+def _match_l10(adj, cycle: tuple[int, ...]):
+    """The first rotation/reflection of the cycle whose even positions
+    carry 4+ hubs and odd positions carry 3-hubs, with the published side
+    rules; w1 and w3 are the hubs at the first and third positions."""
     k = len(cycle)
     if k % 2:
         return None
-    base_variants = [tuple(cycle), tuple(reversed(cycle))]
-    for variant in base_variants:
-        hubs = _cycle_hubs(g, variant)
-        if hubs is None or any(len(adj[h]) < 3 for h in hubs):
+    for variant in (cycle, cycle[::-1]):
+        hubs = _cycle_hubs(adj, variant)
+        if any(len(adj[h]) < 3 for h in hubs):
             return None
         for r in range(k):
             rot = variant[r:] + variant[:r]
@@ -680,23 +710,22 @@ def _l10_orientation(g: Graph, cycle: tuple[int, ...]):
             w1, w3 = roth[0], roth[2]
             if w1 != w3 and w3 in adj[w1]:
                 continue
-            return rot, w1, w3
+            return ([(f"v{i + 1}", rot[i]) for i in range(k)]
+                    + [("w1", w1), ("w3", w3)])
     return None
 
 
-def _find_l10(g: Graph) -> Configuration | None:
+_AT_CYCLE = {KIND_L9: _match_l9, KIND_L10: _match_l10}
+
+
+def _scan_cycles(g: Graph | EditableGraph, kind: str) -> Configuration | None:
+    match = _AT_CYCLE[kind]
+    adj = g.adjacency()
     for cycle in _chordless_deg3_cycles(g):
-        oriented = _l10_orientation(g, cycle)
-        if oriented is None:
-            continue
-        rot, w1, w3 = oriented
-        roles = [(f"v{i + 1}", rot[i]) for i in range(len(rot))]
-        roles += [("w1", w1), ("w3", w3)]
-        return _configuration(g, KIND_L10, roles)
+        roles = match(adj, cycle)
+        if roles is not None:
+            return _configuration(g, kind, roles)
     return None
-
-
-_CYCLE_FINDERS = {KIND_L9: _find_l9, KIND_L10: _find_l10}
 
 
 def detect_configuration(g: Graph | EditableGraph,
@@ -720,8 +749,8 @@ def detect_configuration(g: Graph | EditableGraph,
 
 
 def _detect_kind(g: Graph | EditableGraph, kind: str) -> Configuration | None:
-    if kind in _CYCLE_FINDERS:
-        return _CYCLE_FINDERS[kind](g)
+    if kind in _AT_CYCLE:
+        return _scan_cycles(g, kind)
     if kind not in _ANCHORED_AT:
         raise ReductionError(f"unknown configuration kind {kind!r}")
     return _scan_anchors(g, _ANCHORED_AT[kind])
@@ -791,7 +820,7 @@ class DetectionIndex:
         if seen == depth:
             return
         self._depth[i] = depth
-        _, match, lo, hi, sets, degrees = _ANCHORED[i]
+        _, match, _, lo, hi, sets, degrees = _ANCHORED[i]
         adj, cands, heap = self._adj, self._cands[i], self._heaps[i]
         if seen is None:
             anchors = adj.keys()
@@ -819,158 +848,37 @@ class DetectionIndex:
 # --------------------------------------------------------------------------
 # configuration validation (used against stale graphs)
 
-def _valid_cycle(g: Graph, cycle: list[int]) -> bool:
-    k = len(cycle)
-    if k < 3 or len(set(cycle)) != k:
-        return False
-    for v in cycle:
-        if not g.has_vertex(v) or g.degree(v) != 3:
+def validate_configuration(g: Graph | EditableGraph,
+                           conf: Configuration) -> bool:
+    """Whether the kind's matcher, run again at the seed the roles name,
+    gives exactly ``conf.matched`` on the current graph.
+
+    The seed of L1a-L8 is the anchor, the smallest vertex of the kind's
+    anchor roles, and its degree must lie in the kind's range.  The seed of
+    L9 and L10 is the cycle v1..vk; it must be a chordless cycle of
+    3-vertices, and is matched as the cycle search walks it.  So permuted
+    roles, or a pattern that is not the first match at its seed, are stale.
+    """
+    adj = g.adjacency()
+    roles = conf.roles()
+    match = _AT_CYCLE.get(conf.kind)
+    if match is not None:
+        seed = _cycle_of(roles)
+        if not _is_chordless_deg3_cycle(adj, seed):
             return False
-    for i in range(k):
-        if not g.has_edge(cycle[i], cycle[(i + 1) % k]):
+        found = match(adj, _canonical_cycle(seed))
+    else:
+        i = _ANCHORED_AT.get(conf.kind)
+        if i is None:
             return False
-    for i in range(k):
-        for j in range(i + 2, k):
-            if i == 0 and j == k - 1:
-                continue
-            if g.has_edge(cycle[i], cycle[j]):
-                return False
-    return True
-
-
-def validate_configuration(g: Graph, conf: Configuration) -> bool:
-    """Re-check a configuration's invariants against the current graph."""
-    r = conf.roles()
-    try:
-        if any(not g.has_vertex(v) for v in conf.vertices()):
+        _, match, anchor, lo, hi, _, _ = _ANCHORED[i]
+        if not roles.keys() >= set(anchor):
             return False
-        if conf.kind == KIND_L1A:
-            return (g.degree(r["v1"]) == 1
-                    and g.neighbors(r["v1"]) == frozenset({r["u1"]}))
-        if conf.kind == KIND_L1B:
-            return (g.degree(r["v1"]) == 2 and g.degree(r["v2"]) <= 3
-                    and g.neighbors(r["v1"]) == frozenset({r["v2"], r["u1"]}))
-        if conf.kind == KIND_L2:
-            return (g.has_edge(r["v1"], r["v2"]) and g.degree(r["v1"]) >= 4
-                    and g.degree(r["v2"]) >= 4)
-        if conf.kind == KIND_L3:
-            six = [r[f"v{i}"] for i in range(1, 7)]
-            if len(set(six)) != 6 or not g.has_edge(r["v2"], r["v3"]):
-                return False
-            adj = g.adjacency()
-            return (_l3_sides(adj, r["v2"], r["v3"]) == (r["v1"], r["v5"])
-                    and _l3_sides(adj, r["v3"], r["v2"]) == (r["v4"], r["v6"]))
-        if conf.kind == KIND_L4:
-            if not g.has_edge(r["v1"], r["v3"]):
-                return False
-            if g.degree(r["v1"]) != 3 or g.degree(r["v3"]) != 3:
-                return False
-            rest = frozenset({r["v2"], r["v4"]})
-            return (g.neighbors(r["v1"]) - {r["v3"]} == rest
-                    and g.neighbors(r["v3"]) - {r["v1"]} == rest)
-        if conf.kind == KIND_L5:
-            tri = [r["v1"], r["v2"], r["v3"]]
-            hubs = [r["w1"], r["w2"], r["w3"]]
-            if len(set(tri + hubs)) != 6:
-                return False
-            for a, b in itertools.combinations(tri, 2):
-                if not g.has_edge(a, b):
-                    return False
-            for v, w in zip(tri, hubs):
-                if g.degree(v) != 3 or g.degree(w) < 3:
-                    return False
-                if g.neighbors(v) - set(tri) != frozenset({w}):
-                    return False
-            return True
-        if conf.kind == KIND_L6:
-            v1, v2, v3, v4 = r["v1"], r["v2"], r["v3"], r["v4"]
-            if g.degree(v1) < 4 or g.degree(v3) != 3:
-                return False
-            if g.degree(v2) != 3 or g.degree(v4) != 3:
-                return False
-            if g.neighbors(v3) != frozenset({v1, v2, v4}):
-                return False
-            if not (g.has_edge(v1, v2) and g.has_edge(v1, v4)):
-                return False
-            if g.has_edge(v2, v4):
-                return False
-            return (g.neighbors(v2) - {v1, v3} == frozenset({r["v5"]})
-                    and g.neighbors(v4) - {v1, v3} == frozenset({r["v6"]})
-                    and g.degree(r["v5"]) >= 3 and g.degree(r["v6"]) >= 3)
-        if conf.kind in (KIND_L7, KIND_L8):
-            v1, v2, v3 = r["v1"], r["v2"], r["v3"]
-            v4, v5 = r["v4"], r["v5"]
-            if conf.kind == KIND_L7 and g.degree(v3) != 4:
-                return False
-            if conf.kind == KIND_L8 and g.degree(v3) < 5:
-                return False
-            if g.degree(v1) != 3 or g.degree(v2) != 3:
-                return False
-            if not (g.has_edge(v1, v2) and g.has_edge(v1, v3)
-                    and g.has_edge(v2, v3)):
-                return False
-            if v4 == v5 or g.degree(v4) != 3 or g.degree(v5) != 3:
-                return False
-            if g.neighbors(v1) - {v2, v3} != frozenset({v4}):
-                return False
-            if g.neighbors(v2) - {v1, v3} != frozenset({v5}):
-                return False
-            if conf.kind == KIND_L7:
-                pair = frozenset({r["v6"], r["v7"]})
-                if g.neighbors(v3) - {v1, v2} != pair:
-                    return False
-                if any(g.degree(x) > 3 for x in pair):
-                    return False
-            return True
-        if conf.kind == KIND_L9:
-            cycle = _conf_cycle(conf)
-            if not _valid_cycle(g, cycle):
-                return False
-            hubs = _cycle_hubs(g, tuple(cycle))
-            if hubs is None or any(g.degree(h) < 3 for h in hubs):
-                return False
-            k = len(cycle)
-            if any(hubs[i] == hubs[(i + 1) % k] for i in range(k)):
-                return False
-            free = [i for i in range(k) if g.degree(hubs[i]) == 3]
-            if k % 2 == 0:
-                return (any(i % 2 == 0 for i in free)
-                        and any(i % 2 == 1 for i in free))
-            return bool(free)
-        if conf.kind == KIND_L10:
-            cycle = _conf_cycle(conf)
-            if not _valid_cycle(g, cycle):
-                return False
-            hubs = _cycle_hubs(g, tuple(cycle))
-            if hubs is None:
-                return False
-            k = len(cycle)
-            if k % 2 or any(g.degree(hubs[i]) < 4 for i in range(0, k, 2)):
-                return False
-            if any(g.degree(hubs[i]) != 3 for i in range(1, k, 2)):
-                return False
-            mult: dict[int, int] = {}
-            for h in hubs[1::2]:
-                mult[h] = mult.get(h, 0) + 1
-            if any(c > 2 or (c == 2 and k != 4) for c in mult.values()):
-                return False
-            w1, w3 = hubs[0], hubs[2]
-            if (w1, w3) != (r["w1"], r["w3"]):
-                return False
-            return w1 == w3 or not g.has_edge(w1, w3)
-        return False
-    except (KeyError, ValueError):
-        return False
-
-
-def _conf_cycle(conf: Configuration) -> list[int]:
-    out = []
-    i = 1
-    r = conf.roles()
-    while f"v{i}" in r:
-        out.append(r[f"v{i}"])
-        i += 1
-    return out
+        seed = min(roles[r] for r in anchor)
+        if seed not in adj or not lo <= len(adj[seed]) <= hi:
+            return False
+        found = match(adj, seed)
+    return found is not None and tuple(found) == conf.matched
 
 
 # --------------------------------------------------------------------------
@@ -983,9 +891,11 @@ def apply_reduction(g: Graph | EditableGraph, conf: Configuration
     A ``Graph`` is left as it is: the reduced graph is a new one that
     shares every untouched neighbor set with ``g``.  An ``EditableGraph``
     is reduced in place under one new undo entry, so ``g.undo()`` restores
-    it, and is returned itself.  Raises StaleConfigurationError when the
-    graph no longer matches the configuration.  The result always has
-    strictly fewer edges.
+    it, and is returned itself.  Raises StaleConfigurationError unless
+    ``validate_configuration`` accepts the configuration: detection at its
+    seed must give exactly its roles, so a configuration that names the
+    same pattern with its roles permuted is stale too.  The result always
+    has strictly fewer edges.
     """
     if not validate_configuration(g, conf):
         raise StaleConfigurationError(
@@ -1033,7 +943,7 @@ def _reduce_in_place(g: EditableGraph, conf: Configuration) -> ReductionStep:
     elif conf.kind == KIND_L8:
         removed_v = tuple(sorted((r["v1"], r["v2"])))
     elif conf.kind in (KIND_L9, KIND_L10):
-        removed_v = tuple(sorted(_conf_cycle(conf)))
+        removed_v = tuple(sorted(_cycle_of(r)))
     else:
         g.undo()
         raise ReductionError(f"unknown kind {conf.kind}")
@@ -1072,7 +982,7 @@ def reduce_in_place(g: EditableGraph) -> list[ReductionStep]:
             conf = detect_configuration(g)
             if conf is None:
                 return steps
-            if conf.kind not in _CYCLE_FINDERS:
+            if conf.kind not in _AT_CYCLE:
                 log.warning("detection index missed a %s configuration",
                             conf.kind)
         steps.append(apply_reduction(g, conf)[1])
@@ -1177,12 +1087,10 @@ def _free_hub_hook(g: Graph, coloring: Coloring, cycle: tuple[int, ...],
     k = len(cycle)
     pos = {v: i for i, v in enumerate(cycle)}
     cset = frozenset(cycle)
-    hubs = _cycle_hubs(g, cycle)
+    hubs = _cycle_hubs(g.adjacency(), cycle)
     attempted: set[tuple[int, int]] = set()
 
     def hook(stuck: frozenset[int]) -> Lists | None:
-        if hubs is None:
-            return None
         stuck_pos = sorted(pos[v] for v in stuck if v in pos)
         target_pos = sorted({(p + d) % k for p in stuck_pos for d in (-1, 1)})
         cands: list[tuple[int, int]] = []
@@ -1449,7 +1357,7 @@ def _lift_l8(g, step, c, order, stats):
 
 
 def _lift_l9(g, step, c, order, stats):
-    cycle = tuple(_conf_cycle_step(step))
+    cycle = _cycle_of(step.roles())
     _recolor_group(g, c, cycle, order, use_hook=True, stats=stats,
                    kind=step.kind)
     _hit(stats, f"{step.kind}:base")
@@ -1457,7 +1365,7 @@ def _lift_l9(g, step, c, order, stats):
 
 def _lift_l10(g, step, c, order, stats):
     r = step.roles()
-    cycle = tuple(_conf_cycle_step(step))
+    cycle = _cycle_of(r)
     cset = frozenset(cycle)
     w1, w3 = r["w1"], r["w3"]
     if step.fresh is not None:
@@ -1505,16 +1413,6 @@ def _lift_l10(g, step, c, order, stats):
     _recolor_group(g, c, cycle, order, use_hook=True, stats=stats,
                    kind=step.kind)
     _hit(stats, f"{step.kind}:base")
-
-
-def _conf_cycle_step(step: ReductionStep) -> list[int]:
-    out = []
-    i = 1
-    r = step.roles()
-    while f"v{i}" in r:
-        out.append(r[f"v{i}"])
-        i += 1
-    return out
 
 
 _LIFTERS = {

@@ -13,6 +13,9 @@ import itertools
 import random
 
 from wdcolor.graphs import Graph
+from wdcolor.reductions import (KIND_L1A, KIND_L1B, KIND_L2, KIND_L3, KIND_L4,
+                                KIND_L5, KIND_L6, KIND_L7, KIND_L8, KIND_L9,
+                                KIND_L10)
 
 Coloring = dict[int, int]
 
@@ -241,3 +244,191 @@ def chordless_deg3_cycles_by_length_scan(g: Graph):
     for length in range(3, len(deg3) + 1):
         for s in deg3:
             yield from extend([s], length)
+
+
+# ---------------------------------------------------------------------------
+# reducible configurations, checked case by case
+# ---------------------------------------------------------------------------
+
+
+def _only(s):
+    (x,) = s
+    return x
+
+
+def _l3_sides(g, mid, other):
+    """Split N(mid) - {other} into (one 4+ vertex, one 3-vertex), or None."""
+    rest = g.neighbors(mid) - {other}
+    if len(rest) != 2:
+        return None
+    fours = [u for u in rest if g.degree(u) >= 4]
+    threes = [u for u in rest if g.degree(u) == 3]
+    if len(fours) != 1 or len(threes) != 1:
+        return None
+    return fours[0], threes[0]
+
+
+def _valid_cycle(g, cycle) -> bool:
+    k = len(cycle)
+    if k < 3 or len(set(cycle)) != k:
+        return False
+    for v in cycle:
+        if not g.has_vertex(v) or g.degree(v) != 3:
+            return False
+    for i in range(k):
+        if not g.has_edge(cycle[i], cycle[(i + 1) % k]):
+            return False
+    for i in range(k):
+        for j in range(i + 2, k):
+            if i == 0 and j == k - 1:
+                continue
+            if g.has_edge(cycle[i], cycle[j]):
+                return False
+    return True
+
+
+def _cycle_hubs(g, cycle):
+    k = len(cycle)
+    hubs = []
+    for i, v in enumerate(cycle):
+        rest = g.neighbors(v) - {cycle[i - 1], cycle[(i + 1) % k]}
+        if len(rest) != 1:
+            return None
+        hubs.append(_only(rest))
+    return hubs
+
+
+def _conf_cycle(r) -> list[int]:
+    out = []
+    i = 1
+    while f"v{i}" in r:
+        out.append(r[f"v{i}"])
+        i += 1
+    return out
+
+
+def validate_configuration_by_cases(g, conf) -> bool:
+    """``wdcolor.reductions.validate_configuration`` as first written: one
+    hand-written check of each kind's defining conditions on the roles,
+    which accepts any naming of the pattern that meets them.  ``g`` is a
+    ``Graph`` or an ``EditableGraph``."""
+    r = conf.roles()
+    try:
+        if any(not g.has_vertex(v) for v in conf.vertices()):
+            return False
+        if conf.kind == KIND_L1A:
+            return (g.degree(r["v1"]) == 1
+                    and g.neighbors(r["v1"]) == frozenset({r["u1"]}))
+        if conf.kind == KIND_L1B:
+            return (g.degree(r["v1"]) == 2 and g.degree(r["v2"]) <= 3
+                    and g.neighbors(r["v1"]) == frozenset({r["v2"], r["u1"]}))
+        if conf.kind == KIND_L2:
+            return (g.has_edge(r["v1"], r["v2"]) and g.degree(r["v1"]) >= 4
+                    and g.degree(r["v2"]) >= 4)
+        if conf.kind == KIND_L3:
+            six = [r[f"v{i}"] for i in range(1, 7)]
+            if len(set(six)) != 6 or not g.has_edge(r["v2"], r["v3"]):
+                return False
+            return (_l3_sides(g, r["v2"], r["v3"]) == (r["v1"], r["v5"])
+                    and _l3_sides(g, r["v3"], r["v2"]) == (r["v4"], r["v6"]))
+        if conf.kind == KIND_L4:
+            if not g.has_edge(r["v1"], r["v3"]):
+                return False
+            if g.degree(r["v1"]) != 3 or g.degree(r["v3"]) != 3:
+                return False
+            rest = frozenset({r["v2"], r["v4"]})
+            return (g.neighbors(r["v1"]) - {r["v3"]} == rest
+                    and g.neighbors(r["v3"]) - {r["v1"]} == rest)
+        if conf.kind == KIND_L5:
+            tri = [r["v1"], r["v2"], r["v3"]]
+            hubs = [r["w1"], r["w2"], r["w3"]]
+            if len(set(tri + hubs)) != 6:
+                return False
+            for a, b in itertools.combinations(tri, 2):
+                if not g.has_edge(a, b):
+                    return False
+            for v, w in zip(tri, hubs):
+                if g.degree(v) != 3 or g.degree(w) < 3:
+                    return False
+                if g.neighbors(v) - set(tri) != frozenset({w}):
+                    return False
+            return True
+        if conf.kind == KIND_L6:
+            v1, v2, v3, v4 = r["v1"], r["v2"], r["v3"], r["v4"]
+            if g.degree(v1) < 4 or g.degree(v3) != 3:
+                return False
+            if g.degree(v2) != 3 or g.degree(v4) != 3:
+                return False
+            if g.neighbors(v3) != frozenset({v1, v2, v4}):
+                return False
+            if not (g.has_edge(v1, v2) and g.has_edge(v1, v4)):
+                return False
+            if g.has_edge(v2, v4):
+                return False
+            return (g.neighbors(v2) - {v1, v3} == frozenset({r["v5"]})
+                    and g.neighbors(v4) - {v1, v3} == frozenset({r["v6"]})
+                    and g.degree(r["v5"]) >= 3 and g.degree(r["v6"]) >= 3)
+        if conf.kind in (KIND_L7, KIND_L8):
+            v1, v2, v3 = r["v1"], r["v2"], r["v3"]
+            v4, v5 = r["v4"], r["v5"]
+            if conf.kind == KIND_L7 and g.degree(v3) != 4:
+                return False
+            if conf.kind == KIND_L8 and g.degree(v3) < 5:
+                return False
+            if g.degree(v1) != 3 or g.degree(v2) != 3:
+                return False
+            if not (g.has_edge(v1, v2) and g.has_edge(v1, v3)
+                    and g.has_edge(v2, v3)):
+                return False
+            if v4 == v5 or g.degree(v4) != 3 or g.degree(v5) != 3:
+                return False
+            if g.neighbors(v1) - {v2, v3} != frozenset({v4}):
+                return False
+            if g.neighbors(v2) - {v1, v3} != frozenset({v5}):
+                return False
+            if conf.kind == KIND_L7:
+                pair = frozenset({r["v6"], r["v7"]})
+                if g.neighbors(v3) - {v1, v2} != pair:
+                    return False
+                if any(g.degree(x) > 3 for x in pair):
+                    return False
+            return True
+        if conf.kind == KIND_L9:
+            cycle = _conf_cycle(r)
+            if not _valid_cycle(g, cycle):
+                return False
+            hubs = _cycle_hubs(g, cycle)
+            if hubs is None or any(g.degree(h) < 3 for h in hubs):
+                return False
+            k = len(cycle)
+            if any(hubs[i] == hubs[(i + 1) % k] for i in range(k)):
+                return False
+            free = [i for i in range(k) if g.degree(hubs[i]) == 3]
+            if k % 2 == 0:
+                return (any(i % 2 == 0 for i in free)
+                        and any(i % 2 == 1 for i in free))
+            return bool(free)
+        if conf.kind == KIND_L10:
+            cycle = _conf_cycle(r)
+            if not _valid_cycle(g, cycle):
+                return False
+            hubs = _cycle_hubs(g, cycle)
+            if hubs is None:
+                return False
+            k = len(cycle)
+            if k % 2 or any(g.degree(hubs[i]) < 4 for i in range(0, k, 2)):
+                return False
+            if any(g.degree(hubs[i]) != 3 for i in range(1, k, 2)):
+                return False
+            mult: dict[int, int] = {}
+            for h in hubs[1::2]:
+                mult[h] = mult.get(h, 0) + 1
+            if any(c > 2 or (c == 2 and k != 4) for c in mult.values()):
+                return False
+            w1, w3 = hubs[0], hubs[2]
+            if (w1, w3) != (r["w1"], r["w3"]):
+                return False
+            return w1 == w3 or not g.has_edge(w1, w3)
+        return False
+    except (KeyError, ValueError):
+        return False

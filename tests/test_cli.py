@@ -15,7 +15,10 @@ import pytest
 from click.testing import CliRunner
 
 from wdcolor.cli import cli
-from wdcolor.io import parse_coloring, parse_graph, serialize_coloring
+from wdcolor.generators import random_planar
+from wdcolor.io import (parse_coloring, parse_graph, serialize_coloring,
+                        serialize_graph_json)
+from wdcolor.reductions import reduce_fully
 
 
 @pytest.fixture()
@@ -252,3 +255,24 @@ class TestErrorPaths:
         for sub in ("gen", "verify", "solve", "color", "reduce",
                     "check-lemmas", "bench"):
             assert sub in res.stdout
+
+
+def test_reduce_trace_equals_reduce_fully(runner, tmp_path):
+    g = random_planar(300, 0.8, 5)
+    path = tmp_path / "g.json"
+    path.write_text(serialize_graph_json(g))
+    res = invoke(runner, "reduce", str(path), "--trace")
+    assert res.exit_code == 0
+    core, stack = reduce_fully(g)
+    steps = [step for _, step in stack]
+    assert json.loads(res.stdout) == {
+        "input": {"n": g.n, "m": g.m},
+        "steps_applied": len(steps),
+        "kinds": [s.kind for s in steps],
+        "core": {"n": core.n, "m": core.m,
+                 "vertices": sorted(core.vertices()),
+                 "edges": sorted([min(u, v), max(u, v)]
+                                 for u, v in core.edges())},
+        "steps": [s.to_json_dict() for s in steps],
+    }
+    assert len(steps) > 100

@@ -11,12 +11,13 @@ fallback behavior.
 from __future__ import annotations
 
 import logging
+import random
 
 import pytest
 
 from oracles import connected_atlas, proper_partitions
 from wdcolor.exact import wd_number_exact
-from wdcolor.generators import named, random_planar
+from wdcolor.generators import named, random_planar, triangulation
 from wdcolor.graphs import Graph
 from wdcolor.pipeline import (
     FourColorRecord,
@@ -457,3 +458,13 @@ class TestDriverFallbacks:
         coloring = wd3_color_planar(g)
         assert wd3_ok(g, coloring)
         assert palette_size(coloring) <= 6
+
+
+def test_rejection_names_a_minor_only_when_the_certificate_has_one():
+    # above MINOR_WITNESS_LIMIT vertices is_planar gives no minor model
+    g = triangulation(70, random.Random(1))
+    u, v = next((u, v) for u in g.vertices() for v in g.vertices()
+                if u < v and not g.has_edge(u, v))
+    with pytest.raises(NonplanarInputError) as info:
+        wd3_color_planar(g.add_edge(u, v))
+    assert str(info.value) == "input is not planar"

@@ -22,17 +22,16 @@ from .listcolor import (ColorOrder, DependencyColoringError, Lists,
                         color_complete_with_lists, color_dependency_graph,
                         color_odd_cycle_with_lists, degree_choose,
                         find_even_frame, greedy_with_slack, pick_color)
-from .pipeline import (FourColorRecord, InvariantBreachError,
-                       NonplanarInputError, PipelineIncompleteError,
-                       VertexClassification, assemble_and_color, build_Gprime,
-                       build_H, classify, clear_four_color_log,
-                       four_color_H, four_color_log, wd3_color_planar)
+from .pipeline import (InvariantBreachError, NonplanarInputError,
+                       PipelineIncompleteError, VertexClassification,
+                       assemble_and_color, build_Gprime, build_H, classify,
+                       four_color_H, wd3_color_planar)
 from .planarity import PlanarityCertificate, count_faces, is_planar
 from .reductions import (KIND_ORDER, SHORT_KINDS, CertificateReport,
                          Configuration, LiftError, ReductionError,
-                         ReductionStep, ReductionTrace,
-                         StaleConfigurationError, apply_reduction,
-                         certify_lemma, detect_configuration, lift_coloring)
+                         ReductionStep, StaleConfigurationError,
+                         apply_reduction, certify_lemma, detect_configuration,
+                         lift_coloring)
 from .verify import (Coloring, Hypergraph, Violation, is_dynamic, is_proper,
                      is_proper_hypergraph_coloring, is_satisfied,
                      is_satisfied_general, is_weak_dynamic,
@@ -53,13 +52,12 @@ __all__ = [
     "color_odd_cycle_with_lists", "find_even_frame", "degree_choose",
     "color_dependency_graph",
     "KIND_ORDER", "SHORT_KINDS", "Configuration", "ReductionStep",
-    "ReductionTrace", "CertificateReport", "ReductionError", "LiftError",
+    "CertificateReport", "ReductionError", "LiftError",
     "StaleConfigurationError", "detect_configuration", "apply_reduction",
     "lift_coloring", "certify_lemma", "host_for",
-    "VertexClassification", "FourColorRecord", "classify", "build_Gprime",
+    "VertexClassification", "classify", "build_Gprime",
     "build_H", "four_color_H", "assemble_and_color", "wd3_color_planar",
-    "four_color_log", "clear_four_color_log", "NonplanarInputError",
-    "PipelineIncompleteError", "InvariantBreachError",
+    "NonplanarInputError", "PipelineIncompleteError", "InvariantBreachError",
     "NAMED_GRAPH_NAMES", "named", "random_planar", "triangulation",
     "FormatError", "parse_graph", "load_graph", "serialize_graph_dimacs",
     "serialize_graph_json", "parse_coloring", "load_coloring",

@@ -115,6 +115,16 @@ class Graph(_Adjacency):
             self._sorted = tuple(sorted(self._adj))
         return self._sorted
 
+    def to_networkx(self):
+        """A fresh ``networkx.Graph`` with these vertices and edges, each
+        added in ascending order."""
+        import networkx as nx
+
+        G = nx.Graph()
+        G.add_nodes_from(self.vertices())
+        G.add_edges_from(self.edges())
+        return G
+
     def second_neighborhood(self, v: int) -> frozenset[int]:
         """Vertices sharing at least one common neighbor with v (v itself
         excluded; neighbors of v are included iff they also share one)."""
@@ -393,9 +403,7 @@ def blocks(g: Graph) -> BlockDecomposition:
     """
     import networkx as nx
 
-    G = nx.Graph()
-    G.add_nodes_from(g.vertices())
-    G.add_edges_from(g.edges())
+    G = g.to_networkx()
     comps = [frozenset(c) for c in nx.biconnected_components(G)]
     comps.sort(key=lambda c: sorted(c))
     cuts = frozenset(nx.articulation_points(G))

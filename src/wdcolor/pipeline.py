@@ -78,31 +78,6 @@ class VertexClassification:
     Nstar: dict[int, frozenset[int]]
 
 
-@dataclass(frozen=True)
-class FourColorRecord:
-    """One exact 4-coloring call on an anchor graph, kept for audit."""
-
-    n: int
-    m: int
-    value: int | None
-
-    @property
-    def feasible(self) -> bool:
-        return self.value is not None
-
-
-_FOUR_COLOR_LOG: list[FourColorRecord] = []
-
-
-def four_color_log() -> tuple[FourColorRecord, ...]:
-    """Every anchor-graph 4-coloring attempt made since the last clear."""
-    return tuple(_FOUR_COLOR_LOG)
-
-
-def clear_four_color_log() -> None:
-    _FOUR_COLOR_LOG.clear()
-
-
 def _has_two_high_neighbors(g: Graph, u: int) -> bool:
     return sum(1 for x in g.neighbors(u) if g.degree(x) >= 4) >= 2
 
@@ -205,12 +180,10 @@ def build_H(g: Graph, gprime: Graph, cls: VertexClassification) -> Graph:
 def four_color_H(h: Graph) -> Coloring:
     """Proper coloring of the anchor graph with at most four colors.
 
-    Every call is recorded in a module-level audit log (see
-    :func:`four_color_log`); an infeasible instance means the graph was not
-    planar or the construction is buggy, and raises hard.
+    An infeasible instance means the graph was not planar or the
+    construction is buggy, and raises hard.
     """
     res = chromatic_number_exact(h, 4)
-    _FOUR_COLOR_LOG.append(FourColorRecord(n=h.n, m=h.m, value=res.value))
     if not res.feasible:
         raise InvariantBreachError(
             "anchor graph admits no proper 4-coloring; edges:"
@@ -329,9 +302,8 @@ def wd3_color_planar(g: Graph,
     """
     cert = is_planar(g)
     if not cert.is_planar:
-        minor = (f" (contains a {cert.minor_kind} minor)"
-                 if cert.minor_kind is not None else "")
-        raise NonplanarInputError(f"input is not planar{minor}")
+        raise NonplanarInputError(
+            f"input is not planar (contains a {cert.minor_kind} minor)")
     coloring: Coloring = {}
     for comp in sorted(g.connected_components(), key=min):
         sub = g.induced_subgraph(comp)

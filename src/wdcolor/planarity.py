@@ -4,9 +4,9 @@ K5/K33 minor models for nonplanar graphs.
 The verdict comes from the left-right planarity criterion; a planar verdict
 carries a rotation system that is independently validated here by tracing
 face boundaries and checking Euler's formula on every connected component.
-A nonplanar verdict (for graphs up to MINOR_WITNESS_LIMIT vertices) carries
-a minor model found by repeatedly deleting/contracting while preserving
-nonplanarity; the terminal graph of that process is K5 or K33.
+A nonplanar verdict carries a K5 or K33 minor model at every size, read off
+a Kuratowski subdivision that one vertex pass and one edge pass of LR tests
+isolate; that costs O(n) LR tests, each linear in the graph.
 """
 
 from __future__ import annotations
@@ -18,9 +18,6 @@ import networkx as nx
 
 from .graphs import Graph
 
-MINOR_WITNESS_LIMIT = 64
-
-
 @dataclass(frozen=True)
 class PlanarityCertificate:
     verdict: str  # 'planar' | 'nonplanar'
@@ -31,18 +28,6 @@ class PlanarityCertificate:
     @property
     def is_planar(self) -> bool:
         return self.verdict == "planar"
-
-
-def _to_nx(g: Graph) -> nx.Graph:
-    G = nx.Graph()
-    G.add_nodes_from(g.vertices())
-    G.add_edges_from(g.edges())
-    return G
-
-
-def _planar_verdict(g: Graph) -> bool:
-    ok, _ = nx.check_planarity(_to_nx(g), counterexample=False)
-    return ok
 
 
 def count_faces(rotation: dict[int, tuple[int, ...]]) -> int:
@@ -121,85 +106,63 @@ def validate_minor_model(g: Graph, kind: str,
     return False
 
 
-def _is_k5(g: Graph) -> bool:
-    vs = g.vertices()
-    return g.n == 5 and all(g.has_edge(a, b) for a, b in combinations(vs, 2))
+def _kuratowski_model(g: Graph) -> tuple[str, tuple[frozenset[int], ...]]:
+    """K5/K33 branch sets of a nonplanar graph, read off a Kuratowski
+    subdivision inside it.
 
-
-def _k33_sides(g: Graph) -> tuple[list[int], list[int]] | None:
-    if g.n != 6 or g.m != 9 or any(g.degree(v) != 3 for v in g.vertices()):
-        return None
-    vs = g.vertices()
-    a = vs[0]
-    right = sorted(g.neighbors(a))
-    left = [v for v in vs if v not in right]
-    if len(left) != 3:
-        return None
-    for x in left:
-        if set(g.neighbors(x)) != set(right):
-            return None
-    return left, right
-
-
-def _minor_witness(g: Graph) -> tuple[str, tuple[frozenset[int], ...]]:
-    """Reduce a nonplanar graph by deleting/contracting while preserving
-    nonplanarity; Wagner's theorem leaves exactly K5 or K33, whose vertices'
-    origin sets are the branch sets."""
-    cur = g
-    origin: dict[int, frozenset[int]] = {v: frozenset([v]) for v in g.vertices()}
-    while True:
-        step = None
-        for v in cur.vertices():
-            if not _planar_verdict(cur.delete_vertex(v)):
-                step = ("dv", v)
-                break
-        if step is None:
-            for u, v in cur.edges():
-                if not _planar_verdict(cur.delete_edge(u, v)):
-                    step = ("de", (u, v))
-                    break
-        if step is None:
-            for u, v in cur.edges():
-                contracted, fresh = cur.contract_edge(u, v)
-                if not _planar_verdict(contracted):
-                    step = ("ce", (u, v, contracted, fresh))
-                    break
-        if step is None:
-            break
-        op, arg = step
-        if op == "dv":
-            origin.pop(arg)
-            cur = cur.delete_vertex(arg)
-        elif op == "de":
-            cur = cur.delete_edge(*arg)
-        else:
-            u, v, contracted, fresh = arg
-            origin[fresh] = origin.pop(u) | origin.pop(v)
-            cur = contracted
-
-    if _is_k5(cur):
-        return "K5", tuple(origin[v] for v in cur.vertices())
-    sides = _k33_sides(cur)
-    if sides is not None:
-        left, right = sides
-        return "K33", tuple(origin[v] for v in left + right)
-    raise AssertionError(
-        "irreducible nonplanar graph is neither K5 nor K33 — witness bug")
+    One ascending pass drops every vertex, then one pass every edge, whose
+    removal leaves the graph nonplanar.  Nonplanarity carries over to
+    supergraphs, so whatever a pass keeps could not be dropped later
+    either: the rest, less its isolated vertices, is minimally nonplanar,
+    hence a subdivision of K5 or K33 (Kuratowski).  Its branch vertices
+    are those of degree at least three; each path's inner vertices join the
+    set of its smaller end.  Costs O(n) LR tests: n in the vertex pass, and
+    O(n) in the edge pass, since the vertex pass leaves a graph that turns
+    planar on deleting any vertex, so it has fewer than 3n edges.
+    """
+    G = g.to_networkx()
+    for v in g.vertices():
+        nbrs = list(G[v])
+        G.remove_node(v)
+        if nx.check_planarity(G)[0]:
+            G.add_edges_from((v, u) for u in nbrs)
+    for u, v in g.edges():
+        if G.has_edge(u, v):
+            G.remove_edge(u, v)
+            if nx.check_planarity(G)[0]:
+                G.add_edge(u, v)
+    branch = sorted(v for v in G if len(G[v]) >= 3)
+    sets = {b: {b} for b in branch}
+    right: list[int] = []  # the path ends of branch[0]: K33's other side
+    for b in branch:
+        for x in G[b]:
+            prev, inner = b, []
+            while x not in sets:
+                inner.append(x)
+                prev, x = x, next(y for y in G[x] if y != prev)
+            if b == branch[0]:
+                right.append(x)
+            if b < x:
+                sets[b].update(inner)
+    if len(branch) == 5:
+        return "K5", tuple(frozenset(sets[b]) for b in branch)
+    right.sort()
+    left = [b for b in branch if b not in right]
+    return "K33", tuple(frozenset(sets[b]) for b in left + right)
 
 
 def is_planar(g: Graph) -> PlanarityCertificate:
     """Planarity certificate: a validated rotation system, or an explicit
-    K5/K33 minor model (guaranteed for graphs up to 64 vertices)."""
-    ok, emb = nx.check_planarity(_to_nx(g), counterexample=False)
+    K5/K33 minor model, at every size.  A planar verdict costs one LR test;
+    a nonplanar one costs O(n) more (see :func:`_kuratowski_model`)."""
+    ok, emb = nx.check_planarity(g.to_networkx(), counterexample=False)
     if ok:
         data = emb.get_data()
         rotation = {v: tuple(data.get(v, ())) for v in g.vertices()}
         if not validate_rotation(g, rotation):
             raise AssertionError("embedding failed the Euler validation")
         return PlanarityCertificate("planar", rotation=rotation)
-    if g.n > MINOR_WITNESS_LIMIT:
-        return PlanarityCertificate("nonplanar")
-    kind, branch_sets = _minor_witness(g)
+    kind, branch_sets = _kuratowski_model(g)
     if not validate_minor_model(g, kind, branch_sets):
         raise AssertionError("minor model failed validation — witness bug")
     return PlanarityCertificate("nonplanar", minor_kind=kind,

@@ -135,12 +135,6 @@ class Configuration:
     matched: tuple[tuple[str, int], ...]
     boundary: tuple[int, ...]
 
-    def role(self, name: str) -> int:
-        for r, v in self.matched:
-            if r == name:
-                return v
-        raise KeyError(name)
-
     def roles(self) -> dict[str, int]:
         return dict(self.matched)
 
@@ -181,16 +175,6 @@ class ReductionStep:
             "identified": list(self.identified) if self.identified else None,
             "fresh": self.fresh,
         }
-
-
-@dataclass(frozen=True)
-class ReductionTrace:
-    """Ordered stack of reduction steps, first-applied first."""
-
-    steps: tuple[ReductionStep, ...]
-
-    def to_json_dict(self) -> dict:
-        return {"steps": [s.to_json_dict() for s in self.steps]}
 
 
 # --------------------------------------------------------------------------
@@ -1003,10 +987,6 @@ def reduce_fully(g: Graph) -> tuple[Graph, list[tuple[Graph, ReductionStep]]]:
         stack.append((e.snapshot(), step))
     stack.reverse()
     return core, stack
-
-
-def trace_of(stack: list[tuple[Graph, ReductionStep]]) -> ReductionTrace:
-    return ReductionTrace(steps=tuple(s for _, s in stack))
 
 
 # --------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from wdcolor.exact import wd_number_exact
 from wdcolor.generators import named, random_planar, triangulation
 from wdcolor.graphs import Graph
 from wdcolor.pipeline import (
-    FourColorRecord,
     InvariantBreachError,
     NonplanarInputError,
     PipelineIncompleteError,
@@ -28,9 +27,7 @@ from wdcolor.pipeline import (
     build_Gprime,
     build_H,
     classify,
-    clear_four_color_log,
     four_color_H,
-    four_color_log,
     wd3_color_planar,
 )
 from wdcolor.reductions import LiftError, ReductionStep
@@ -257,40 +254,27 @@ class TestBuildH:
 
 
 # ---------------------------------------------------------------------------
-# four_color_H and its log
+# four_color_H
 # ---------------------------------------------------------------------------
 
 
 class TestFourColorH:
     def test_empty_graph(self):
-        clear_four_color_log()
         assert four_color_H(Graph.empty()) == {}
-        (record,) = four_color_log()
-        assert record == FourColorRecord(n=0, m=0, value=0)
-        assert record.feasible
 
     def test_single_edge(self):
-        clear_four_color_log()
         coloring = four_color_H(Graph.from_edges([(0, 1)]))
         assert coloring[0] != coloring[1]
         assert set(coloring.values()) <= {1, 2, 3, 4}
-        (record,) = four_color_log()
-        assert (record.n, record.m, record.value) == (2, 1, 2)
 
     def test_complete_graph_needs_four(self):
-        clear_four_color_log()
         coloring = four_color_H(named("k4"))
-        assert len(set(coloring.values())) == 4
-        (record,) = four_color_log()
-        assert record.value == 4
+        assert is_proper(named("k4"), coloring)
+        assert set(coloring.values()) == {1, 2, 3, 4}
 
-    def test_log_accumulates_and_clears(self):
-        clear_four_color_log()
-        four_color_H(Graph.empty())
-        four_color_H(Graph.from_edges([(0, 1)]))
-        assert len(four_color_log()) == 2
-        clear_four_color_log()
-        assert four_color_log() == ()
+    def test_no_four_coloring_raises(self):
+        with pytest.raises(InvariantBreachError, match="no proper 4-coloring"):
+            four_color_H(named("k5"))
 
 
 # ---------------------------------------------------------------------------
@@ -409,13 +393,12 @@ class TestDriver:
             assert exact.value is not None
             assert exact.value <= palette_size(coloring) <= 6
 
-    def test_four_color_log_grows_through_driver(self):
-        clear_four_color_log()
+    def test_driver_four_colors_its_anchor_graphs(self, four_color_calls):
         wd3_color_planar(random_planar(12, 0.9, 5))
-        records = four_color_log()
-        assert records
-        assert all(r.feasible for r in records)
-        assert all(r.value <= 4 for r in records)
+        assert four_color_calls
+        for h, coloring in four_color_calls:
+            assert is_proper(h, coloring)
+            assert palette_size(coloring) <= 4
 
 
 # ---------------------------------------------------------------------------
@@ -461,10 +444,11 @@ class TestDriverFallbacks:
 
 
 def test_rejection_names_a_minor_only_when_the_certificate_has_one():
-    # above MINOR_WITNESS_LIMIT vertices is_planar gives no minor model
+    # every nonplanar certificate now carries a model, at every size
     g = triangulation(70, random.Random(1))
     u, v = next((u, v) for u in g.vertices() for v in g.vertices()
                 if u < v and not g.has_edge(u, v))
     with pytest.raises(NonplanarInputError) as info:
         wd3_color_planar(g.add_edge(u, v))
-    assert str(info.value) == "input is not planar"
+    assert str(info.value) in ("input is not planar (contains a K5 minor)",
+                               "input is not planar (contains a K33 minor)")

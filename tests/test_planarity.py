@@ -5,7 +5,7 @@ import itertools
 import random
 
 from oracles import random_connected_graph
-from wdcolor.generators import named, random_planar
+from wdcolor.generators import named, random_planar, triangulation
 from wdcolor.graphs import Graph
 from wdcolor.planarity import count_faces, is_planar
 
@@ -110,3 +110,44 @@ def test_disconnected_and_trivial_graphs():
     euler_checks(Graph.from_edges([(0, 1), (2, 3)], vertices=range(5)))
     assert is_planar(Graph.from_edges([], vertices=[0])).is_planar
     assert is_planar(Graph.empty()).is_planar
+
+
+def plus_non_edges(g: Graph, rng: random.Random, count: int) -> Graph:
+    """``g`` with ``count`` random non-edges added."""
+    missing = [(u, v) for u, v in itertools.combinations(g.vertices(), 2)
+               if not g.has_edge(u, v)]
+    for u, v in rng.sample(missing, count):
+        g = g.add_edge(u, v)
+    return g
+
+
+def test_triangulations_plus_an_edge_get_models_at_every_size():
+    for n in (70, 100):
+        rng = random.Random(n)
+        g = plus_non_edges(triangulation(n, rng), rng, 1)
+        cert = is_planar(g)
+        assert not cert.is_planar
+        validate_minor(g, cert)
+
+
+def test_random_nonplanar_graphs_get_valid_models():
+    rng = random.Random(11)
+    for seed in range(30):
+        g = random_planar(rng.randint(6, 30), rng.choice((0.3, 0.7, 1.0)),
+                          seed)
+        while is_planar(g).is_planar:
+            g = plus_non_edges(g, rng, 1)
+        validate_minor(g, is_planar(g))
+
+
+def test_certificate_does_not_depend_on_construction_order():
+    rng = random.Random(5)
+    for g in (named("k33"), plus_non_edges(triangulation(24, rng), rng, 2),
+              random_planar(20, 0.8, 5)):
+        edges = [(v, u) if rng.random() < 0.5 else (u, v)
+                 for u, v in g.edges()]
+        rng.shuffle(edges)
+        vertices = list(g.vertices())
+        rng.shuffle(vertices)
+        again = Graph.from_edges(edges, vertices=vertices)
+        assert is_planar(again) == is_planar(g)

@@ -33,16 +33,16 @@ from .reductions import (KIND_ORDER, SHORT_KINDS, CertificateReport,
                          apply_reduction, certify_lemma, detect_configuration,
                          lift_coloring)
 from .verify import (Coloring, Hypergraph, Violation, is_dynamic, is_proper,
-                     is_proper_hypergraph_coloring, is_satisfied,
-                     is_satisfied_general, is_weak_dynamic,
-                     neighborhood_hypergraph, palette_size, seen_colors)
+                     is_proper_hypergraph_coloring, is_satisfied_general,
+                     is_weak_dynamic, neighborhood_hypergraph, palette_size,
+                     seen_colors)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Graph", "PlanarityCertificate", "is_planar", "count_faces",
     "Coloring", "Violation", "Hypergraph", "is_weak_dynamic", "is_proper",
-    "is_dynamic", "is_satisfied", "is_satisfied_general", "palette_size",
+    "is_dynamic", "is_satisfied_general", "palette_size",
     "seen_colors", "neighborhood_hypergraph",
     "is_proper_hypergraph_coloring",
     "ExactResult", "wd_number_exact", "chromatic_number_exact",

@@ -182,7 +182,7 @@ def solve(graph_file: str, k: int, max_colors: int) -> None:
 def color(graph_file: str, trace_out: str | None) -> None:
     """Six-color 3-weak-dynamic coloring of a planar graph."""
     g = _load_graph_or_die(graph_file)
-    steps: list = []
+    steps: list[dict] = []
     try:
         coloring = wd3_color_planar(g, trace=steps)
     except NonplanarInputError as exc:
@@ -191,8 +191,7 @@ def color(graph_file: str, trace_out: str | None) -> None:
         _fail(EXIT_BREACH, f"invariant breach: {exc}")
     if trace_out is not None:
         with open(trace_out, "w") as fh:
-            json.dump({"steps": [s.to_json_dict() for s in steps]}, fh,
-                      indent=2)
+            json.dump({"steps": steps}, fh, indent=2)
         click.echo(f"wrote {len(steps)} reduction steps to {trace_out}",
                    err=True)
     _emit({
@@ -211,7 +210,7 @@ def reduce(graph_file: str, with_trace: bool) -> None:
     g = _load_graph_or_die(graph_file)
     e = EditableGraph(g)
     steps = reduce_in_place(e)
-    cur = e.release()
+    cur = e.snapshot()
     out: dict[str, object] = {
         "input": {"n": g.n, "m": g.m},
         "steps_applied": len(steps),
@@ -222,7 +221,12 @@ def reduce(graph_file: str, with_trace: bool) -> None:
                                  for u, v in cur.edges())},
     }
     if with_trace:
-        out["steps"] = [s.to_json_dict() for s in steps]
+        # undo newest first: each step's record reads the graph before it
+        records = []
+        for step in reversed(steps):
+            e.undo()
+            records.append(step.to_json_dict(e))
+        out["steps"] = records[::-1]
     _emit(out)
 
 

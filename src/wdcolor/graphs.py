@@ -382,10 +382,6 @@ class BlockDecomposition:
     cut_vertices: frozenset[int]
     kinds: tuple[str, ...]
 
-    def is_gallai(self) -> bool:
-        """True iff every block is a complete graph or an odd cycle."""
-        return all(k != "other" for k in self.kinds)
-
 
 def block_kind(g: Graph, block: frozenset[int]) -> str:
     verts = sorted(block)
@@ -410,35 +406,3 @@ def blocks(g: Graph) -> BlockDecomposition:
     kinds = tuple(block_kind(g, c) for c in comps)
     return BlockDecomposition(tuple(comps), cuts, kinds)
 
-
-def cycle_from_closed_walk(g: Graph, walk: list[int]) -> list[int]:
-    """Extract a simple cycle from a closed walk with no immediate edge
-    repetition.
-
-    The shortest closed portion of the walk (the minimal i<j with
-    walk[i] == walk[j]) has pairwise-distinct interior vertices and length
-    at least 3, hence is itself a simple cycle; its edges are walk edges.
-    Returns the cycle as a vertex list without the closing repeat.
-    """
-    if len(walk) < 4 or walk[0] != walk[-1]:
-        raise ValueError("walk must be closed with length >= 3")
-    for a, b in zip(walk, walk[1:]):
-        if not g.has_edge(a, b):
-            raise ValueError(f"walk step {a}-{b} is not an edge")
-    for i in range(len(walk) - 2):
-        if walk[i] == walk[i + 2]:
-            raise ValueError("walk repeats an edge immediately")
-
-    best: tuple[int, int] | None = None
-    last_seen: dict[int, int] = {}
-    for j, v in enumerate(walk):
-        if v in last_seen:
-            i = last_seen[v]
-            if best is None or j - i < best[1] - best[0]:
-                best = (i, j)
-        last_seen[v] = j
-    assert best is not None  # walk[0] == walk[-1] guarantees one repeat
-    i, j = best
-    cycle = walk[i:j]
-    assert len(cycle) >= 3 and len(set(cycle)) == len(cycle)
-    return cycle

@@ -28,8 +28,8 @@ from .exact import chromatic_number_exact, wd_number_exact
 from .graphs import EditableGraph, Graph
 from .listcolor import DependencyColoringError, color_dependency_graph
 from .planarity import is_planar
-from .reductions import (LiftColoring, LiftError, ReductionStep,
-                         lift_coloring, reduce_in_place)
+from .reductions import (LiftColoring, LiftError, lift_coloring,
+                         reduce_in_place)
 from .verify import Coloring, is_weak_dynamic, palette_size
 
 logger = logging.getLogger(__name__)
@@ -256,12 +256,12 @@ def _exact_wd3_cap6(g: Graph, why: str) -> Coloring:
 
 
 def _color_component_wd3(g: Graph,
-                         trace: list[ReductionStep] | None = None) -> Coloring:
-    """Reduce to an irreducible core, construct there, lift back."""
+                         trace: list[dict] | None = None) -> Coloring:
+    """Reduce to an irreducible core, construct there, lift back.  When
+    ``trace`` is a list, each step's JSON record is appended to it, in
+    applied order."""
     e = EditableGraph(g)
     steps = reduce_in_place(e)
-    if trace is not None:
-        trace.extend(steps)
     cur = e.snapshot()
     if cur.n == 0:
         coloring: Coloring = {}
@@ -275,10 +275,13 @@ def _color_component_wd3(g: Graph,
                            " (n=%d m=%d): %s", cur.n, cur.m, exc)
             coloring = _exact_wd3_cap6(cur, "invariant breach")
     # one coloring, lifted in place while the undo log restores each
-    # graph before its step
+    # graph before its step, which is also the graph its record reads
     c = LiftColoring(coloring, cur.adjacency().keys())
+    records = []
     for step in reversed(steps):
         e.undo()
+        if trace is not None:
+            records.append(step.to_json_dict(e))
         try:
             c = lift_coloring(e, step, c)
         except LiftError as exc:
@@ -287,18 +290,20 @@ def _color_component_wd3(g: Graph,
             c = LiftColoring(
                 _exact_wd3_cap6(before, f"lift failure at {step.kind}"),
                 before.adjacency().keys())
+    if trace is not None:
+        trace.extend(reversed(records))
     return c
 
 
-def wd3_color_planar(g: Graph,
-                     trace: list[ReductionStep] | None = None) -> Coloring:
+def wd3_color_planar(g: Graph, trace: list[dict] | None = None) -> Coloring:
     """A verified 3-weak-dynamic coloring of a planar graph, six colors max.
 
     Rejects nonplanar inputs.  Components are handled independently
     (isolated vertices get color 1).  The result is deterministic for a
     given input and is re-verified — weak-dynamic and palette at most six —
-    before being returned.  When ``trace`` is a list, every reduction step
-    applied along the way is appended to it in order.
+    before being returned.  When ``trace`` is a list, the JSON record
+    (``ReductionStep.to_json_dict``) of every reduction step applied along
+    the way is appended to it, in order.
     """
     cert = is_planar(g)
     if not cert.is_planar:

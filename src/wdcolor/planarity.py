@@ -3,7 +3,7 @@ K5/K33 minor models for nonplanar graphs.
 
 The verdict comes from the left-right planarity criterion; a planar verdict
 carries a rotation system that is independently validated here by tracing
-face boundaries and checking Euler's formula on every connected component.
+face boundaries and checking Euler's formula summed over the components.
 A nonplanar verdict carries a K5 or K33 minor model at every size, read off
 a Kuratowski subdivision that one vertex pass and one edge pass of LR tests
 isolate; that costs O(n) LR tests, each linear in the graph.
@@ -35,9 +35,7 @@ def count_faces(rotation: dict[int, tuple[int, ...]]) -> int:
 
     The successor of dart (u, v) is (v, w) where w follows u in the cyclic
     order around v. Each orbit is one face boundary; a vertex with no darts
-    contributes one face on its own (it lies inside some face — for the
-    per-component Euler check an isolated vertex is its own component with
-    a single face).
+    is its own component and contributes one face on its own.
     """
     nxt_index = {v: {u: i for i, u in enumerate(order)}
                  for v, order in rotation.items()}
@@ -58,25 +56,24 @@ def count_faces(rotation: dict[int, tuple[int, ...]]) -> int:
             d = (v, w)
             if d == start:
                 break
-    if not darts:
-        faces = 1
-    return faces
+    return faces + sum(not order for order in rotation.values())
 
 
 def validate_rotation(g: Graph, rotation: dict[int, tuple[int, ...]]) -> bool:
-    """Euler check V - E + F = 2 on each connected component."""
+    """Euler check V - E + F = 2c over the whole graph, c components.
+
+    A rotation system of a connected graph embeds it in an orientable
+    surface of genus h with V - E + F = 2 - 2h <= 2, so the sum over the
+    components equals 2c exactly when every component is planar.
+    """
     if set(rotation) != set(g.vertices()):
         return False
     for v in g.vertices():
         if set(rotation[v]) != set(g.neighbors(v)) or \
                 len(rotation[v]) != g.degree(v):
             return False
-    for comp in g.connected_components():
-        sub = g.induced_subgraph(comp)
-        subrot = {v: rotation[v] for v in comp}
-        if sub.n - sub.m + count_faces(subrot) != 2:
-            return False
-    return True
+    components = len(g.connected_components())
+    return g.n - g.m + count_faces(rotation) == 2 * components
 
 
 def validate_minor_model(g: Graph, kind: str,

@@ -54,7 +54,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator, NamedTuple
 
 from .graphs import EditableGraph, Graph
-from .listcolor import (ColorOrder, DependencyColoringError, Lists,
+from .listcolor import (DependencyColoringError, Lists,
                         color_dependency_graph, pick_color)
 from .planarity import is_planar
 from .verify import Coloring, _weak_dynamic_violations
@@ -126,14 +126,11 @@ class Configuration:
     ``kind`` is one of ``KIND_ORDER``.  ``matched`` names the pattern's
     vertices as ordered ``(role, vertex)`` pairs; role names follow the
     published v1..vk convention for each kind, with ``w``-prefixed roles for
-    companion vertices (hubs, witnesses).  ``boundary`` lists the nearby
-    outside vertices (within distance two of the pattern) whose colors
-    constrain the lift.
+    companion vertices (hubs, witnesses).
     """
 
     kind: str
     matched: tuple[tuple[str, int], ...]
-    boundary: tuple[int, ...]
 
     def roles(self) -> dict[str, int]:
         return dict(self.matched)
@@ -148,12 +145,12 @@ class ReductionStep:
 
     ``local`` keeps the neighbor set (in the pre-reduction graph) of every
     matched vertex so a later lift can check it is being replayed against
-    the same graph.
+    the same graph.  A step keeps only what its lift reads; its JSON
+    record, which adds the boundary, is built from the graph before it.
     """
 
     kind: str
     matched: tuple[tuple[str, int], ...]
-    boundary: tuple[int, ...]
     removed_vertices: tuple[int, ...]
     removed_edges: tuple[tuple[int, int], ...]
     contracted: tuple[int, int] | None
@@ -164,11 +161,16 @@ class ReductionStep:
     def roles(self) -> dict[str, int]:
         return dict(self.matched)
 
-    def to_json_dict(self) -> dict:
+    def to_json_dict(self, before: Graph | EditableGraph) -> dict:
+        """The step's JSON record.  ``before`` is the graph the step was
+        applied to; ``boundary`` lists the vertices within distance two of
+        the matched ones there, outside them, ascending."""
+        members = {v for _, v in self.matched}
+        ball = _ball(before.adjacency(), members, 2)
         return {
             "kind": self.kind,
             "matched": {r: v for r, v in self.matched},
-            "boundary": list(self.boundary),
+            "boundary": sorted(ball - members),
             "removed_vertices": list(self.removed_vertices),
             "removed_edges": [list(e) for e in self.removed_edges],
             "contracted": list(self.contracted) if self.contracted else None,
@@ -250,21 +252,11 @@ class LiftColoring(dict):
         return tuple(order + [c for c in PALETTE if c not in firsts])
 
 
-def _palette_in(order: ColorOrder) -> tuple[int, ...]:
-    return tuple(order) if order is not None else PALETTE
-
-
-def _rank(color: int, order: ColorOrder) -> int:
-    if order is None:
-        return color
-    return list(order).index(color)
-
-
 def _satisfy_through(g: Graph, coloring: Coloring, target: int,
                      pending: frozenset[int] | set[int], incoming: int = 1,
-                     k: int = 3, color_order: ColorOrder = None) -> set[int]:
+                     *, color_order: tuple[int, ...]) -> set[int]:
     """Colors that the next fresh assignments must avoid to keep ``target``
-    on track for seeing ``min(deg, k)`` distinct neighbor colors.
+    on track for seeing ``min(deg, 3)`` distinct neighbor colors.
 
     ``pending`` lists the not-yet-final vertices whose colors must be
     ignored.  ``incoming`` is the number of target's pending neighbors about
@@ -273,7 +265,7 @@ def _satisfy_through(g: Graph, coloring: Coloring, target: int,
     earliest colors under ``color_order`` are designated, keeping the choice
     permutation-equivariant.
     """
-    m = min(g.degree(target), k)
+    m = min(g.degree(target), 3)
     fixed: set[int] = set()
     for u in g.neighbors(target):
         if u in pending:
@@ -288,12 +280,12 @@ def _satisfy_through(g: Graph, coloring: Coloring, target: int,
         return set()
     if len(fixed) <= need:
         return set(fixed)
-    ranked = sorted(fixed, key=lambda c: _rank(c, color_order))
+    ranked = sorted(fixed, key=color_order.index)
     return set(ranked[:need])
 
 
 def _avoid_set(g: Graph, coloring: Coloring, w: int, explicit, protect,
-               pending, order: ColorOrder) -> set[int]:
+               pending, order: tuple[int, ...]) -> set[int]:
     pend = frozenset(pending) | {w}
     avoid: set[int] = set()
     for c in explicit:
@@ -307,7 +299,7 @@ def _avoid_set(g: Graph, coloring: Coloring, w: int, explicit, protect,
 
 
 def _assign(g: Graph, coloring: Coloring, w: int, *, explicit=(), protect=(),
-            pending=(), order: ColorOrder = None, bound: int | None = None,
+            pending=(), order: tuple[int, ...], bound: int | None = None,
             stage: str = "") -> int:
     """Color ``w`` avoiding the explicit colors plus every protection set.
 
@@ -335,22 +327,6 @@ def _hit(stats: dict | None, label: str) -> None:
 
 # --------------------------------------------------------------------------
 # detection
-
-def _boundary_of(g: Graph | EditableGraph, members) -> tuple[int, ...]:
-    """The vertices within distance two of ``members``, outside them."""
-    adj = g.adjacency()
-    mem = set(members)
-    ring = set().union(*map(adj.__getitem__, mem))
-    ball = ring.union(*map(adj.__getitem__, ring))
-    return tuple(sorted(ball - mem))
-
-
-def _configuration(g: Graph | EditableGraph, kind: str,
-                   roles) -> Configuration:
-    """The configuration of a match; ``apply_reduction`` validates it."""
-    return Configuration(kind=kind, matched=tuple(roles),
-                         boundary=_boundary_of(g, (v for _, v in roles)))
-
 
 def _only(s) -> int:
     (x,) = s
@@ -550,7 +526,7 @@ def _scan_anchors(g: Graph | EditableGraph, i: int) -> Configuration | None:
         if lo <= len(adj[v]) <= hi:
             roles = match(adj, v)
             if roles is not None:
-                return _configuration(g, kind, roles)
+                return Configuration(kind, tuple(roles))
     return None
 
 
@@ -708,7 +684,7 @@ def _scan_cycles(g: Graph | EditableGraph, kind: str) -> Configuration | None:
     for cycle in _chordless_deg3_cycles(g):
         roles = match(adj, cycle)
         if roles is not None:
-            return _configuration(g, kind, roles)
+            return Configuration(kind, tuple(roles))
     return None
 
 
@@ -796,7 +772,7 @@ class DetectionIndex:
         if not heap:
             return None
         row = _ANCHORED[i]
-        return _configuration(self._g, row.kind, row.match(self._adj, heap[0]))
+        return Configuration(row.kind, tuple(row.match(self._adj, heap[0])))
 
     def _catch_up(self, i: int) -> None:
         depth = self._g.depth
@@ -942,7 +918,7 @@ def _reduce_in_place(g: EditableGraph, conf: Configuration) -> ReductionStep:
         raise ReductionError(
             f"{conf.kind} reduction failed to decrease the edge count")
     return ReductionStep(
-        kind=conf.kind, matched=conf.matched, boundary=conf.boundary,
+        kind=conf.kind, matched=conf.matched,
         removed_vertices=removed_v, removed_edges=removed_e,
         contracted=contracted, identified=identified, fresh=fresh,
         local=local)
@@ -994,7 +970,7 @@ def reduce_fully(g: Graph) -> tuple[Graph, list[tuple[Graph, ReductionStep]]]:
 
 def _dependency_instance(g: Graph, coloring: Coloring,
                          group: frozenset[int],
-                         order: ColorOrder) -> tuple[Graph, Lists]:
+                         order: tuple[int, ...]) -> tuple[Graph, Lists]:
     """Dependency graph and allowed-color lists for recoloring ``group``.
 
     Every member must have degree three and end up seeing three distinct
@@ -1059,7 +1035,7 @@ def _dependency_instance(g: Graph, coloring: Coloring,
 
 
 def _free_hub_hook(g: Graph, coloring: Coloring, cycle: tuple[int, ...],
-                   order: ColorOrder,
+                   order: tuple[int, ...],
                    recolor_log: list[tuple[int, int, int]]):
     """Perturbation hook: recolor a free hub (degree-3 outside companion
     with two colored neighbors) next to the stuck positions, then rebuild
@@ -1089,7 +1065,7 @@ def _free_hub_hook(g: Graph, coloring: Coloring, cycle: tuple[int, ...],
                 avoid |= _satisfy_through(g, coloring, x,
                                           pending=cset | {h},
                                           color_order=order)
-            for gamma in _palette_in(order):
+            for gamma in order:
                 if gamma in avoid or (h, gamma) in attempted:
                     continue
                 attempted.add((h, gamma))
@@ -1108,7 +1084,7 @@ def _free_hub_hook(g: Graph, coloring: Coloring, cycle: tuple[int, ...],
 
 
 def _recolor_group(g: Graph, coloring: Coloring, cycle: tuple[int, ...],
-                   order: ColorOrder, use_hook: bool,
+                   order: tuple[int, ...], use_hook: bool,
                    stats: dict | None, kind: str) -> None:
     cset = frozenset(cycle)
     dep, lists = _dependency_instance(g, coloring, cset, order)

@@ -77,13 +77,9 @@ def is_dynamic(g: Graph, c: Coloring, k: int) -> bool:
 
 
 def is_satisfied_general(g: Graph, partial: Coloring, v: int, k: int) -> bool:
+    """True iff v already sees min(d(v), k) distinct colors among its
+    colored neighbors (the reduction lemmas use k = 3)."""
     return len(seen_colors(g, partial, v)) >= min(g.degree(v), k)
-
-
-def is_satisfied(g: Graph, partial: Coloring, v: int) -> bool:
-    """True iff v already sees min(d(v), 3) distinct colors among its colored
-    neighbors (k is fixed at 3: the notion the reduction lemmas use)."""
-    return is_satisfied_general(g, partial, v, 3)
 
 
 @dataclass(frozen=True)

@@ -273,6 +273,6 @@ def test_reduce_trace_equals_reduce_fully(runner, tmp_path):
                  "vertices": sorted(core.vertices()),
                  "edges": sorted([min(u, v), max(u, v)]
                                  for u, v in core.edges())},
-        "steps": [s.to_json_dict() for s in steps],
+        "steps": [s.to_json_dict(before) for before, s in stack],
     }
     assert len(steps) > 100

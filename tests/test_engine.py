@@ -115,7 +115,7 @@ def test_undo_restores_each_graph_before_its_step():
         for before, step in stack:
             assert before == cur
             assert (before.m, before.next_fresh) == (cur.m, cur.next_fresh)
-            conf = Configuration(step.kind, step.matched, step.boundary)
+            conf = Configuration(step.kind, step.matched)
             cur, replayed = apply_reduction(cur, conf)
             assert replayed == step
         assert core == cur and (core.m, core.next_fresh) == (cur.m,

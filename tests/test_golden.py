@@ -56,7 +56,7 @@ def digests(g) -> dict[str, str]:
     coloring = wd3_color_planar(g, trace=steps)
     return {
         "graph": _sha([g.vertices(), list(g.edges())]),
-        "steps": _sha([s.to_json_dict() for s in steps]),
+        "steps": _sha(steps),
         "coloring": _sha({str(v): coloring[v] for v in sorted(coloring)}),
     }
 

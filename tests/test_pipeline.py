@@ -30,7 +30,7 @@ from wdcolor.pipeline import (
     four_color_H,
     wd3_color_planar,
 )
-from wdcolor.reductions import LiftError, ReductionStep
+from wdcolor.reductions import LiftError, reduce_fully
 from wdcolor.verify import is_proper, is_weak_dynamic, palette_size
 
 import wdcolor.pipeline as pipeline_module
@@ -372,11 +372,28 @@ class TestDriver:
 
     def test_trace_collects_reduction_steps(self):
         g = random_planar(12, 0.6, 7)
-        trace: list[ReductionStep] = []
+        assert g.is_connected()
+        trace: list[dict] = []
         coloring = wd3_color_planar(g, trace=trace)
         assert trace, "a sparse planar graph must admit reductions"
-        assert all(isinstance(s, ReductionStep) for s in trace)
+        assert trace == [s.to_json_dict(before)
+                         for before, s in reduce_fully(g)[1]]
         assert wd3_ok(g, coloring)
+
+    def test_trace_records_components_in_order(self):
+        # two K4s: each reduces by an L4 contraction, and both take their
+        # fresh id from the whole graph's next_fresh
+        k4 = list(named("k4").edges())
+        g = Graph.from_edges(k4 + [(u + 4, v + 4) for u, v in k4])
+        trace: list[dict] = []
+        wd3_color_planar(g, trace=trace)
+        want = []
+        for comp in sorted(g.connected_components(), key=min):
+            stack = reduce_fully(g.induced_subgraph(comp))[1]
+            want += [s.to_json_dict(before) for before, s in stack]
+        assert trace == want
+        assert [r["fresh"] for r in trace if r["kind"].startswith("L4")] \
+            == [g.next_fresh, g.next_fresh]
 
     def test_random_planar_sample_verifier_clean(self):
         for seed in range(25):

@@ -7,7 +7,7 @@ import random
 from oracles import random_connected_graph
 from wdcolor.generators import named, random_planar, triangulation
 from wdcolor.graphs import Graph
-from wdcolor.planarity import count_faces, is_planar
+from wdcolor.planarity import count_faces, is_planar, validate_rotation
 
 
 def euler_checks(g: Graph):
@@ -151,3 +151,18 @@ def test_certificate_does_not_depend_on_construction_order():
         rng.shuffle(vertices)
         again = Graph.from_edges(edges, vertices=vertices)
         assert is_planar(again) == is_planar(g)
+
+
+def test_validate_rotation_rejects_a_twisted_component():
+    k4 = named("k4")
+    rot = dict(is_planar(k4).rotation)
+    assert validate_rotation(k4, rot)
+    rot[0] = rot[0][::-1]
+    assert not validate_rotation(k4, rot)
+    # a planar triangle beside the twisted K4 must not make up for it
+    both = Graph.from_edges(list(k4.edges())
+                            + [(10, 11), (11, 12), (10, 12)])
+    tri_rot = {10: (11, 12), 11: (10, 12), 12: (10, 11)}
+    assert not validate_rotation(both, {**rot, **tri_rot})
+    alone = Graph.from_edges([(10, 11), (11, 12), (10, 12)], vertices=[20])
+    assert validate_rotation(alone, {**tri_rot, 20: ()})

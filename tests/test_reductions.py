@@ -3,6 +3,7 @@
 import itertools
 import random
 
+import networkx as nx
 import pytest
 
 import oracles
@@ -15,7 +16,8 @@ from wdcolor.reductions import (KIND_ORDER, SHORT_KINDS, LiftError,
                                 ReductionError, StaleConfigurationError,
                                 apply_reduction, canonical_colorings,
                                 certify_lemma, detect_configuration,
-                                lift_coloring, validate_configuration)
+                                lift_coloring, reduce_fully,
+                                validate_configuration)
 from wdcolor.verify import is_weak_dynamic
 
 
@@ -60,7 +62,17 @@ def test_configuration_roles_point_at_real_vertices():
     conf = detect_configuration(g)
     roles = conf.roles()
     assert roles and all(v in g for v in roles.values())
-    assert all(v in g for v in conf.boundary)
+
+
+def test_step_record_boundary_is_the_ring_within_distance_two():
+    for seed in range(6):
+        g = random_planar(30, 0.7, 300 + seed)
+        for before, step in reduce_fully(g)[1]:
+            members = {v for _, v in step.matched}
+            dist = nx.multi_source_dijkstra_path_length(
+                before.to_networkx(), members, cutoff=2)
+            assert step.to_json_dict(before)["boundary"] == sorted(
+                v for v, d in dist.items() if d > 0)
 
 
 def test_apply_reduction_strictly_shrinks():

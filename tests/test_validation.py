@@ -37,14 +37,12 @@ def detections():
             if conf is not None:
                 yield g, conf
         for before, step in reduce_fully(g)[1]:
-            yield before, Configuration(step.kind, step.matched,
-                                        step.boundary)
+            yield before, Configuration(step.kind, step.matched)
 
 
 def relabeled(conf: Configuration, vertices) -> Configuration:
     roles = [r for r, _ in conf.matched]
-    return Configuration(conf.kind, tuple(zip(roles, vertices)),
-                         conf.boundary)
+    return Configuration(conf.kind, tuple(zip(roles, vertices)))
 
 
 def permuted(conf: Configuration, rng: random.Random):
@@ -142,7 +140,7 @@ def test_l10_revalidates_only_in_its_recorded_rotation():
                     c = Configuration(
                         KIND_L10, tuple((f"v{j + 1}", rot[j])
                                         for j in range(k))
-                        + (("w1", w1), ("w3", w3)), conf.boundary)
+                        + (("w1", w1), ("w3", w3)))
                     recorded = c.matched == conf.matched
                     assert validate_configuration(g, c) == recorded
                     other_accepted += (not recorded and oracles

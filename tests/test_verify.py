@@ -9,7 +9,7 @@ import oracles
 from wdcolor.generators import named
 from wdcolor.graphs import Graph
 from wdcolor.verify import (Hypergraph, is_dynamic, is_proper,
-                            is_proper_hypergraph_coloring, is_satisfied,
+                            is_proper_hypergraph_coloring,
                             is_satisfied_general, is_weak_dynamic,
                             neighborhood_hypergraph, palette_size,
                             seen_colors)
@@ -65,12 +65,12 @@ def test_seen_colors_and_palette_size():
 def test_is_satisfied_examples():
     star5 = Graph.from_edges([(0, i) for i in range(1, 6)])
     partial = {1: 1, 2: 2, 3: 3, 4: 1}
-    assert is_satisfied(star5, partial, 0)  # sees 3 >= min(5,3)
-    assert not is_satisfied(star5, {1: 1, 2: 1}, 0)
+    assert is_satisfied_general(star5, partial, 0, 3)  # sees 3 >= min(5,3)
+    assert not is_satisfied_general(star5, {1: 1, 2: 1}, 0, 3)
     assert is_satisfied_general(star5, {1: 1, 2: 2}, 0, 2)
     leaf_graph = Graph.from_edges([(0, 1)])
-    assert is_satisfied(leaf_graph, {1: 4}, 0)
-    assert not is_satisfied(leaf_graph, {}, 0)
+    assert is_satisfied_general(leaf_graph, {1: 4}, 0, 3)
+    assert not is_satisfied_general(leaf_graph, {}, 0, 3)
 
 
 def test_neighborhood_hypergraph_shape():

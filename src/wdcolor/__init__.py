@@ -9,8 +9,8 @@ routine that 3-weak-dynamically colors any planar graph with at most six
 colors — cross-checked against the exact solver throughout the test suite.
 """
 
-from .exact import (ExactResult, chromatic_number_exact, list_color_exact,
-                    product_coloring, wd_number_exact)
+from .exact import (ExactResult, SearchBudgetExceeded, chromatic_number_exact,
+                    list_color_exact, product_coloring, wd_number_exact)
 from .generators import NAMED_GRAPH_NAMES, named, random_planar, triangulation
 from .graphs import Graph
 from .hosts import host_for
@@ -45,7 +45,8 @@ __all__ = [
     "is_dynamic", "is_satisfied_general", "palette_size",
     "seen_colors", "neighborhood_hypergraph",
     "is_proper_hypergraph_coloring",
-    "ExactResult", "wd_number_exact", "chromatic_number_exact",
+    "ExactResult", "SearchBudgetExceeded", "wd_number_exact",
+    "chromatic_number_exact",
     "list_color_exact", "product_coloring",
     "ColorOrder", "Lists", "DependencyColoringError", "pick_color",
     "greedy_with_slack", "color_complete_with_lists",

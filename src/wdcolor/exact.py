@@ -1,17 +1,24 @@
 """Exact solvers: weak-dynamic number, chromatic number, and list coloring.
 
 These are the oracles every constructive routine is measured against, and the
-guaranteed fallback of the planar coloring driver. All searches are complete;
-"no solution within the bound" is reported as a value (None in results), never
-as an exception.
+guaranteed fallback of the planar coloring driver. Run without a budget, every
+search is complete, and "no solution within the bound" is reported as a value
+(None in results). The chromatic-number search also takes a node budget; a
+search that runs past it raises :class:`SearchBudgetExceeded` instead of
+deciding, so its caller can turn to a method that needs no proof of optimality.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 
 from .graphs import Graph
 from .verify import Coloring, is_dynamic, is_proper, is_weak_dynamic
+
+
+class SearchBudgetExceeded(Exception):
+    """A budgeted search ran past its node budget before it could decide."""
 
 
 @dataclass(frozen=True)
@@ -123,52 +130,102 @@ def _greedy_clique(g: Graph) -> list[int]:
     return best
 
 
-def _k_colorable(g: Graph, k: int) -> Coloring | None:
+def _k_colorable(g: Graph, k: int,
+                 node_budget: int | None = None) -> Coloring | None:
     """Proper k-colorability by DSATUR-ordered backtracking with first-use
-    symmetry breaking."""
-    verts = list(g.vertices())
+    symmetry breaking.
+
+    The branching vertex is the uncolored one that sees the most distinct
+    colors, then has the highest degree, then the smallest id; a lazy
+    max-heap keeps it, with an entry pushed whenever an uncolored vertex's
+    key changes and stale entries dropped when they reach the top.  The
+    search keeps its frames on an explicit stack, so its depth is not bound
+    by the recursion limit.  A node is one color assignment; past
+    ``node_budget`` nodes it raises :class:`SearchBudgetExceeded`.
+    """
+    adj = g.adjacency()
     color: dict[int, int] = {}
-    nbr_colors: dict[int, set[int]] = {v: set() for v in verts}
+    nbr_colors: dict[int, set[int]] = {v: set() for v in adj}
+    heap: list[tuple[int, int, int]] = []
+
+    def rebuild() -> None:
+        heap[:] = [(-len(nbr_colors[v]), -len(adj[v]), v)
+                   for v in adj if v not in color]
+        heapify(heap)
+
+    def push(v: int) -> None:
+        heappush(heap, (-len(nbr_colors[v]), -len(adj[v]), v))
 
     def pick() -> int | None:
-        best, key = None, None
-        for v in verts:
-            if v in color:
-                continue
-            cand = (len(nbr_colors[v]), g.degree(v), -v)
-            if key is None or cand > key:
-                best, key = v, cand
-        return best
+        # stale entries pile up over a long search; drop them in one pass
+        if len(heap) > 4 * len(adj) + 64:
+            rebuild()
+        while heap:
+            sat, _, v = heap[0]
+            if v not in color and -sat == len(nbr_colors[v]):
+                return v
+            heappop(heap)
+        return None
 
-    def rec(maxused: int) -> bool:
-        v = pick()
-        if v is None:
-            return True
-        for col in range(1, min(k, maxused + 1) + 1):
-            if col in nbr_colors[v]:
-                continue
-            color[v] = col
-            touched = [u for u in g.neighbors(v) if col not in nbr_colors[u]]
-            for u in touched:
-                nbr_colors[u].add(col)
-            if all(len(nbr_colors[u]) < k or u in color for u in g.neighbors(v)) \
-                    and rec(max(maxused, col)):
-                return True
+    rebuild()
+    nodes = 0
+    v = pick()
+    if v is None:
+        return {}
+    # frame: [vertex, color in place (0 = none yet), colors used above it,
+    # the neighbors that gained that color]
+    stack: list[list] = [[v, 0, 0, []]]
+    while stack:
+        frame = stack[-1]
+        v, col, maxused, touched = frame
+        if col:
+            del color[v]
             for u in touched:
                 nbr_colors[u].discard(col)
-            del color[v]
-        return False
+                if u not in color:
+                    push(u)
+        top = min(k, maxused + 1)
+        col += 1
+        while col <= top and col in nbr_colors[v]:
+            col += 1
+        if col > top:
+            stack.pop()
+            push(v)
+            continue
+        nodes += 1
+        if node_budget is not None and nodes > node_budget:
+            raise SearchBudgetExceeded(
+                f"{k}-coloring search passed {node_budget} nodes on"
+                f" n={g.n} m={g.m}")
+        color[v] = col
+        touched = [u for u in adj[v] if col not in nbr_colors[u]]
+        for u in touched:
+            nbr_colors[u].add(col)
+            if u not in color:
+                push(u)
+        frame[1], frame[3] = col, touched
+        if any(len(nbr_colors[u]) >= k and u not in color for u in adj[v]):
+            continue
+        w = pick()
+        if w is None:
+            return dict(color)
+        stack.append([w, 0, max(maxused, col), []])
+    return None
 
-    return dict(color) if rec(0) else None
 
+def chromatic_number_exact(g: Graph, ub: int, *,
+                           node_budget: int | None = None) -> ExactResult:
+    """Exact chromatic number with witness, or None value if above ub.
 
-def chromatic_number_exact(g: Graph, ub: int) -> ExactResult:
-    """Exact chromatic number with witness, or None value if above ub."""
+    ``node_budget`` bounds the search for each palette size (see
+    :func:`_k_colorable`); past it :class:`SearchBudgetExceeded` is raised.
+    ``None`` searches to the end.
+    """
     if g.n == 0:
         return ExactResult(0, {})
     lb = max(1, len(_greedy_clique(g)))
     for k in range(lb, ub + 1):
-        witness = _k_colorable(g, k)
+        witness = _k_colorable(g, k, node_budget)
         if witness is not None:
             assert is_proper(g, witness)
             return ExactResult(k, witness)

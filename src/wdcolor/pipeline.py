@@ -23,14 +23,17 @@ from __future__ import annotations
 import itertools
 import logging
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
+from typing import Mapping
 
-from .exact import chromatic_number_exact, wd_number_exact
+from .exact import (SearchBudgetExceeded, chromatic_number_exact,
+                    wd_number_exact)
 from .graphs import EditableGraph, Graph
 from .listcolor import DependencyColoringError, color_dependency_graph
 from .planarity import is_planar
 from .reductions import (LiftColoring, LiftError, lift_coloring,
                          reduce_in_place)
-from .verify import Coloring, is_weak_dynamic, palette_size
+from .verify import Coloring, is_proper, is_weak_dynamic, palette_size
 
 logger = logging.getLogger(__name__)
 
@@ -177,13 +180,114 @@ def build_H(g: Graph, gprime: Graph, cls: VertexClassification) -> Graph:
     return h
 
 
+def _node_budget(h: Graph) -> int:
+    """DSATUR nodes per palette size that :func:`four_color_H` allows
+    before it turns to Kempe chains: room for a search that backtracks a
+    little, linear in |V(H)|."""
+    return 2 * h.n + 16
+
+
+def _smallest_last(adj: Mapping[int, frozenset[int]]) -> list[int]:
+    """Vertices in removal order: each is removed at minimum degree among
+    those left, ties by smallest id."""
+    deg = {v: len(nbrs) for v, nbrs in adj.items()}
+    heap = [(d, v) for v, d in deg.items()]
+    heapify(heap)
+    order = []
+    while heap:
+        d, v = heappop(heap)
+        if deg.get(v) != d:
+            continue
+        del deg[v]
+        order.append(v)
+        for u in adj[v]:
+            if u in deg:
+                deg[u] -= 1
+                heappush(heap, (deg[u], u))
+    return order
+
+
+def _kempe_free(adj: Mapping[int, frozenset[int]], color: Coloring,
+                nbrs: list[int]) -> int | None:
+    """Free a color for a vertex whose colored neighbors ``nbrs`` use all
+    four, by one Kempe-chain swap; returns the freed color, or None.
+
+    For colors a, then b, ascending: the a/b chains through the
+    a-neighbors are grown over colored vertices; the first that holds no
+    b-neighbor has a and b swapped, which leaves no neighbor on a.  With at
+    most four colored neighbors on a planar graph some pair always works
+    (Kempe 1879); with five it may not (Heawood 1890).
+    """
+    for a in (1, 2, 3, 4):
+        seeds = [u for u in nbrs if color[u] == a]
+        for b in (1, 2, 3, 4):
+            if b == a:
+                continue
+            blocked = {u for u in nbrs if color[u] == b}
+            chain = set(seeds)
+            todo = list(seeds)
+            while todo and blocked.isdisjoint(chain):
+                x = todo.pop()
+                for y in adj[x]:
+                    if y not in chain and color.get(y) in (a, b):
+                        chain.add(y)
+                        todo.append(y)
+            if blocked.isdisjoint(chain):
+                for x in chain:
+                    color[x] = a + b - color[x]
+                return a
+    return None
+
+
+def _kempe_four_color(h: Graph) -> Coloring:
+    """A proper coloring of ``h`` with colors 1..4 by Kempe peeling.
+
+    Vertices are colored greedily with their smallest free color, in
+    reverse smallest-last order, so a planar ``h`` shows each at most five
+    colored neighbors; where those use all four colors, one Kempe-chain
+    swap frees one (:func:`_kempe_free`).  Raises
+    :class:`PipelineIncompleteError` at the first vertex where no swap
+    does, which on a planar graph needs five colored neighbors.
+    """
+    adj = h.adjacency()
+    color: Coloring = {}
+    for v in reversed(_smallest_last(adj)):
+        nbrs = sorted(u for u in adj[v] if u in color)
+        used = {color[u] for u in nbrs}
+        free = next((c for c in (1, 2, 3, 4) if c not in used), None)
+        if free is None:
+            free = _kempe_free(adj, color, nbrs)
+        if free is None:
+            raise PipelineIncompleteError(
+                f"no Kempe-chain swap frees a color at anchor vertex {v},"
+                f" which has {len(nbrs)} colored neighbors")
+        color[v] = free
+    assert is_proper(h, color)
+    return color
+
+
 def four_color_H(h: Graph) -> Coloring:
     """Proper coloring of the anchor graph with at most four colors.
 
-    An infeasible instance means the graph was not planar or the
-    construction is buggy, and raises hard.
+    Three stages, each of which ends:
+
+    1. The exact search (``chromatic_number_exact``), under a node budget
+       per palette size linear in |V(H)| (:func:`_node_budget`).  Within
+       it the result is the exact search's witness.
+    2. Past the budget, Kempe peeling (:func:`_kempe_four_color`).
+    3. Where no Kempe-chain swap frees a color, it raises
+       :class:`PipelineIncompleteError`, and the driver falls back to the
+       exact solver.
+
+    A greedy clique above four vertices, or a search that proves no
+    4-coloring exists, means the graph was not planar or the construction
+    is buggy, and raises :class:`InvariantBreachError`.
     """
-    res = chromatic_number_exact(h, 4)
+    try:
+        res = chromatic_number_exact(h, 4, node_budget=_node_budget(h))
+    except SearchBudgetExceeded as exc:
+        logger.info("anchor graph colored by Kempe chains: %s", exc)
+        return _kempe_four_color(h)
     if not res.feasible:
         raise InvariantBreachError(
             "anchor graph admits no proper 4-coloring; edges:"

@@ -72,6 +72,47 @@ def naive_chromatic_number(g: Graph, ub: int) -> int | None:
     return None
 
 
+def k_colorable_recursive(g: Graph, k: int) -> Coloring | None:
+    """The DSATUR search of ``wdcolor.exact`` as first written: recursive,
+    with an O(n) scan for the branching vertex.  Branching vertex: most
+    distinct neighbor colors, then highest degree, then smallest id; a
+    vertex may open at most one new color.  Recursion depth is n."""
+    verts = list(g.vertices())
+    color: dict[int, int] = {}
+    nbr_colors: dict[int, set[int]] = {v: set() for v in verts}
+
+    def pick() -> int | None:
+        best, key = None, None
+        for v in verts:
+            if v in color:
+                continue
+            cand = (len(nbr_colors[v]), g.degree(v), -v)
+            if key is None or cand > key:
+                best, key = v, cand
+        return best
+
+    def rec(maxused: int) -> bool:
+        v = pick()
+        if v is None:
+            return True
+        for col in range(1, min(k, maxused + 1) + 1):
+            if col in nbr_colors[v]:
+                continue
+            color[v] = col
+            touched = [u for u in g.neighbors(v) if col not in nbr_colors[u]]
+            for u in touched:
+                nbr_colors[u].add(col)
+            if all(len(nbr_colors[u]) < k or u in color
+                   for u in g.neighbors(v)) and rec(max(maxused, col)):
+                return True
+            for u in touched:
+                nbr_colors[u].discard(col)
+            del color[v]
+        return False
+
+    return dict(color) if rec(0) else None
+
+
 def naive_list_colorable(g: Graph, lists: dict[int, set[int]]) -> bool:
     """Is there a proper coloring choosing each vertex's color from its
     list?  Checked by trying the full cartesian product."""

@@ -2,12 +2,13 @@
 
 import random
 
+import networkx as nx
 import pytest
 
 import oracles
-from wdcolor.exact import (ExactResult, chromatic_number_exact,
-                           list_color_exact, product_coloring,
-                           wd_number_exact)
+from wdcolor.exact import (ExactResult, SearchBudgetExceeded, _k_colorable,
+                           chromatic_number_exact, list_color_exact,
+                           product_coloring, wd_number_exact)
 from wdcolor.generators import named
 from wdcolor.graphs import Graph
 from wdcolor.verify import is_dynamic, is_proper, is_weak_dynamic
@@ -67,6 +68,57 @@ def test_chromatic_number_known_and_oracle():
         got = chromatic_number_exact(g, 6)
         assert got.value == want
         assert is_proper(g, got.witness)
+
+
+#: Average degree per palette size k, around where k-colorability of a
+#: sparse random graph is in doubt, so searches backtrack and fail.
+_AVG_DEGREE = {2: (1.9, 2.1), 3: (3.0, 5.0), 4: (5.0, 8.0)}
+
+
+def _random_tree_plus_edges(n: int, rng: random.Random, avg: float) -> Graph:
+    """A random spanning tree plus random edges, to average degree avg."""
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    target = max(n - 1, int(avg * n / 2))
+    while len(edges) < target:
+        u, v = sorted(rng.sample(range(n), 2))
+        edges.add((u, v))
+    return Graph.from_edges(sorted(edges), vertices=range(n))
+
+
+def test_k_colorable_matches_the_recursive_search():
+    infeasible = {2: 0, 3: 0, 4: 0}
+    backtracked = {2: 0, 3: 0, 4: 0}
+    for seed in range(900):
+        rng = random.Random(seed)
+        k = 2 + seed % 3
+        n = rng.randint(4, 40)
+        avg = min(n - 1, rng.uniform(*_AVG_DEGREE[k]))
+        g = _random_tree_plus_edges(n, rng, avg)
+        want = oracles.k_colorable_recursive(g, k)
+        assert _k_colorable(g, k) == want, (seed, k, sorted(g.edges()))
+        if want is None:
+            infeasible[k] += 1
+            continue
+        # a search that never backtracks makes exactly n assignments
+        try:
+            assert _k_colorable(g, k, node_budget=n) == want
+        except SearchBudgetExceeded:
+            backtracked[k] += 1
+    assert min(infeasible.values()) >= 50, infeasible
+    assert backtracked[3] >= 20 and backtracked[4] >= 20, backtracked
+
+
+def test_budget_exceeded_only_when_a_budget_is_given():
+    ico = Graph.from_edges(nx.icosahedral_graph().edges())
+    unbudgeted = chromatic_number_exact(ico, 4)
+    assert unbudgeted.value == 4
+    assert chromatic_number_exact(ico, 4, node_budget=10**6) == unbudgeted
+    for budget in (0, 1, ico.n):
+        with pytest.raises(SearchBudgetExceeded):
+            chromatic_number_exact(ico, 4, node_budget=budget)
+    # no search runs on the empty graph or above the clique bound
+    assert chromatic_number_exact(Graph.empty(), 4, node_budget=0).value == 0
+    assert chromatic_number_exact(named("k5"), 4, node_budget=0).value is None
 
 
 def test_list_color_exact_agrees_with_oracle():

@@ -13,6 +13,7 @@ from __future__ import annotations
 import logging
 import random
 
+import networkx as nx
 import pytest
 
 from oracles import connected_atlas, proper_partitions
@@ -258,6 +259,25 @@ class TestBuildH:
 # ---------------------------------------------------------------------------
 
 
+def _nx_graph(nxg) -> Graph:
+    nxg = nx.convert_node_labels_to_integers(nxg, ordering="sorted")
+    return Graph.from_edges(nxg.edges(), vertices=nxg.nodes())
+
+
+LARGE_ANCHOR_GRAPHS = {
+    "grid-40x40": lambda: _nx_graph(nx.grid_2d_graph(40, 40)),
+    "icosahedron": lambda: _nx_graph(nx.icosahedral_graph()),
+    "random-planar-1200": lambda: random_planar(1200, 1.0, 1),
+}
+
+# Radial graph of the octahedron: its six vertices and one vertex per face
+# joined to the face's three corners.  Nothing reduces it.
+OCTAHEDRON_FACES = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 1),
+                    (5, 1, 2), (5, 2, 3), (5, 3, 4), (5, 4, 1)]
+RADIAL_OCTAHEDRON = Graph.from_edges(
+    [(c, 6 + i) for i, face in enumerate(OCTAHEDRON_FACES) for c in face])
+
+
 class TestFourColorH:
     def test_empty_graph(self):
         assert four_color_H(Graph.empty()) == {}
@@ -275,6 +295,45 @@ class TestFourColorH:
     def test_no_four_coloring_raises(self):
         with pytest.raises(InvariantBreachError, match="no proper 4-coloring"):
             four_color_H(named("k5"))
+
+    def test_clique_of_five_raises_before_any_search(self, monkeypatch):
+        monkeypatch.setattr(pipeline_module, "_node_budget", lambda h: 0)
+        with pytest.raises(InvariantBreachError, match="no proper 4-coloring"):
+            four_color_H(named("k5"))
+
+    @pytest.mark.parametrize("budget", ["default", None, 0])
+    @pytest.mark.parametrize("name", ["grid-40x40", "icosahedron",
+                                      "random-planar-1200"])
+    def test_large_anchor_graphs(self, monkeypatch, name, budget):
+        # 1600 grid vertices pass the recursion limit; budget 0 forces Kempe
+        h = LARGE_ANCHOR_GRAPHS[name]()
+        if budget != "default":
+            monkeypatch.setattr(pipeline_module, "_node_budget",
+                                lambda h: budget)
+        coloring = four_color_H(h)
+        assert is_proper(h, coloring)
+        assert set(coloring.values()) <= {1, 2, 3, 4}
+
+    def test_budget_zero_returns_kempes_coloring(self, monkeypatch):
+        monkeypatch.setattr(pipeline_module, "_node_budget", lambda h: 0)
+        for h in (_nx_graph(nx.icosahedral_graph()),
+                  random_planar(300, 1.0, 4)):
+            assert four_color_H(h) == pipeline_module._kempe_four_color(h)
+
+    def test_kempe_swap_frees_a_color(self):
+        # v = 0 sees the 4-cycle 1-2-3-4 colored 1, 2, 3, 4: the 1/3 chain
+        # through 1 is {1} alone, so 1 turns 3 and color 1 is free
+        h = Graph.from_edges([(0, 1), (0, 2), (0, 3), (0, 4),
+                              (1, 2), (2, 3), (3, 4), (4, 1)])
+        adj = h.adjacency()
+        color = {1: 1, 2: 2, 3: 3, 4: 4}
+        assert pipeline_module._kempe_free(adj, color, [1, 2, 3, 4]) == 1
+        assert color == {1: 3, 2: 2, 3: 3, 4: 4}
+
+    def test_kempe_gives_up_on_a_clique_of_five(self):
+        with pytest.raises(PipelineIncompleteError,
+                           match="4 colored neighbors"):
+            pipeline_module._kempe_four_color(named("k5"))
 
 
 # ---------------------------------------------------------------------------
@@ -448,6 +507,26 @@ class TestDriverFallbacks:
         assert wd3_ok(g, coloring)
         assert palette_size(coloring) <= 6
         assert any(r.levelno == logging.WARNING for r in caplog.records)
+
+    def test_kempe_giving_up_falls_back_to_exact(self, monkeypatch):
+        def give_up(h):
+            raise PipelineIncompleteError("forced Kempe refusal")
+
+        calls = []
+        real = pipeline_module._exact_wd3_cap6
+
+        def exact_spy(g, why):
+            calls.append(why)
+            return real(g, why)
+
+        monkeypatch.setattr(pipeline_module, "_node_budget", lambda h: 0)
+        monkeypatch.setattr(pipeline_module, "_kempe_four_color", give_up)
+        monkeypatch.setattr(pipeline_module, "_exact_wd3_cap6", exact_spy)
+        g = RADIAL_OCTAHEDRON
+        coloring = wd3_color_planar(g)
+        assert wd3_ok(g, coloring)
+        assert palette_size(coloring) <= 6
+        assert calls == ["construction refused: forced Kempe refusal"]
 
     def test_lift_failure_falls_back_per_level(self, monkeypatch):
         def broken_lift(g, step, coloring, **kwargs):

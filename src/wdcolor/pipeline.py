@@ -23,14 +23,14 @@ from __future__ import annotations
 import itertools
 import logging
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
+from heapq import heapify, heappop, heappush, nsmallest
 from typing import Mapping
 
 from .exact import (SearchBudgetExceeded, chromatic_number_exact,
                     wd_number_exact)
 from .graphs import EditableGraph, Graph
 from .listcolor import DependencyColoringError, color_dependency_graph
-from .planarity import is_planar
+from .planarity import is_planar, validate_rotation
 from .reductions import (LiftColoring, LiftError, lift_coloring,
                          reduce_in_place)
 from .verify import Coloring, is_proper, is_weak_dynamic, palette_size
@@ -48,18 +48,21 @@ class PipelineIncompleteError(Exception):
     """The constructive path refused the graph; callers fall back.
 
     Raised when the list-coloring stage cannot proceed (a list came up
-    shorter than a dependency degree, or the list solver itself refuses).
-    On irreducible planar graphs this is not expected, but arbitrary inputs
-    are allowed to trigger it; the driver treats it as routine.
+    shorter than a dependency degree, or the list solver itself refuses),
+    and by the Kempe peeling of the anchor graph (:func:`_kempe_four_color`)
+    at a vertex where no Kempe-chain swap frees a color.  On irreducible
+    planar graphs neither is expected, but arbitrary inputs are allowed to
+    trigger them; the driver treats them as routine.
     """
 
 
 class InvariantBreachError(Exception):
     """A guaranteed structural property failed to hold.
 
-    Examples: the anchor graph of a planar input came out nonplanar, or a
-    planar graph admitted no proper 4-coloring.  Any of these signals a
-    construction bug or a violated hypothesis, never a routine miss.
+    Examples: the rotation derived for the anchor graph failed the Euler
+    check, or a planar graph admitted no proper 4-coloring.  Any of these
+    signals a construction bug or a violated hypothesis, never a routine
+    miss.
     """
 
 
@@ -81,23 +84,72 @@ class VertexClassification:
     Nstar: dict[int, frozenset[int]]
 
 
-def _has_two_high_neighbors(g: Graph, u: int) -> bool:
-    return sum(1 for x in g.neighbors(u) if g.degree(x) >= 4) >= 2
+def _a3star(adj: Mapping[int, frozenset[int]]) -> frozenset[int]:
+    """``A3star`` from two flags per neighbor of a degree-3 vertex, each
+    computed once: "every neighbor has degree 3" (the role of ``u3``) and
+    "degree 3 with two neighbors of degree at least four" (``u1``, ``u2``).
+    No vertex has both, so a degree-3 vertex qualifies exactly when two of
+    its neighbors carry the second flag and the third the first."""
+    cubic = [v for v, nbrs in adj.items() if len(nbrs) == 3]
+    near = {u for v in cubic for u in adj[v]}
+    all_cubic = {u for u in near if all(len(adj[x]) == 3 for x in adj[u])}
+    two_high = {u for u in near if len(adj[u]) == 3
+                and sum(len(adj[x]) >= 4 for x in adj[u]) >= 2}
+    return frozenset(v for v in cubic
+                     if len(adj[v] & two_high) == 2 and adj[v] & all_cubic)
 
 
-def _qualifies_a3star(g: Graph, v: int) -> bool:
-    if g.degree(v) != 3:
-        return False
-    nbrs = sorted(g.neighbors(v))
-    for u3 in nbrs:
-        if any(g.degree(x) != 3 for x in g.neighbors(u3)):
-            continue
-        u1, u2 = (x for x in nbrs if x != u3)
-        if (g.degree(u1) == 3 and g.degree(u2) == 3
-                and _has_two_high_neighbors(g, u1)
-                and _has_two_high_neighbors(g, u2)):
-            return True
-    return False
+def _witness_set(nbrs: frozenset[int], adj: Mapping[int, frozenset[int]],
+                 a3star: frozenset[int]) -> tuple[int, ...]:
+    """The witness triple of a vertex with neighborhood ``nbrs`` (at least
+    four vertices), found without trying every 3-subset.
+
+    Every best triple meets ``A3star`` in exactly ``hits`` vertices, the
+    fewest possible.  The edges of ``N(w)`` come from one intersection
+    per neighbor; the search then tries span 3 (triangles), span 2 (the
+    smallest allowed pair around each centre), span 1 (an edge plus the
+    smallest allowed third vertex) and span 0 (the smallest allowed
+    vertices), and stops at the first span with a triple.  Each step may
+    take the smallest vertices it can, because adding or fixing shared
+    vertices keeps the order of sorted triples.
+    """
+    good = [x for x in nbrs if x not in a3star]
+    hits = max(0, 3 - len(good))
+    # the three smallest candidates outside, then inside A3star
+    pools = (nsmallest(3, good), nsmallest(3, nbrs & a3star))
+
+    def allowed(t: tuple[int, ...]) -> bool:
+        return sum(x in a3star for x in t) == hits
+
+    local = {x: adj[x] & nbrs for x in nbrs}
+    edges = [(x, y) for x in nbrs for y in local[x] if x < y]
+    if edges:
+        triangles = [(x, y, z) for x, y in edges
+                     for z in local[x] & local[y] if y < z]
+        best = min(filter(allowed, triangles), default=None)
+        if best is not None:
+            return best
+        cherries = []
+        for c in nbrs:
+            want = hits - (c in a3star)
+            if len(local[c]) >= 2 and 0 <= want <= 2:
+                pair = (nsmallest(2 - want, local[c] - a3star)
+                        + nsmallest(want, local[c] & a3star))
+                if len(pair) == 2:
+                    cherries.append(tuple(sorted(pair + [c])))
+        if cherries:
+            return min(cherries)
+        singles = []
+        for x, y in edges:
+            want = hits - (x in a3star) - (y in a3star)
+            if 0 <= want <= 1:
+                third = next((z for z in pools[want] if z not in (x, y)),
+                             None)
+                if third is not None:
+                    singles.append(tuple(sorted((x, y, third))))
+        if singles:
+            return min(singles)
+    return tuple(sorted(pools[1][:hits] + pools[0][:3 - hits]))
 
 
 def classify(g: Graph) -> VertexClassification:
@@ -105,24 +157,20 @@ def classify(g: Graph) -> VertexClassification:
 
     Witness sets are deterministic: among the ``min(d(w), 3)``-subsets of
     ``N(w)``, take the one meeting ``A3star`` least, breaking ties by most
-    induced edges and then by lexicographically smallest vertex list.
+    induced edges and then by lexicographically smallest vertex list
+    (:func:`_witness_set`).  Cost: O(m) for the anchor sets; for the
+    witness sets, one intersection ``N(x) & N(w)`` per edge ``wx``, at
+    ``min(d(x), d(w))``, plus work linear in ``d(w)`` and in the edges and
+    triangles of ``N(w)``.  On a planar graph that is O(m) in all: the
+    intersections sum to at most twice the arboricity (at most 3) times m
+    (Chiba & Nishizeki 1985), and each ``N(w)`` is outerplanar.
     """
-    a4 = frozenset(v for v in g.vertices() if g.degree(v) >= 4)
-    a3star = frozenset(v for v in g.vertices() if _qualifies_a3star(g, v))
-    nstar: dict[int, frozenset[int]] = {}
-    for w in g.vertices():
-        nbrs = sorted(g.neighbors(w))
-        size = min(len(nbrs), 3)
-        best: tuple[int, int, tuple[int, ...]] | None = None
-        for sub in itertools.combinations(nbrs, size):
-            hits = sum(1 for x in sub if x in a3star)
-            span = sum(1 for x, y in itertools.combinations(sub, 2)
-                       if g.has_edge(x, y))
-            key = (hits, -span, sub)
-            if best is None or key < best:
-                best = key
-        assert best is not None
-        nstar[w] = frozenset(best[2])
+    adj = g.adjacency()
+    a4 = frozenset(v for v, nbrs in adj.items() if len(nbrs) >= 4)
+    a3star = _a3star(adj)
+    nstar = {w: adj[w] if len(adj[w]) <= 3
+             else frozenset(_witness_set(adj[w], adj, a3star))
+             for w in g.vertices()}
     return VertexClassification(A4=a4, A3star=a3star, Nstar=nstar)
 
 
@@ -139,7 +187,46 @@ def build_Gprime(g: Graph, cls: VertexClassification) -> Graph:
     return Graph.from_edges(sorted(edges), vertices=g.vertices())
 
 
-def build_H(g: Graph, gprime: Graph, cls: VertexClassification) -> Graph:
+def _dissolved_rotation(rotation: Mapping[int, tuple[int, ...]],
+                        kept: frozenset[int]) -> dict[int, tuple[int, ...]]:
+    """The rotation of the anchor graph, derived from a rotation of ``g``
+    by the dissolution itself.
+
+    Each non-anchor ``v`` first loses its edges to non-anchors, which
+    leaves its anchor neighbors ``a_0 .. a_{k-1}`` (``k <= 3``) in its
+    cyclic order.  At ``a_i`` the entry ``v`` then becomes ``a_{i+1} ..
+    a_{i+k-1}``: a Y-Delta step at ``k = 3``, the other end at ``k = 2``,
+    nothing at ``k <= 1``.  Every entry is tagged with the edge copy it
+    stands for (None for an edge of ``g``, else the dissolved vertex); of
+    parallel copies, the first met at the smaller end is kept, at both
+    ends.  Each of these steps keeps a planar rotation planar.
+    """
+    rings: dict[int, list[int]] = {}
+    tagged: dict[int, list[tuple[int, int | None]]] = {}
+    for a in sorted(kept):
+        entries: list[tuple[int, int | None]] = []
+        for u in rotation[a]:
+            if u in kept:
+                entries.append((u, None))
+                continue
+            ring = rings.get(u)
+            if ring is None:
+                ring = rings[u] = [x for x in rotation[u] if x in kept]
+            i = ring.index(a)
+            entries.extend((b, u) for b in ring[i + 1:] + ring[:i])
+        tagged[a] = entries
+    copy: dict[tuple[int, int], int | None] = {}
+    for a, entries in tagged.items():
+        for b, tag in entries:
+            if a < b:
+                copy.setdefault((a, b), tag)
+    return {a: tuple(b for b, tag in entries
+                     if copy[min(a, b), max(a, b)] == tag)
+            for a, entries in tagged.items()}
+
+
+def build_H(g: Graph, gprime: Graph, cls: VertexClassification,
+            rotation: Mapping[int, tuple[int, ...]]) -> Graph:
     """Anchor graph: dissolve every non-anchor vertex of ``g``.
 
     Each non-anchor vertex has degree at most three, so replacing it by a
@@ -149,8 +236,12 @@ def build_H(g: Graph, gprime: Graph, cls: VertexClassification) -> Graph:
     result equals: the anchor-induced subgraph of ``g`` plus, for every
     non-anchor ``v``, a clique on ``N_g(v)`` restricted to anchors.
 
-    Asserted on every call: planarity (when ``g`` is planar), and coverage
-    of every ``gprime`` edge that joins an ``A4`` vertex to another anchor.
+    ``rotation`` is a planar rotation system of ``g``.  H is certified
+    planar without a planarity test of its own: the same dissolution,
+    carried out on ``rotation`` (:func:`_dissolved_rotation`), gives a
+    rotation of H that must pass the Euler check (``validate_rotation``),
+    in time linear in ``g``.  Also asserted on every call: coverage of
+    every ``gprime`` edge that joins an ``A4`` vertex to another anchor.
     Either failing raises :class:`InvariantBreachError`.
     """
     kept = cls.A4 | cls.A3star
@@ -165,12 +256,10 @@ def build_H(g: Graph, gprime: Graph, cls: VertexClassification) -> Graph:
         for x, y in itertools.combinations(anchor_nbrs, 2):
             edges.add((x, y))
     h = Graph.from_edges(sorted(edges), vertices=sorted(kept))
-    # H is certified first: the input's certificate is needed only when
-    # H fails, and the driver has already certified the input
-    if not is_planar(h).is_planar and is_planar(g).is_planar:
+    if not validate_rotation(h, _dissolved_rotation(rotation, kept)):
         raise InvariantBreachError(
-            "anchor graph of a planar input came out nonplanar; offending"
-            f" input edges: {sorted(g.edges())}")
+            "the rotation derived for the anchor graph fails the Euler"
+            f" check; offending input edges: {sorted(g.edges())}")
     for x, y in gprime.edges():
         if (x in cls.A4 or y in cls.A4) and x in kept and y in kept:
             if not h.has_edge(x, y):
@@ -338,11 +427,13 @@ def assemble_and_color(g: Graph, gprime: Graph, cls: VertexClassification,
     return combined
 
 
-def _construct_wd3(g: Graph) -> Coloring:
-    """The full anchor construction on one (irreducible) graph."""
+def _construct_wd3(g: Graph,
+                   rotation: Mapping[int, tuple[int, ...]]) -> Coloring:
+    """The full anchor construction on one (irreducible) graph, given a
+    planar rotation system of it."""
     cls = classify(g)
     gprime = build_Gprime(g, cls)
-    h = build_H(g, gprime, cls)
+    h = build_H(g, gprime, cls, rotation)
     ch = four_color_H(h)
     return assemble_and_color(g, gprime, cls, ch)
 
@@ -359,9 +450,13 @@ def _exact_wd3_cap6(g: Graph, why: str) -> Coloring:
     return dict(res.witness)
 
 
-def _color_component_wd3(g: Graph,
+def _color_component_wd3(g: Graph, rotation: Mapping[int, tuple[int, ...]],
                          trace: list[dict] | None = None) -> Coloring:
-    """Reduce to an irreducible core, construct there, lift back.  When
+    """Reduce to an irreducible core, construct there, lift back.
+
+    ``rotation`` is a planar rotation system of ``g``; it serves the
+    construction when nothing reduces, and otherwise the core gets its own
+    (one LR test, on a core that is small whenever much reduced).  When
     ``trace`` is a list, each step's JSON record is appended to it, in
     applied order."""
     e = EditableGraph(g)
@@ -370,8 +465,12 @@ def _color_component_wd3(g: Graph,
     if cur.n == 0:
         coloring: Coloring = {}
     else:
+        if steps:
+            rotation = is_planar(cur).rotation
         try:
-            coloring = _construct_wd3(cur)
+            if rotation is None:
+                raise InvariantBreachError("the reduced core is not planar")
+            coloring = _construct_wd3(cur, rotation)
         except PipelineIncompleteError as exc:
             coloring = _exact_wd3_cap6(cur, f"construction refused: {exc}")
         except InvariantBreachError as exc:
@@ -419,7 +518,8 @@ def wd3_color_planar(g: Graph, trace: list[dict] | None = None) -> Coloring:
         if sub.n == 1:
             coloring[next(iter(comp))] = 1
             continue
-        coloring.update(_color_component_wd3(sub, trace))
+        rotation = {v: cert.rotation[v] for v in comp}
+        coloring.update(_color_component_wd3(sub, rotation, trace))
     ok, violations = is_weak_dynamic(g, coloring, 3)
     if not ok:
         raise InvariantBreachError(

@@ -39,11 +39,10 @@ def count_faces(rotation: dict[int, tuple[int, ...]]) -> int:
     """
     nxt_index = {v: {u: i for i, u in enumerate(order)}
                  for v, order in rotation.items()}
-    darts = {(u, v) for v, order in rotation.items() for u in order}
     # dart set is symmetric: (u, v) present iff (v, u) present
     faces = 0
     seen: set[tuple[int, int]] = set()
-    for start in sorted(darts):
+    for start in ((u, v) for v, order in rotation.items() for u in order):
         if start in seen:
             continue
         faces += 1

@@ -288,6 +288,58 @@ def chordless_deg3_cycles_by_length_scan(g: Graph):
 
 
 # ---------------------------------------------------------------------------
+# vertex classification, by trying every witness subset
+# ---------------------------------------------------------------------------
+
+
+def _has_two_high_neighbors(g: Graph, u: int) -> bool:
+    return sum(1 for x in g.neighbors(u) if g.degree(x) >= 4) >= 2
+
+
+def _qualifies_a3star(g: Graph, v: int) -> bool:
+    if g.degree(v) != 3:
+        return False
+    nbrs = sorted(g.neighbors(v))
+    for u3 in nbrs:
+        if any(g.degree(x) != 3 for x in g.neighbors(u3)):
+            continue
+        u1, u2 = (x for x in nbrs if x != u3)
+        if (g.degree(u1) == 3 and g.degree(u2) == 3
+                and _has_two_high_neighbors(g, u1)
+                and _has_two_high_neighbors(g, u2)):
+            return True
+    return False
+
+
+def witness_set_by_enumeration(g: Graph, w: int,
+                               a3star) -> tuple[int, ...]:
+    """The best ``min(d(w), 3)``-subset of ``N(w)`` by trying every one,
+    keyed by (``a3star`` hits, minus induced edges, sorted tuple)."""
+    nbrs = sorted(g.neighbors(w))
+    best = None
+    for sub in itertools.combinations(nbrs, min(len(nbrs), 3)):
+        hits = sum(1 for x in sub if x in a3star)
+        span = sum(1 for x, y in itertools.combinations(sub, 2)
+                   if g.has_edge(x, y))
+        key = (hits, -span, sub)
+        if best is None or key < best:
+            best = key
+    return best[2]
+
+
+def classify_by_enumeration(g: Graph):
+    """``wdcolor.pipeline.classify`` as first written, as the triple
+    ``(A4, A3star, Nstar)``: every labeling of each degree-3 vertex's
+    neighbors is tried for ``A3star``, and every subset for each witness
+    set."""
+    a4 = frozenset(v for v in g.vertices() if g.degree(v) >= 4)
+    a3star = frozenset(v for v in g.vertices() if _qualifies_a3star(g, v))
+    nstar = {w: frozenset(witness_set_by_enumeration(g, w, a3star))
+             for w in g.vertices()}
+    return a4, a3star, nstar
+
+
+# ---------------------------------------------------------------------------
 # reducible configurations, checked case by case
 # ---------------------------------------------------------------------------
 

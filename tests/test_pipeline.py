@@ -10,16 +10,20 @@ fallback behavior.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import random
+import time
 
 import networkx as nx
 import pytest
 
+from hubs import bipyramid, radial, wheel
 from oracles import connected_atlas, proper_partitions
 from wdcolor.exact import wd_number_exact
 from wdcolor.generators import named, random_planar, triangulation
-from wdcolor.graphs import Graph
+from wdcolor.graphs import EditableGraph, Graph
+from wdcolor.planarity import count_faces, is_planar, validate_rotation
 from wdcolor.pipeline import (
     InvariantBreachError,
     NonplanarInputError,
@@ -31,7 +35,7 @@ from wdcolor.pipeline import (
     four_color_H,
     wd3_color_planar,
 )
-from wdcolor.reductions import LiftError, reduce_fully
+from wdcolor.reductions import LiftError, reduce_fully, reduce_in_place
 from wdcolor.verify import is_proper, is_weak_dynamic, palette_size
 
 import wdcolor.pipeline as pipeline_module
@@ -193,13 +197,15 @@ class TestBuildGprime:
 class TestBuildH:
     def test_star_collapses_to_single_anchor(self):
         star = Graph.from_edges([(0, i) for i in range(1, 6)])
-        h = build_H(star, build_Gprime(star, classify(star)), classify(star))
+        h = build_H(star, build_Gprime(star, classify(star)), classify(star),
+                    is_planar(star).rotation)
         assert h.vertices() == (0,)
         assert h.m == 0
 
     def test_no_anchors_gives_empty_graph(self):
         cube = named("cube")
-        h = build_H(cube, build_Gprime(cube, classify(cube)), classify(cube))
+        h = build_H(cube, build_Gprime(cube, classify(cube)), classify(cube),
+                    is_planar(cube).rotation)
         assert h.n == 0
 
     def test_kept_induced_edges_survive(self):
@@ -210,7 +216,7 @@ class TestBuildH:
         ])
         cls = classify(g)
         assert cls.A4 == frozenset({0, 1})
-        h = build_H(g, build_Gprime(g, cls), cls)
+        h = build_H(g, build_Gprime(g, cls), cls, is_planar(g).rotation)
         assert h.has_edge(0, 1)
 
     def test_dissolved_vertex_links_its_kept_neighbors(self):
@@ -222,7 +228,7 @@ class TestBuildH:
         ])
         cls = classify(g)
         assert cls.A4 == frozenset({0, 1})
-        h = build_H(g, build_Gprime(g, cls), cls)
+        h = build_H(g, build_Gprime(g, cls), cls, is_planar(g).rotation)
         assert h.vertices() == (0, 1)
         assert h.has_edge(0, 1)
 
@@ -230,13 +236,13 @@ class TestBuildH:
         # Arbitrary (unreduced) planar inputs may trip the coverage
         # check, which is legitimate; whenever the construction goes
         # through, the anchor graph must be planar.
-        from wdcolor.planarity import is_planar
         succeeded = 0
         for seed in range(12):
             g = random_planar(12, 0.85, seed)
             cls = classify(g)
             try:
-                h = build_H(g, build_Gprime(g, cls), cls)
+                h = build_H(g, build_Gprime(g, cls), cls,
+                            is_planar(g).rotation)
             except InvariantBreachError:
                 continue
             succeeded += 1
@@ -248,10 +254,99 @@ class TestBuildH:
         cls = classify(g)
         gp = build_Gprime(g, cls)
         with pytest.raises(InvariantBreachError, match="witness-clique edge"):
-            build_H(g, gp, cls)
+            build_H(g, gp, cls, is_planar(g).rotation)
         # The driver never sees this state: the graph is still reducible.
         from wdcolor.reductions import detect_configuration
         assert detect_configuration(g) is not None
+
+
+def _leaves(hubs, first):
+    """Three new leaves on each hub, so every hub has degree four or more."""
+    return [(h, first + 3 * i + j) for i, h in enumerate(hubs)
+            for j in range(3)]
+
+
+def _derived_rotation(g):
+    """H and its rotation derived from a planar rotation of ``g``, checked
+    by the Euler validation; build_H raises when that check fails."""
+    cls = classify(g)
+    rotation = is_planar(g).rotation
+    h = build_H(g, build_Gprime(g, cls), cls, rotation)
+    derived = pipeline_module._dissolved_rotation(rotation,
+                                                  cls.A4 | cls.A3star)
+    assert validate_rotation(h, derived)
+    return h, derived
+
+
+class TestDerivedRotation:
+    def test_degree_two_non_anchor_is_suppressed(self):
+        # 2 joins the non-adjacent anchors 0 and 1
+        g = Graph.from_edges([(0, 2), (1, 2)] + _leaves((0, 1), 3))
+        h, derived = _derived_rotation(g)
+        assert sorted(h.edges()) == [(0, 1)]
+        assert derived == {0: (1,), 1: (0,)}
+
+    def test_non_anchor_next_to_a_non_anchor(self):
+        # 2 and 3 are adjacent degree-3 non-anchors on the anchors 0, 1:
+        # each drops the edge 2-3, then dissolves into a copy of 0-1
+        g = Graph.from_edges([(0, 2), (1, 2), (0, 3), (1, 3), (2, 3)]
+                             + _leaves((0, 1), 4))
+        h, derived = _derived_rotation(g)
+        assert sorted(h.edges()) == [(0, 1)]
+        assert derived == {0: (1,), 1: (0,)}
+
+    def test_parallel_copies_on_one_anchor_triple_kept_once(self):
+        # 3 and 4 both see the anchors 0, 1, 2: each Y-Delta step gives a
+        # triangle, and each pair keeps one of its two copies at both ends
+        g = Graph.from_edges([(a, v) for a in (0, 1, 2) for v in (3, 4)]
+                             + _leaves((0, 1, 2), 5))
+        h, derived = _derived_rotation(g)
+        assert sorted(h.edges()) == [(0, 1), (0, 2), (1, 2)]
+        assert all(sorted(derived[a]) == sorted({0, 1, 2} - {a})
+                   for a in (0, 1, 2))
+
+    def test_parallel_copies_around_an_anchor_kept_as_one_copy(self):
+        # 4 and 5 both dissolve into a copy of 0-1, and the anchor 2 lies
+        # between the copies: keeping 4's copy at 0 and 5's at 1 would
+        # put 0-1 on both sides of 2, which the Euler check refuses
+        g = Graph.from_edges([(0, 2), (1, 2), (0, 3), (1, 3), (0, 4), (1, 4),
+                              (0, 5), (1, 5), (2, 6), (2, 7), (3, 8), (3, 9)])
+        rotation = {0: (3, 4, 2, 5), 1: (5, 2, 4, 3), 2: (0, 6, 1, 7),
+                    3: (0, 8, 1, 9), 4: (0, 1), 5: (0, 1), 6: (2,), 7: (2,),
+                    8: (3,), 9: (3,)}
+        assert validate_rotation(g, rotation)
+        assert classify(g).A4 == frozenset({0, 1, 2, 3})
+        derived = pipeline_module._dissolved_rotation(rotation,
+                                                      frozenset({0, 1, 2, 3}))
+        h = Graph.from_edges([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
+        assert validate_rotation(h, derived)
+        assert derived[0] == (3, 1, 2) and derived[1] == (2, 0, 3)
+
+    def test_non_anchor_on_an_anchor_edge(self):
+        # 2's anchor pair 0-1 is already an edge of g; g's own copy stays
+        g = Graph.from_edges([(0, 1), (0, 2), (1, 2)] + _leaves((0, 1), 3))
+        h, derived = _derived_rotation(g)
+        assert sorted(h.edges()) == [(0, 1)]
+        assert derived == {0: (1,), 1: (0,)}
+
+    def test_radial_graphs_of_hubs_and_triangulations(self):
+        for g in (radial(bipyramid(12)), radial(wheel(9)), RADIAL_OCTAHEDRON,
+                  radial(random_planar(40, 1.0, 3))):
+            h, _ = _derived_rotation(g)
+            assert h.n > 0
+
+    def test_genus_one_rotation_is_refused(self):
+        # every octahedron vertex has degree 4, so H is g itself; swapping
+        # two neighbors at vertex 0 leaves 6 faces, V - E + F = 0
+        g = OCTAHEDRON
+        cls = classify(g)
+        assert cls.A4 == frozenset(g.vertices())
+        rotation = dict(is_planar(g).rotation)
+        first, second, *rest = rotation[0]
+        rotation[0] = (second, first, *rest)
+        assert g.n - g.m + count_faces(rotation) == 0
+        with pytest.raises(InvariantBreachError, match="Euler"):
+            build_H(g, build_Gprime(g, cls), cls, rotation)
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +371,9 @@ OCTAHEDRON_FACES = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 1),
                     (5, 1, 2), (5, 2, 3), (5, 3, 4), (5, 4, 1)]
 RADIAL_OCTAHEDRON = Graph.from_edges(
     [(c, 6 + i) for i, face in enumerate(OCTAHEDRON_FACES) for c in face])
+OCTAHEDRON = Graph.from_edges(
+    {(min(u, v), max(u, v)) for face in OCTAHEDRON_FACES
+     for u, v in itertools.combinations(face, 2)})
 
 
 class TestFourColorH:
@@ -383,7 +481,7 @@ class TestAssembleAndColor:
         cube = named("cube")
         cls = classify(cube)
         gp = build_Gprime(cube, cls)
-        h = build_H(cube, gp, cls)
+        h = build_H(cube, gp, cls, is_planar(cube).rotation)
         combined = assemble_and_color(cube, gp, cls, four_color_H(h))
         assert wd3_ok(cube, combined)
         assert palette_size(combined) <= 6
@@ -469,6 +567,46 @@ class TestDriver:
             assert exact.value is not None
             assert exact.value <= palette_size(coloring) <= 6
 
+    def test_radial_bipyramid_hub_colors_without_the_exact_fallback(
+            self, monkeypatch):
+        # nothing reduces the radial graph of the 200-gonal bipyramid, so
+        # the construction meets its two apexes at degree 200
+        g = radial(bipyramid(200))
+        assert g.n == 602
+        calls = []
+        real = pipeline_module._exact_wd3_cap6
+
+        def exact_spy(g, why):
+            calls.append(why)
+            return real(g, why)
+
+        monkeypatch.setattr(pipeline_module, "_exact_wd3_cap6", exact_spy)
+        start = time.perf_counter()
+        coloring = wd3_color_planar(g)
+        took = time.perf_counter() - start
+        assert calls == []
+        assert wd3_ok(g, coloring)
+        assert took < 2.0, f"{took:.2f} s"
+
+    def test_one_planarity_test_when_nothing_reduces(self, monkeypatch):
+        # the input's certificate serves H; a reduced core gets its own
+        calls = []
+        real = pipeline_module.is_planar
+
+        def spy(g):
+            calls.append(g.n)
+            return real(g)
+
+        monkeypatch.setattr(pipeline_module, "is_planar", spy)
+        wd3_color_planar(RADIAL_OCTAHEDRON)
+        assert calls == [14]
+        calls.clear()
+        g = random_planar(150, 1.0, 7000)
+        e = EditableGraph(g)
+        assert reduce_in_place(e) and e.n
+        wd3_color_planar(g)
+        assert calls == [150, e.n]
+
     def test_driver_four_colors_its_anchor_graphs(self, four_color_calls):
         wd3_color_planar(random_planar(12, 0.9, 5))
         assert four_color_calls
@@ -484,7 +622,7 @@ class TestDriver:
 
 class TestDriverFallbacks:
     def test_constructive_refusal_falls_back(self, monkeypatch, caplog):
-        def refuse(g):
+        def refuse(g, rotation):
             raise PipelineIncompleteError("forced refusal")
 
         monkeypatch.setattr(pipeline_module, "_construct_wd3", refuse)
@@ -497,7 +635,7 @@ class TestDriverFallbacks:
 
     def test_invariant_breach_falls_back_with_warning(self, monkeypatch,
                                                       caplog):
-        def breach(g):
+        def breach(g, rotation):
             raise InvariantBreachError("forced breach")
 
         monkeypatch.setattr(pipeline_module, "_construct_wd3", breach)

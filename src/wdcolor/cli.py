@@ -155,8 +155,8 @@ def verify(graph_file: str, coloring_file: str, k: int, mode: str) -> None:
 @click.argument("graph_file", type=click.Path(exists=True, dir_okay=False))
 @click.option("--k", type=int, default=3, show_default=True,
               help="Weak-dynamic parameter.")
-@click.option("--max-colors", type=int, default=6, show_default=True,
-              help="Palette-size cap for the search.")
+@click.option("--max-colors", type=click.IntRange(min=1), default=6,
+              show_default=True, help="Palette-size cap for the search.")
 def solve(graph_file: str, k: int, max_colors: int) -> None:
     """Exact minimum palette size (weak-dynamic), with a witness."""
     g = _load_graph_or_die(graph_file)
@@ -234,8 +234,8 @@ def reduce(graph_file: str, with_trace: bool) -> None:
 @click.option("--kind", default=None,
               help="One rule (L1..L10 or a full kind string);"
                    " default: all ten.")
-@click.option("--budget", type=int, default=20, show_default=True,
-              help="Hosts to generate per rule.")
+@click.option("--budget", type=click.IntRange(min=1), default=20,
+              show_default=True, help="Hosts to generate per rule.")
 def check_lemmas(kind: str | None, budget: int) -> None:
     """Certify reduction rules: every coloring of every reduced host lifts."""
     labels = list(SHORT_KINDS) if kind is None else [kind]

@@ -1,17 +1,24 @@
 """Exact solvers: weak-dynamic number, chromatic number, and list coloring.
 
 These are the oracles every constructive routine is measured against, and the
-guaranteed fallback of the planar coloring driver. Run without a budget, every
-search is complete, and "no solution within the bound" is reported as a value
-(None in results). The chromatic-number search also takes a node budget; a
-search that runs past it raises :class:`SearchBudgetExceeded` instead of
-deciding, so its caller can turn to a method that needs no proof of optimality.
+guaranteed fallback of the planar coloring driver.  Two searches serve them
+all: :func:`wd_colorings` enumerates k-weak-dynamic colorings (for
+:func:`wd_number_exact` and the certification's canonical enumeration), and
+:func:`_list_color_search` finds proper list colorings (for
+:func:`chromatic_number_exact` and :func:`list_color_exact`).  Both are
+iterative, so no search is bound by the recursion limit.  Run without a
+budget, every search is complete, and "no solution within the bound" is
+reported as a value (None in results). The chromatic-number search also takes
+a node budget; a search that runs past it raises :class:`SearchBudgetExceeded`
+instead of deciding, so its caller can turn to a method that needs no proof
+of optimality.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .graphs import Graph
 from .verify import Coloring, is_dynamic, is_proper, is_weak_dynamic
@@ -36,64 +43,54 @@ class ExactResult:
 # ---------------------------------------------------------------------------
 
 
-def _wd_feasible(g: Graph, k: int, ncolors: int) -> Coloring | None:
-    """Find a k-weak-dynamic coloring with colors 1..ncolors, or None.
+def wd_colorings(g: Graph, k: int, ncolors: int,
+                 order: Sequence[int]) -> Iterator[Coloring]:
+    """Every k-weak-dynamic coloring of g with colors 1..ncolors in which
+    the colors appear in first-use order along ``order``.
 
-    Branch order: descending degree, ties by vertex id (fixed up front).
-    Symmetry breaking: a vertex may use at most one color beyond the maximum
-    used so far along the branch order. Pruning: a vertex whose remaining
-    color deficit exceeds its uncolored-neighbor count can never be satisfied.
+    The colorings come lexicographically by their colors along ``order``,
+    each a dict keyed in that order.  A vertex may open at most one color
+    beyond the largest used before it.  A branch is cut as soon as some
+    vertex's color deficit exceeds its uncolored-neighbor count.  The
+    search moves a position pointer instead of recursing, so its depth is
+    not bound by the recursion limit.
     """
-    order = sorted(g.vertices(), key=lambda v: (-g.degree(v), v))
-    idx = {v: i for i, v in enumerate(order)}
     n = len(order)
+    idx = {v: i for i, v in enumerate(order)}
     nbrs = [[idx[u] for u in g.neighbors(v)] for v in order]
-    need = [min(g.degree(v), k) for v in order]
-
-    color = [0] * n                      # 1-based colors, 0 = unassigned
-    seen = [0] * n                       # bitmask of neighbor colors
-    uncol = [len(nbrs[i]) for i in range(n)]
-
-    def deficit(i: int) -> int:
-        return need[i] - bin(seen[i]).count("1")
-
-    def assign(i: int, col: int) -> bool:
-        """Set color of vertex i, updating neighbor state; False on prune."""
+    # slack: uncolored neighbors + distinct colors seen - colors needed;
+    # coloring a neighbor lowers it only when that color was seen already
+    slack = [len(nb) - min(len(nb), k) for nb in nbrs]
+    hits = [[0] * (ncolors + 1) for _ in range(n)]
+    color = [0] * n
+    used = [0] * (n + 1)  # used[i]: the largest color before position i
+    i = 0
+    while i >= 0:
+        if i == n:
+            yield {order[j]: color[j] for j in range(n)}
+            i -= 1
+            continue
+        col = color[i]
+        if col:
+            for j in nbrs[i]:
+                hits[j][col] -= 1
+                if hits[j][col]:
+                    slack[j] += 1
+        col += 1
+        if col > min(ncolors, used[i] + 1):
+            color[i] = 0
+            i -= 1
+            continue
         color[i] = col
-        bit = 1 << col
         ok = True
         for j in nbrs[i]:
-            seen[j] |= bit
-            uncol[j] -= 1
-            if deficit(j) > uncol[j]:
-                ok = False
-        return ok
-
-    def unassign(i: int) -> None:
-        col = color[i]
-        color[i] = 0
-        for j in nbrs[i]:
-            uncol[j] += 1
-            # recompute the seen bit: another neighbor may share the color
-            if not any(color[h] == col for h in nbrs[j]):
-                seen[j] &= ~(1 << col)
-
-    def rec(i: int, maxused: int) -> bool:
-        if i == n:
-            return True
-        top = min(ncolors, maxused + 1)
-        for col in range(1, top + 1):
-            if assign(i, col):
-                if rec(i + 1, max(maxused, col)):
-                    return True
-            unassign(i)
-        return False
-
-    if any(deficit(i) > uncol[i] for i in range(n)):
-        return None
-    if rec(0, 0):
-        return {order[i]: color[i] for i in range(n)}
-    return None
+            hits[j][col] += 1
+            if hits[j][col] > 1:
+                slack[j] -= 1
+                ok = ok and slack[j] >= 0
+        if ok:
+            used[i + 1] = max(used[i], col)
+            i += 1
 
 
 def wd_number_exact(g: Graph, k: int, max_colors: int) -> ExactResult:
@@ -104,8 +101,9 @@ def wd_number_exact(g: Graph, k: int, max_colors: int) -> ExactResult:
     if g.n == 0:
         return ExactResult(0, {})
     lb = max(1, max(min(g.degree(v), k) for v in g.vertices()))
+    order = sorted(g.vertices(), key=lambda v: (-g.degree(v), v))
     for c in range(lb, max_colors + 1):
-        witness = _wd_feasible(g, k, c)
+        witness = next(wd_colorings(g, k, c, order), None)
         if witness is not None:
             ok, _ = is_weak_dynamic(g, witness, k)
             assert ok, "solver produced an invalid witness"
@@ -114,7 +112,7 @@ def wd_number_exact(g: Graph, k: int, max_colors: int) -> ExactResult:
 
 
 # ---------------------------------------------------------------------------
-# chromatic number (DSATUR branch and bound)
+# chromatic number and list coloring (DSATUR branch and bound)
 # ---------------------------------------------------------------------------
 
 
@@ -130,39 +128,45 @@ def _greedy_clique(g: Graph) -> list[int]:
     return best
 
 
-def _k_colorable(g: Graph, k: int,
-                 node_budget: int | None = None) -> Coloring | None:
-    """Proper k-colorability by DSATUR-ordered backtracking with first-use
-    symmetry breaking.
+def _list_color_search(g: Graph, lists: Mapping[int, Iterable[int]],
+                       node_budget: int | None = None) -> Coloring | None:
+    """A proper coloring with c(v) in lists[v], or None when none exists,
+    by DSATUR-ordered backtracking.
 
-    The branching vertex is the uncolored one that sees the most distinct
-    colors, then has the highest degree, then the smallest id; a lazy
-    max-heap keeps it, with an entry pushed whenever an uncolored vertex's
-    key changes and stale entries dropped when they reach the top.  The
-    search keeps its frames on an explicit stack, so its depth is not bound
-    by the recursion limit.  A node is one color assignment; past
-    ``node_budget`` nodes it raises :class:`SearchBudgetExceeded`.
+    The branching vertex is the uncolored one with the fewest free colors
+    (list colors no neighbor holds), then the highest degree, then the
+    smallest id; a lazy min-heap keeps it, with an entry pushed whenever an
+    uncolored vertex's key changes and stale entries dropped when they
+    reach the top.  Colors are tried in ascending order.  When every list
+    is the same, a vertex may open at most one color beyond those used
+    above it (first-use symmetry breaking).  The search keeps its frames on
+    an explicit stack, so its depth is not bound by the recursion limit.
+    A node is one color assignment; past ``node_budget`` nodes it raises
+    :class:`SearchBudgetExceeded`.
     """
     adj = g.adjacency()
+    cands = {v: sorted(set(lists[v])) for v in adj}
+    symmetric = len({tuple(c) for c in cands.values()}) <= 1
+    allowed = {v: set(c) for v, c in cands.items()}
     color: dict[int, int] = {}
-    nbr_colors: dict[int, set[int]] = {v: set() for v in adj}
+    blocked: dict[int, set[int]] = {v: set() for v in adj}
     heap: list[tuple[int, int, int]] = []
 
     def rebuild() -> None:
-        heap[:] = [(-len(nbr_colors[v]), -len(adj[v]), v)
+        heap[:] = [(len(cands[v]) - len(blocked[v]), -len(adj[v]), v)
                    for v in adj if v not in color]
         heapify(heap)
 
     def push(v: int) -> None:
-        heappush(heap, (-len(nbr_colors[v]), -len(adj[v]), v))
+        heappush(heap, (len(cands[v]) - len(blocked[v]), -len(adj[v]), v))
 
     def pick() -> int | None:
         # stale entries pile up over a long search; drop them in one pass
         if len(heap) > 4 * len(adj) + 64:
             rebuild()
         while heap:
-            sat, _, v = heap[0]
-            if v not in color and -sat == len(nbr_colors[v]):
+            free, _, v = heap[0]
+            if v not in color and free == len(cands[v]) - len(blocked[v]):
                 return v
             heappop(heap)
         return None
@@ -172,45 +176,58 @@ def _k_colorable(g: Graph, k: int,
     v = pick()
     if v is None:
         return {}
-    # frame: [vertex, color in place (0 = none yet), colors used above it,
-    # the neighbors that gained that color]
-    stack: list[list] = [[v, 0, 0, []]]
+    # frame: [vertex, index of its color in its list (-1 = none yet),
+    # colors opened above it, the neighbors that gained that color]
+    stack: list[list] = [[v, -1, 0, []]]
     while stack:
         frame = stack[-1]
-        v, col, maxused, touched = frame
-        if col:
+        v, pos, opened, touched = frame
+        mine = cands[v]
+        if pos >= 0:
             del color[v]
             for u in touched:
-                nbr_colors[u].discard(col)
+                blocked[u].discard(mine[pos])
                 if u not in color:
                     push(u)
-        top = min(k, maxused + 1)
-        col += 1
-        while col <= top and col in nbr_colors[v]:
-            col += 1
-        if col > top:
+        top = min(len(mine), opened + 1) if symmetric else len(mine)
+        pos += 1
+        while pos < top and mine[pos] in blocked[v]:
+            pos += 1
+        if pos >= top:
             stack.pop()
             push(v)
             continue
         nodes += 1
         if node_budget is not None and nodes > node_budget:
             raise SearchBudgetExceeded(
-                f"{k}-coloring search passed {node_budget} nodes on"
+                f"coloring search passed {node_budget} nodes on"
                 f" n={g.n} m={g.m}")
+        col = mine[pos]
         color[v] = col
-        touched = [u for u in adj[v] if col not in nbr_colors[u]]
+        touched = [u for u in adj[v]
+                   if col in allowed[u] and col not in blocked[u]]
         for u in touched:
-            nbr_colors[u].add(col)
+            blocked[u].add(col)
             if u not in color:
                 push(u)
-        frame[1], frame[3] = col, touched
-        if any(len(nbr_colors[u]) >= k and u not in color for u in adj[v]):
+        frame[1], frame[3] = pos, touched
+        if any(len(blocked[u]) == len(cands[u]) and u not in color
+               for u in adj[v]):
             continue
         w = pick()
         if w is None:
             return dict(color)
-        stack.append([w, 0, max(maxused, col), []])
+        stack.append([w, -1, max(opened, pos + 1), []])
     return None
+
+
+def _k_colorable(g: Graph, k: int,
+                 node_budget: int | None = None) -> Coloring | None:
+    """Proper k-colorability: :func:`_list_color_search` with every list
+    {1..k}, so with first-use symmetry breaking."""
+    palette = range(1, k + 1)
+    return _list_color_search(g, {v: palette for v in g.vertices()},
+                              node_budget)
 
 
 def chromatic_number_exact(g: Graph, ub: int, *,
@@ -232,47 +249,17 @@ def chromatic_number_exact(g: Graph, ub: int, *,
     return ExactResult(None, None)
 
 
-# ---------------------------------------------------------------------------
-# list coloring
-# ---------------------------------------------------------------------------
-
-
 def list_color_exact(g: Graph, lists: dict[int, set[int]]) -> Coloring | None:
-    """Proper coloring with c(v) in lists[v], by exhaustive backtracking
-    (choose the most constrained vertex first); certified None on exhaustion."""
+    """Proper coloring with c(v) in lists[v], by the exhaustive search of
+    :func:`_list_color_search`; certified None on exhaustion."""
     for v in g.vertices():
         if v not in lists:
             raise KeyError(f"missing list for vertex {v}")
-    avail = {v: set(lists[v]) for v in g.vertices()}
-    color: Coloring = {}
-
-    def rec() -> bool:
-        if len(color) == g.n:
-            return True
-        v = min((u for u in g.vertices() if u not in color),
-                key=lambda u: (len(avail[u]), u))
-        for col in sorted(avail[v]):
-            color[v] = col
-            removed = []
-            dead = False
-            for u in g.neighbors(v):
-                if u not in color and col in avail[u]:
-                    avail[u].discard(col)
-                    removed.append(u)
-                    if not avail[u]:
-                        dead = True
-            if not dead and rec():
-                return True
-            for u in removed:
-                avail[u].add(col)
-            del color[v]
-        return False
-
-    if rec():
+    color = _list_color_search(g, lists)
+    if color is not None:
         assert is_proper(g, color)
         assert all(color[v] in lists[v] for v in g.vertices())
-        return color
-    return None
+    return color
 
 
 # ---------------------------------------------------------------------------

@@ -125,16 +125,6 @@ class Graph(_Adjacency):
         G.add_edges_from(self.edges())
         return G
 
-    def second_neighborhood(self, v: int) -> frozenset[int]:
-        """Vertices sharing at least one common neighbor with v (v itself
-        excluded; neighbors of v are included iff they also share one)."""
-        self._require(v)
-        out: set[int] = set()
-        for w in self._adj[v]:
-            out.update(self._adj[w])
-        out.discard(v)
-        return frozenset(out)
-
     # -- derived graphs --------------------------------------------------
 
     # Derived graphs copy the vertex dict at C speed and rebuild only the

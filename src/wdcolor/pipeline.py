@@ -31,13 +31,11 @@ from .exact import (SearchBudgetExceeded, chromatic_number_exact,
 from .graphs import EditableGraph, Graph
 from .listcolor import DependencyColoringError, color_dependency_graph
 from .planarity import is_planar, validate_rotation
-from .reductions import (LiftColoring, LiftError, lift_coloring,
+from .reductions import (PALETTE, LiftColoring, LiftError, lift_coloring,
                          reduce_in_place)
 from .verify import Coloring, is_proper, is_weak_dynamic, palette_size
 
 logger = logging.getLogger(__name__)
-
-PALETTE = (1, 2, 3, 4, 5, 6)
 
 
 class NonplanarInputError(ValueError):
@@ -442,7 +440,7 @@ def _exact_wd3_cap6(g: Graph, why: str) -> Coloring:
     """Exact 3-weak-dynamic coloring with at most six colors, or die."""
     logger.info("falling back to the exact solver (%s) on n=%d m=%d",
                 why, g.n, g.m)
-    res = wd_number_exact(g, 3, 6)
+    res = wd_number_exact(g, 3, len(PALETTE))
     if res.witness is None:
         raise InvariantBreachError(
             "exact solver found no 3-weak-dynamic coloring within six"
@@ -524,7 +522,8 @@ def wd3_color_planar(g: Graph, trace: list[dict] | None = None) -> Coloring:
     if not ok:
         raise InvariantBreachError(
             f"driver produced an invalid coloring: {violations}")
-    if palette_size(coloring) > 6:
+    if palette_size(coloring) > len(PALETTE):
         raise InvariantBreachError(
-            f"driver used {palette_size(coloring)} colors; the cap is 6")
+            f"driver used {palette_size(coloring)} colors; the cap is"
+            f" {len(PALETTE)}")
     return coloring

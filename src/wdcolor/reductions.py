@@ -53,6 +53,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, NamedTuple
 
+from .exact import wd_colorings
 from .graphs import EditableGraph, Graph
 from .listcolor import (DependencyColoringError, Lists,
                         color_dependency_graph, pick_color)
@@ -1460,41 +1461,12 @@ def _reduced_vertices(adj, step: ReductionStep) -> set[int]:
 # --------------------------------------------------------------------------
 # canonical enumeration and certification
 
-def canonical_colorings(g: Graph, k: int = 3,
-                        palette: tuple[int, ...] = PALETTE
-                        ) -> Iterator[Coloring]:
+def canonical_colorings(g: Graph, k: int = 3) -> Iterator[Coloring]:
     """All valid k-weak-dynamic colorings of g over the palette, one per
     palette-permutation class (colors appear in first-use order over
-    ascending vertex ids).  Prunes branches whose remaining uncolored
-    neighbors cannot satisfy some vertex."""
-    vs = sorted(g.vertices())
-    n = len(vs)
-    pos = {v: i for i, v in enumerate(vs)}
-    assignment: Coloring = {}
-
-    def feasible(u: int, i: int) -> bool:
-        need = min(g.degree(u), k)
-        seen = set()
-        future = 0
-        for w in g.neighbors(u):
-            if pos[w] <= i:
-                seen.add(assignment[w])
-            else:
-                future += 1
-        return len(seen) + future >= need
-
-    def rec(i: int, used: int) -> Iterator[Coloring]:
-        if i == n:
-            yield dict(assignment)
-            return
-        v = vs[i]
-        for ci in range(min(used + 1, len(palette))):
-            assignment[v] = palette[ci]
-            if all(feasible(u, i) for u in sorted(g.neighbors(v))):
-                yield from rec(i + 1, max(used, ci + 1))
-        del assignment[v]
-
-    yield from rec(0, 0)
+    ascending vertex ids), lexicographically.  Prunes branches whose
+    remaining uncolored neighbors cannot satisfy some vertex."""
+    return wd_colorings(g, k, len(PALETTE), sorted(g.vertices()))
 
 
 @dataclass

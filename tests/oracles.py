@@ -113,6 +113,153 @@ def k_colorable_recursive(g: Graph, k: int) -> Coloring | None:
     return dict(color) if rec(0) else None
 
 
+def wd_feasible_recursive(g: Graph, k: int, ncolors: int) -> Coloring | None:
+    """The weak-dynamic search of ``wdcolor.exact`` as first written:
+    recursive, to depth n.  A k-weak-dynamic coloring with colors
+    1..ncolors, or None.
+
+    Branch order: descending degree, ties by vertex id (fixed up front).
+    Symmetry breaking: a vertex may use at most one color beyond the maximum
+    used so far along the branch order. Pruning: a vertex whose remaining
+    color deficit exceeds its uncolored-neighbor count can never be satisfied.
+    """
+    order = sorted(g.vertices(), key=lambda v: (-g.degree(v), v))
+    idx = {v: i for i, v in enumerate(order)}
+    n = len(order)
+    nbrs = [[idx[u] for u in g.neighbors(v)] for v in order]
+    need = [min(g.degree(v), k) for v in order]
+
+    color = [0] * n                      # 1-based colors, 0 = unassigned
+    seen = [0] * n                       # bitmask of neighbor colors
+    uncol = [len(nbrs[i]) for i in range(n)]
+
+    def deficit(i: int) -> int:
+        return need[i] - bin(seen[i]).count("1")
+
+    def assign(i: int, col: int) -> bool:
+        """Set color of vertex i, updating neighbor state; False on prune."""
+        color[i] = col
+        bit = 1 << col
+        ok = True
+        for j in nbrs[i]:
+            seen[j] |= bit
+            uncol[j] -= 1
+            if deficit(j) > uncol[j]:
+                ok = False
+        return ok
+
+    def unassign(i: int) -> None:
+        col = color[i]
+        color[i] = 0
+        for j in nbrs[i]:
+            uncol[j] += 1
+            # recompute the seen bit: another neighbor may share the color
+            if not any(color[h] == col for h in nbrs[j]):
+                seen[j] &= ~(1 << col)
+
+    def rec(i: int, maxused: int) -> bool:
+        if i == n:
+            return True
+        top = min(ncolors, maxused + 1)
+        for col in range(1, top + 1):
+            if assign(i, col):
+                if rec(i + 1, max(maxused, col)):
+                    return True
+            unassign(i)
+        return False
+
+    if any(deficit(i) > uncol[i] for i in range(n)):
+        return None
+    if rec(0, 0):
+        return {order[i]: color[i] for i in range(n)}
+    return None
+
+
+def wd_number_recursive(g: Graph, k: int,
+                        max_colors: int) -> tuple[int | None, Coloring | None]:
+    """``wdcolor.exact.wd_number_exact`` over :func:`wd_feasible_recursive`:
+    the smallest palette size from the degree bound up, with its witness."""
+    if g.n == 0:
+        return 0, {}
+    lb = max(1, max(min(g.degree(v), k) for v in g.vertices()))
+    for c in range(lb, max_colors + 1):
+        witness = wd_feasible_recursive(g, k, c)
+        if witness is not None:
+            return c, witness
+    return None, None
+
+
+def canonical_colorings_recursive(
+        g: Graph, k: int = 3,
+        palette: tuple[int, ...] = (1, 2, 3, 4, 5, 6)):
+    """The canonical enumeration of ``wdcolor.reductions`` as first
+    written: recursive, to depth n.  All valid k-weak-dynamic colorings of
+    g over the palette, one per palette-permutation class (colors appear in
+    first-use order over ascending vertex ids)."""
+    vs = sorted(g.vertices())
+    n = len(vs)
+    pos = {v: i for i, v in enumerate(vs)}
+    assignment: Coloring = {}
+
+    def feasible(u: int, i: int) -> bool:
+        need = min(g.degree(u), k)
+        seen = set()
+        future = 0
+        for w in g.neighbors(u):
+            if pos[w] <= i:
+                seen.add(assignment[w])
+            else:
+                future += 1
+        return len(seen) + future >= need
+
+    def rec(i: int, used: int):
+        if i == n:
+            yield dict(assignment)
+            return
+        v = vs[i]
+        for ci in range(min(used + 1, len(palette))):
+            assignment[v] = palette[ci]
+            if all(feasible(u, i) for u in sorted(g.neighbors(v))):
+                yield from rec(i + 1, max(used, ci + 1))
+        del assignment[v]
+
+    yield from rec(0, 0)
+
+
+def list_color_recursive(g: Graph,
+                         lists: dict[int, set[int]]) -> Coloring | None:
+    """The list-coloring search of ``wdcolor.exact`` as first written:
+    recursive, to depth n, choosing the most constrained vertex first (an
+    O(n) scan per node).  A proper coloring with c(v) in lists[v], or
+    None."""
+    avail = {v: set(lists[v]) for v in g.vertices()}
+    color: Coloring = {}
+
+    def rec() -> bool:
+        if len(color) == g.n:
+            return True
+        v = min((u for u in g.vertices() if u not in color),
+                key=lambda u: (len(avail[u]), u))
+        for col in sorted(avail[v]):
+            color[v] = col
+            removed = []
+            dead = False
+            for u in g.neighbors(v):
+                if u not in color and col in avail[u]:
+                    avail[u].discard(col)
+                    removed.append(u)
+                    if not avail[u]:
+                        dead = True
+            if not dead and rec():
+                return True
+            for u in removed:
+                avail[u].add(col)
+            del color[v]
+        return False
+
+    return dict(color) if rec() else None
+
+
 def naive_list_colorable(g: Graph, lists: dict[int, set[int]]) -> bool:
     """Is there a proper coloring choosing each vertex's color from its
     list?  Checked by trying the full cartesian product."""

@@ -174,6 +174,13 @@ class TestSolve:
         assert payload["witness"] is None
         assert "no 2-weak-dynamic" in res.stderr
 
+    def test_zero_max_colors_is_usage_error(self, runner, c5_file):
+        res = invoke(runner, "solve", str(c5_file), "--max-colors", "0")
+        assert res.exit_code == 1
+        assert "--max-colors" in res.stderr
+        assert "Traceback" not in res.output
+        assert res.stdout == ""
+
 
 class TestReduce:
     def test_five_cycle_reduces(self, runner, c5_file):
@@ -219,6 +226,15 @@ class TestCheckLemmas:
     def test_unknown_kind_is_usage_error(self, runner):
         res = invoke(runner, "check-lemmas", "--kind", "L99")
         assert res.exit_code == 1
+
+    @pytest.mark.parametrize("budget", ["0", "-3"])
+    def test_nonpositive_budget_is_usage_error(self, runner, budget):
+        res = invoke(runner, "check-lemmas", "--kind", "L4",
+                     "--budget", budget)
+        assert res.exit_code == 1
+        assert "--budget" in res.stderr
+        assert "hosts=" not in res.stderr
+        assert res.stdout == ""
 
 
 class TestBench:

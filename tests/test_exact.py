@@ -11,6 +11,7 @@ from wdcolor.exact import (ExactResult, SearchBudgetExceeded, _k_colorable,
                            product_coloring, wd_number_exact)
 from wdcolor.generators import named
 from wdcolor.graphs import Graph
+from wdcolor.reductions import canonical_colorings
 from wdcolor.verify import is_dynamic, is_proper, is_weak_dynamic
 
 
@@ -54,6 +55,29 @@ def test_wd_number_matches_oracle_small():
             want, _ = oracles.naive_wd_number(g, k, 6)
             got = wd_number_exact(g, k, 6)
             assert got.value == want, (sorted(g.edges()), k)
+
+
+def test_wd_number_matches_the_recursive_search():
+    """Same value and the same witness, key order included."""
+    infeasible = 0
+    values: dict[int, int] = {}
+    for seed in range(1200):
+        rng = random.Random(seed)
+        n = rng.randint(2, 18)
+        k = rng.randint(1, 4)
+        max_colors = rng.randint(1, 6)
+        g = _random_tree_plus_edges(n, rng, min(n - 1, rng.uniform(1.5, 5)))
+        want_value, want = oracles.wd_number_recursive(g, k, max_colors)
+        got = wd_number_exact(g, k, max_colors)
+        assert got.value == want_value, (seed, k, max_colors)
+        if want is None:
+            assert got.witness is None
+            infeasible += 1
+            continue
+        assert list(got.witness.items()) == list(want.items()), seed
+        values[want_value] = values.get(want_value, 0) + 1
+    assert infeasible >= 200, infeasible
+    assert all(values.get(c, 0) >= 50 for c in (2, 3, 4)), values
 
 
 def test_chromatic_number_known_and_oracle():
@@ -134,6 +158,56 @@ def test_list_color_exact_agrees_with_oracle():
         if got is not None:
             assert is_proper(g, got)
             assert all(got[v] in lists[v] for v in g.vertices())
+
+
+def test_list_color_exact_matches_the_recursive_search():
+    """Same feasibility on larger lists instances; on lists that are all
+    {1..k} the search is the k-coloring search, witness included."""
+    infeasible = 0
+    for seed in range(600):
+        rng = random.Random(seed)
+        n = rng.randint(2, 16)
+        g = _random_tree_plus_edges(n, rng, min(n - 1, rng.uniform(2, 6)))
+        if seed % 3:
+            lists = {v: set(rng.sample(range(1, 6), rng.randint(1, 4)))
+                     for v in g.vertices()}
+        else:
+            k = rng.randint(2, 4)
+            lists = {v: set(range(1, k + 1)) for v in g.vertices()}
+        got = list_color_exact(g, lists)
+        want = oracles.list_color_recursive(g, lists)
+        assert (got is None) == (want is None), seed
+        if seed % 3 == 0:
+            assert got == _k_colorable(g, k)
+        infeasible += got is None
+    assert 100 <= infeasible <= 500, infeasible
+
+
+def _path(n: int) -> Graph:
+    return Graph.from_edges([(i, i + 1) for i in range(n - 1)])
+
+
+@pytest.mark.parametrize("search", ["wd", "list", "list-uneven",
+                                    "canonical"])
+def test_searches_are_not_bound_by_the_recursion_limit(search):
+    """Every answer on a long path is immediate; a recursive search to
+    depth n overflows Python's recursion limit here."""
+    g = _path(5000)
+    if search == "wd":
+        res = wd_number_exact(g, 3, 6)
+        assert res.value == 2
+        assert is_weak_dynamic(g, res.witness, 3)[0]
+    elif search == "canonical":
+        first = next(canonical_colorings(g))
+        assert is_weak_dynamic(g, first, 3)[0]
+    else:
+        if search == "list":
+            lists = {v: {1, 2} for v in g.vertices()}
+        else:
+            lists = {v: {v % 3 + 1, (v + 1) % 3 + 1} for v in g.vertices()}
+        got = list_color_exact(g, lists)
+        assert got is not None and is_proper(g, got)
+        assert all(got[v] in lists[v] for v in g.vertices())
 
 
 def test_list_color_exact_requires_all_lists():

@@ -86,13 +86,6 @@ def test_identify_nonadjacent_vertices():
     assert merged.neighbors(w) == frozenset({1, 3})
 
 
-def test_second_neighborhood_is_common_neighbor_sharing():
-    g = Graph.from_edges([(0, 1), (1, 2), (2, 3)])
-    assert g.second_neighborhood(0) == frozenset({2})
-    tri = Graph.from_edges([(0, 1), (1, 2), (0, 2)])
-    assert tri.second_neighborhood(0) == frozenset({1, 2})
-
-
 def test_connected_components_and_bfs():
     g = Graph.from_edges([(0, 1), (2, 3)], vertices=range(5))
     comps = sorted(g.connected_components(), key=min)

@@ -152,6 +152,26 @@ def test_canonical_colorings_match_naive_enumeration():
             assert ok
 
 
+def test_canonical_colorings_match_the_recursive_enumeration():
+    """Same colorings, same order, same key order, on every reduced host
+    the certification enumerates at budget 16."""
+    hosts = colorings = 0
+    for kind in KIND_ORDER:
+        for i in range(16):
+            g = host_for(kind, i)
+            if g is None:
+                continue
+            reduced, _ = apply_reduction(
+                g, detect_configuration(g, kind=kind))
+            got = [list(c.items()) for c in canonical_colorings(reduced)]
+            want = [list(c.items()) for c in
+                    oracles.canonical_colorings_recursive(reduced)]
+            assert got == want, (kind, i)
+            hosts += 1
+            colorings += len(got)
+    assert hosts >= 100 and colorings > 50_000, (hosts, colorings)
+
+
 def test_lift_is_equivariant_up_to_color_classes():
     g = host_for("L1a-degree1", 0)
     conf = detect_configuration(g, kind="L1a-degree1")

@@ -110,8 +110,8 @@ def gen(name: str | None, use_random: bool, n: int, density: float,
 @cli.command()
 @click.argument("graph_file", type=click.Path(exists=True, dir_okay=False))
 @click.argument("coloring_file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--k", type=int, default=3, show_default=True,
-              help="Weak-dynamic parameter.")
+@click.option("--k", type=click.IntRange(min=1), default=3,
+              show_default=True, help="Weak-dynamic parameter.")
 @click.option("--mode", type=click.Choice(["weak-dynamic", "proper",
                                            "dynamic"]),
               default="weak-dynamic", show_default=True)
@@ -153,8 +153,8 @@ def verify(graph_file: str, coloring_file: str, k: int, mode: str) -> None:
 
 @cli.command()
 @click.argument("graph_file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--k", type=int, default=3, show_default=True,
-              help="Weak-dynamic parameter.")
+@click.option("--k", type=click.IntRange(min=1), default=3,
+              show_default=True, help="Weak-dynamic parameter.")
 @click.option("--max-colors", type=click.IntRange(min=1), default=6,
               show_default=True, help="Palette-size cap for the search.")
 def solve(graph_file: str, k: int, max_colors: int) -> None:

@@ -181,6 +181,18 @@ class TestSolve:
         assert "Traceback" not in res.output
         assert res.stdout == ""
 
+    def test_k_below_one_is_usage_error(self, runner, c5_file, tmp_path):
+        mono = tmp_path / "mono.json"
+        mono.write_text(serialize_coloring({v: 1 for v in range(5)}))
+        for args in (("solve", str(c5_file)),
+                     ("verify", str(c5_file), str(mono))):
+            for k in ("0", "-2"):
+                res = invoke(runner, *args, "--k", k)
+                assert res.exit_code == 1
+                assert "--k" in res.stderr
+                assert "Traceback" not in res.output
+                assert res.stdout == ""
+
 
 class TestReduce:
     def test_five_cycle_reduces(self, runner, c5_file):

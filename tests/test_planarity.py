@@ -4,10 +4,15 @@ nonplanarity witnessed by explicit minor branch sets."""
 import itertools
 import random
 
+import networkx as nx
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from oracles import random_connected_graph
 from wdcolor.generators import named, random_planar, triangulation
 from wdcolor.graphs import Graph
-from wdcolor.planarity import count_faces, is_planar, validate_rotation
+from wdcolor.planarity import (count_faces, is_planar, validate_minor_model,
+                               validate_rotation)
 
 
 def euler_checks(g: Graph):
@@ -121,6 +126,45 @@ def plus_non_edges(g: Graph, rng: random.Random, count: int) -> Graph:
     return g
 
 
+def plus_random_edge(g: Graph, rng: random.Random) -> Graph:
+    """``g`` with one random non-edge added, drawn without listing them."""
+    vertices = g.vertices()
+    while True:
+        u, v = rng.sample(vertices, 2)
+        if not g.has_edge(u, v):
+            return g.add_edge(u, v)
+
+
+def until_nonplanar(g: Graph, rng: random.Random) -> Graph:
+    """``g`` with random non-edges added until it is nonplanar."""
+    while nx.check_planarity(g.to_networkx())[0]:
+        g = plus_random_edge(g, rng)
+    return g
+
+
+def grid_with_diagonals(k: int) -> Graph:
+    """The k-by-k grid plus both corner-to-corner diagonals, which cross
+    in the outer face, the only face holding all four corners."""
+    edges = [(r * k + c, r * k + c + 1)
+             for r in range(k) for c in range(k - 1)]
+    edges += [(r * k + c, (r + 1) * k + c)
+              for r in range(k - 1) for c in range(k)]
+    return Graph.from_edges(edges + [(0, k * k - 1), (k - 1, k * k - k)])
+
+
+def lr_test_count(monkeypatch) -> list[int]:
+    """A one-item list counting the LR tests run from now on."""
+    calls = [0]
+    check = nx.check_planarity
+
+    def spy(*args, **kwargs):
+        calls[0] += 1
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(nx, "check_planarity", spy)
+    return calls
+
+
 def test_triangulations_plus_an_edge_get_models_at_every_size():
     for n in (70, 100):
         rng = random.Random(n)
@@ -128,6 +172,97 @@ def test_triangulations_plus_an_edge_get_models_at_every_size():
         cert = is_planar(g)
         assert not cert.is_planar
         validate_minor(g, cert)
+
+
+def test_triangulation_plus_an_edge_needs_few_lr_tests(monkeypatch):
+    # one test per vertex, as a deletion pass needs, would be over 1000
+    g = plus_random_edge(triangulation(1000, random.Random(1)),
+                         random.Random(2))
+    calls = lr_test_count(monkeypatch)
+    cert = is_planar(g)
+    assert calls[0] <= 300
+    validate_minor(g, cert)
+
+
+def test_grid_with_long_diagonals_gets_a_model():
+    g = grid_with_diagonals(15)
+    cert = is_planar(g)
+    assert not cert.is_planar
+    validate_minor(g, cert)
+
+
+def test_long_subdivided_k33_gets_a_model():
+    edges, fresh = [], 6
+    for a in range(3):
+        for b in range(3, 6):
+            path = [a, *range(fresh, fresh + 60), b]
+            fresh += 60
+            edges += zip(path, path[1:])
+    g = Graph.from_edges(edges)
+    assert g.n == 546
+    cert = is_planar(g)
+    assert cert.minor_kind == "K33"
+    validate_minor(g, cert)
+
+
+def test_disjoint_k5_beside_a_planar_graph_is_found_by_its_block(
+        monkeypatch):
+    tri = list(triangulation(500, random.Random(1)).edges())
+    k5 = list(itertools.combinations(range(5), 2))
+    for g, k5_vertices in (
+            (Graph.from_edges(tri + [(u + 500, v + 500) for u, v in k5]),
+             set(range(500, 505))),
+            (Graph.from_edges([(u + 5, v + 5) for u, v in tri] + k5),
+             set(range(5)))):
+        calls = lr_test_count(monkeypatch)
+        cert = is_planar(g)
+        # the triangulation's block is tested at most once, never shrunk
+        assert calls[0] <= 30
+        assert cert.minor_kind == "K5"
+        assert set().union(*cert.branch_sets) == k5_vertices
+        validate_minor(g, cert)
+
+
+def test_random_planar_graphs_plus_edges_get_models():
+    rng = random.Random(300)
+    for density, seed in ((0.3, 1), (0.7, 11), (1.0, 2)):
+        g = until_nonplanar(random_planar(300, density, seed), rng)
+        cert = is_planar(g)
+        assert not cert.is_planar
+        validate_minor(g, cert)
+
+
+@st.composite
+def relabelled_nonplanar_beside_planar(draw):
+    """A nonplanar graph under random labels, disjoint from a random
+    planar graph under others."""
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    base = draw(st.sampled_from(("k5", "k33", "tri", "random")))
+    if base in ("k5", "k33"):
+        g = named(base)
+    elif base == "tri":
+        g = plus_random_edge(triangulation(rng.randint(6, 40), rng), rng)
+    else:
+        g = until_nonplanar(random_planar(rng.randint(6, 40), 0.7,
+                                          rng.randrange(10**6)), rng)
+    side = random_planar(draw(st.integers(1, 40)),
+                         draw(st.sampled_from((0.3, 0.7, 1.0))),
+                         draw(st.integers(0, 10**6)))
+    labels = draw(st.lists(st.integers(0, 10**4), unique=True,
+                           min_size=g.n + side.n, max_size=g.n + side.n))
+    mine = dict(zip(g.vertices(), labels))
+    theirs = dict(zip(side.vertices(), labels[g.n:]))
+    edges = [(mine[u], mine[v]) for u, v in g.edges()]
+    edges += [(theirs[u], theirs[v]) for u, v in side.edges()]
+    return Graph.from_edges(edges, vertices=labels)
+
+
+@settings(max_examples=40, deadline=None)
+@given(relabelled_nonplanar_beside_planar())
+def test_relabelled_nonplanar_graphs_beside_planar_ones_get_models(g):
+    cert = is_planar(g)
+    assert not cert.is_planar
+    assert validate_minor_model(g, cert.minor_kind, cert.branch_sets)
 
 
 def test_random_nonplanar_graphs_get_valid_models():
@@ -143,7 +278,10 @@ def test_random_nonplanar_graphs_get_valid_models():
 def test_certificate_does_not_depend_on_construction_order():
     rng = random.Random(5)
     for g in (named("k33"), plus_non_edges(triangulation(24, rng), rng, 2),
-              random_planar(20, 0.8, 5)):
+              random_planar(20, 0.8, 5),
+              plus_random_edge(triangulation(200, rng), rng),
+              until_nonplanar(random_planar(300, 0.7, 5), rng),
+              grid_with_diagonals(15)):
         edges = [(v, u) if rng.random() < 0.5 else (u, v)
                  for u, v in g.edges()]
         rng.shuffle(edges)

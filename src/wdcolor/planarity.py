@@ -1,16 +1,19 @@
 """Planarity certificates: embedding-backed planar verdicts and explicit
 K5/K33 minor models for nonplanar graphs.
 
-The verdict comes from the left-right planarity criterion; a planar verdict
-carries a rotation system that is independently validated here by tracing
-face boundaries and checking Euler's formula summed over the components.
-A nonplanar verdict carries a K5 or K33 minor model at every size: the
-first nonplanar block is contracted in matching rounds while it stays
-nonplanar, a vertex pass and an edge pass of LR tests isolate a Kuratowski
-subdivision in the small residual, and its branch sets expand back to the
-input.  The LR tests run on shrinking graphs, about 140 of them on a
-1000-vertex triangulation plus one edge, instead of one per vertex and
-edge of the input.
+Every verdict comes from the package's own left-right planarity test,
+:func:`wdcolor.lr.lr_planarity`, run on the graph's adjacency.  A planar
+verdict carries its rotation system, validated independently here by
+tracing face boundaries and checking Euler's formula summed over the
+components.  A nonplanar verdict carries a K5 or K33 minor model at every
+size: the first nonplanar block is contracted in matching rounds while it
+stays nonplanar, a vertex pass and an edge pass of LR tests isolate a
+Kuratowski subdivision in the small residual, and its branch sets expand
+back to the input.  The LR tests run on shrinking graphs, about 140 of them
+on a 1000-vertex triangulation plus one edge, instead of one per vertex and
+edge of the input, and each stops at its verdict.  networkx serves only the
+minor search's graph bookkeeping and its biconnected split, as it does
+:func:`wdcolor.graphs.blocks`; no networkx planarity test runs.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from itertools import combinations
 import networkx as nx
 
 from .graphs import Graph
+from .lr import lr_planarity
 
 @dataclass(frozen=True)
 class PlanarityCertificate:
@@ -106,6 +110,11 @@ def validate_minor_model(g: Graph, kind: str,
     return False
 
 
+def _nx_planar(G: nx.Graph) -> bool:
+    """The LR verdict on a networkx graph, read off its adjacency."""
+    return lr_planarity(G.adj, embed=False) is not None
+
+
 #: Contraction stops once the graph has at most this many vertices; the
 #: vertex and edge passes then run on graphs of this size.
 _RESIDUAL = 12
@@ -136,7 +145,7 @@ def _contract_nonplanar(G: nx.Graph, merged: dict[int, list[int]],
         mid = len(pairs)
         while hi - lo > 1:
             H = _contracted(G, pairs[:mid])
-            if nx.check_planarity(H)[0]:
+            if _nx_planar(H):
                 hi = mid
             else:
                 lo, keep = mid, H
@@ -183,7 +192,7 @@ def _kuratowski_model(g: Graph) -> tuple[str, tuple[frozenset[int], ...]]:
                     if len(c) >= 5)
     # some block is nonplanar, so the last one needs no test
     G = G.subgraph(next((c for c in blocks[:-1]
-                         if not nx.check_planarity(G.subgraph(c))[0]),
+                         if not _nx_planar(G.subgraph(c))),
                         blocks[-1])).copy()
     merged = {v: [v] for v in G}
     failed: set[tuple[int, int]] = set()
@@ -202,11 +211,11 @@ def _kuratowski_model(g: Graph) -> tuple[str, tuple[frozenset[int], ...]]:
     for v in sorted(G):
         nbrs = list(G[v])
         G.remove_node(v)
-        if nx.check_planarity(G)[0]:
+        if _nx_planar(G):
             G.add_edges_from((v, u) for u in nbrs)
     for u, v in sorted((min(e), max(e)) for e in G.edges()):
         G.remove_edge(u, v)
-        if nx.check_planarity(G)[0]:
+        if _nx_planar(G):
             G.add_edge(u, v)
     branch = sorted(v for v in G if len(G[v]) >= 3)
     sets = {b: {b} for b in branch}
@@ -234,13 +243,13 @@ def _kuratowski_model(g: Graph) -> tuple[str, tuple[frozenset[int], ...]]:
 
 def is_planar(g: Graph) -> PlanarityCertificate:
     """Planarity certificate: a validated rotation system, or an explicit
-    K5/K33 minor model, at every size.  A planar verdict costs one LR test;
-    a nonplanar one costs more, on shrinking graphs (see
-    :func:`_kuratowski_model`)."""
-    ok, emb = nx.check_planarity(g.to_networkx(), counterexample=False)
-    if ok:
-        data = emb.get_data()
-        rotation = {v: tuple(data.get(v, ())) for v in g.vertices()}
+    K5/K33 minor model, at every size.  A planar verdict costs one run of
+    the package's LR test (:func:`wdcolor.lr.lr_planarity`) on
+    ``g.adjacency()``, whose rotation must pass the Euler check; a
+    nonplanar one costs more verdict-only LR tests, on shrinking graphs
+    (see :func:`_kuratowski_model`)."""
+    rotation = lr_planarity(g.adjacency())
+    if rotation is not None:
         if not validate_rotation(g, rotation):
             raise AssertionError("embedding failed the Euler validation")
         return PlanarityCertificate("planar", rotation=rotation)

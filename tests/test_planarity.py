@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import random_connected_graph
+from wdcolor import planarity
 from wdcolor.generators import named, random_planar, triangulation
 from wdcolor.graphs import Graph
 from wdcolor.planarity import (count_faces, is_planar, validate_minor_model,
@@ -155,13 +156,13 @@ def grid_with_diagonals(k: int) -> Graph:
 def lr_test_count(monkeypatch) -> list[int]:
     """A one-item list counting the LR tests run from now on."""
     calls = [0]
-    check = nx.check_planarity
+    check = planarity.lr_planarity
 
     def spy(*args, **kwargs):
         calls[0] += 1
         return check(*args, **kwargs)
 
-    monkeypatch.setattr(nx, "check_planarity", spy)
+    monkeypatch.setattr(planarity, "lr_planarity", spy)
     return calls
 
 

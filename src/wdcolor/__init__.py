@@ -21,7 +21,7 @@ from .io import (FormatError, load_coloring, load_graph, parse_coloring,
 from .listcolor import (ColorOrder, DependencyColoringError, Lists,
                         color_complete_with_lists, color_dependency_graph,
                         color_odd_cycle_with_lists, degree_choose,
-                        find_even_frame, greedy_with_slack, pick_color)
+                        greedy_with_slack, pick_color)
 from .pipeline import (InvariantBreachError, NonplanarInputError,
                        PipelineIncompleteError, VertexClassification,
                        assemble_and_color, build_Gprime, build_H, classify,
@@ -50,7 +50,7 @@ __all__ = [
     "list_color_exact", "product_coloring",
     "ColorOrder", "Lists", "DependencyColoringError", "pick_color",
     "greedy_with_slack", "color_complete_with_lists",
-    "color_odd_cycle_with_lists", "find_even_frame", "degree_choose",
+    "color_odd_cycle_with_lists", "degree_choose",
     "color_dependency_graph",
     "KIND_ORDER", "SHORT_KINDS", "Configuration", "ReductionStep",
     "CertificateReport", "ReductionError", "LiftError",

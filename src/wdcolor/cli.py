@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import io as _stdio
 import json
+import math
 import sys
 import time
 
@@ -48,6 +49,14 @@ def _fail(code: int, message: str) -> None:
     sys.exit(code)
 
 
+def _not_nan(ctx: click.Context, param: click.Parameter,
+             value: float) -> float:
+    # FloatRange compares, and every comparison with NaN is false
+    if math.isnan(value):
+        raise click.BadParameter("nan is not a number", ctx, param)
+    return value
+
+
 def _emit(obj: object) -> None:
     click.echo(json.dumps(obj, indent=2, sort_keys=True))
 
@@ -72,9 +81,10 @@ def cli() -> None:
               help="Pick a graph from the fixed catalog.")
 @click.option("--random", "use_random", is_flag=True,
               help="Generate a seeded random planar graph instead.")
-@click.option("--n", type=int, default=12, show_default=True,
-              help="Vertex count for --random.")
-@click.option("--density", type=float, default=0.7, show_default=True,
+@click.option("--n", type=click.IntRange(min=1), default=12,
+              show_default=True, help="Vertex count for --random.")
+@click.option("--density", type=click.FloatRange(0, 1), default=0.7,
+              show_default=True, callback=_not_nan,
               help="Target edge density (fraction of 3n-6) for --random.")
 @click.option("--seed", type=int, default=0, show_default=True,
               help="Random seed for --random.")
@@ -92,8 +102,6 @@ def gen(name: str | None, use_random: bool, n: int, density: float,
         g = named(name)
         click.echo(f"named graph {name}: n={g.n} m={g.m}", err=True)
     else:
-        if n < 1:
-            raise click.UsageError("--n must be at least 1")
         g = random_planar(n, density, seed)
         click.echo(f"random planar graph: n={g.n} m={g.m}"
                    f" density={density} seed={seed}", err=True)

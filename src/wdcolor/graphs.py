@@ -365,11 +365,10 @@ class EditableGraph(_Adjacency):
 
 @dataclass(frozen=True)
 class BlockDecomposition:
-    """Blocks (maximal 2-connected subgraphs / cut edges), cut vertices, and a
-    structural kind tag per block: 'complete' | 'odd-cycle' | 'other'."""
+    """Blocks (maximal 2-connected subgraphs / cut edges) and a structural
+    kind tag per block: 'complete' | 'odd-cycle' | 'other'."""
 
     blocks: tuple[frozenset[int], ...]
-    cut_vertices: frozenset[int]
     kinds: tuple[str, ...]
 
 
@@ -383,7 +382,7 @@ def block_kind(g: Graph, block: frozenset[int]) -> str:
 
 
 def blocks(g: Graph) -> BlockDecomposition:
-    """Block-cut decomposition (biconnected components + articulation points).
+    """Blocks (biconnected components), sorted, each with its kind.
 
     Isolated vertices belong to no block; the blocks partition the edge set.
     """
@@ -392,7 +391,6 @@ def blocks(g: Graph) -> BlockDecomposition:
     G = g.to_networkx()
     comps = [frozenset(c) for c in nx.biconnected_components(G)]
     comps.sort(key=lambda c: sorted(c))
-    cuts = frozenset(nx.articulation_points(G))
     kinds = tuple(block_kind(g, c) for c in comps)
-    return BlockDecomposition(tuple(comps), cuts, kinds)
+    return BlockDecomposition(tuple(comps), kinds)
 

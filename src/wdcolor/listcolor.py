@@ -1,10 +1,12 @@
 """Constructive list coloring.
 
 The routines here are the constructive engine behind the reduction lifts and
-the planar pipeline: greedy coloring off a slack vertex, complete graphs and
-odd cycles from lists (the two classical propositions), degree-choosability
-for graphs with a non-Gallai block, and the dependency-graph orchestrator
-with its perturbation protocol.
+the planar pipeline. One loop colors a graph toward a core (every vertex by
+decreasing BFS distance from it) and then finishes the core: a single slack
+vertex gives the greedy coloring, a block that is neither complete nor an odd
+cycle gives degree-choosability (one vertex or pair precolored, then greedy),
+and complete or odd-cycle blocks use the two classical propositions. The
+dependency-graph orchestrator adds the perturbation protocol.
 
 Every public routine verifies its output (proper, within lists) before
 returning; an invalid state raises instead of degrading.
@@ -19,7 +21,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
-from .graphs import Graph, blocks
+from .graphs import Graph, block_kind, blocks
 from .verify import Coloring
 
 Lists = dict[int, set[int]]
@@ -49,8 +51,24 @@ def _check_result(g: Graph, lists: Lists, c: Coloring) -> None:
 
 
 # ---------------------------------------------------------------------------
-# greedy off a slack vertex
+# coloring toward a core: greedy off a slack vertex and its generalization
 # ---------------------------------------------------------------------------
+
+
+def _color_outside(g: Graph, lists: Lists, core: Iterable[int],
+                   color_order: ColorOrder) -> Coloring:
+    """Color every vertex outside ``core`` by decreasing BFS distance from
+    it: each keeps an uncolored neighbor (its BFS parent) until colored, so
+    a list covering the degree always leaves a free color."""
+    dist = g.bfs_distances(core)
+    if len(dist) != g.n:
+        raise ValueError("graph is not connected")
+    out: Coloring = {}
+    for v in sorted((v for v in g.vertices() if dist[v] > 0),
+                    key=lambda v: (-dist[v], v)):
+        avail = lists[v] - {out[u] for u in g.neighbors(v) if u in out}
+        out[v] = pick_color(avail, color_order)
+    return out
 
 
 def greedy_with_slack(g: Graph, lists: Lists, slack: int,
@@ -58,23 +76,40 @@ def greedy_with_slack(g: Graph, lists: Lists, slack: int,
     """Proper list coloring of a connected graph where every list covers the
     degree and the slack vertex has a strictly larger list.
 
-    Vertices are colored by decreasing BFS distance from the slack vertex,
-    so everybody keeps an uncolored neighbor (its BFS parent) until colored,
-    leaving at least one free color; the slack vertex, colored last, survives
-    on its extra list entry.
+    Everything else is colored toward the slack vertex; colored last, it
+    survives on its extra list entry.
     """
-    dist = g.bfs_distances([slack])
-    if len(dist) != g.n:
-        raise ValueError("graph is not connected")
     for v in g.vertices():
         if len(lists[v]) < g.degree(v):
             raise ValueError(f"list at {v} smaller than its degree")
     if len(lists[slack]) <= g.degree(slack):
         raise ValueError("slack vertex has no slack")
-    out: Coloring = {}
-    for v in sorted(g.vertices(), key=lambda v: (-dist[v], v)):
-        avail = lists[v] - {out[u] for u in g.neighbors(v) if u in out}
-        out[v] = pick_color(avail, color_order)
+    out = _color_outside(g, lists, [slack], color_order)
+    out[slack] = pick_color(lists[slack] - {out[u] for u in g.neighbors(slack)},
+                            color_order)
+    _check_result(g, lists, out)
+    return out
+
+
+def _color_toward_core(
+        g: Graph, lists: Lists, core: frozenset[int],
+        finish: Callable[[Graph, Lists, ColorOrder], Coloring | None],
+        color_order: ColorOrder) -> Coloring | None:
+    """Color a connected graph whose lists cover the degrees toward ``core``,
+    then the core from what is left of its lists, which still cover the
+    core's own degrees: greedily if a core vertex has slack, else by
+    ``finish``. None only when ``finish`` refuses."""
+    out = _color_outside(g, lists, core, color_order)
+    sub = g.induced_subgraph(core)
+    left = {v: lists[v] - {out[u] for u in g.neighbors(v) if u in out}
+            for v in core}
+    slack = next((v for v in sub.vertices() if len(left[v]) > sub.degree(v)),
+                 None)
+    part = (greedy_with_slack(sub, left, slack, color_order)
+            if slack is not None else finish(sub, left, color_order))
+    if part is None:
+        return None
+    out.update(part)
     _check_result(g, lists, out)
     return out
 
@@ -136,224 +171,59 @@ def color_odd_cycle_with_lists(cycle: Sequence[int], lists: Lists,
     return out
 
 
-def _color_even_cycle(cycle: Sequence[int], lists: Lists,
-                      color_order: ColorOrder = None) -> Coloring:
-    """List coloring of an even cycle with lists of size >= 2: a slack vertex
-    makes it greedy; equal 2-lists alternate; otherwise start at a vertex
-    whose list leaves its successor untouched and sweep backwards."""
-    k = len(cycle)
-    assert k >= 4 and k % 2 == 0
-    g = Graph.from_edges([(cycle[i], cycle[(i + 1) % k]) for i in range(k)])
-    for v in cycle:
-        if len(lists[v]) > 2:
-            return greedy_with_slack(g, lists, v, color_order)
-    start = None
-    for i in range(k):
-        if set(lists[cycle[i]]) != set(lists[cycle[(i + 1) % k]]):
-            start = i
-            break
-    out: Coloring = {}
-    if start is None:  # all lists equal: alternate the two colors
-        a = pick_color(lists[cycle[0]], color_order)
-        b = pick_color(lists[cycle[0]] - {a}, color_order)
-        for i, v in enumerate(cycle):
-            out[v] = a if i % 2 == 0 else b
-    else:
-        vi, vnext = cycle[start], cycle[(start + 1) % k]
-        out[vi] = pick_color(lists[vi] - lists[vnext], color_order)
-        # color vi-1, vi-2, ..., wrapping around, ending at vi+1
-        for step in range(1, k):
-            v = cycle[(start - step) % k]
-            avoid = {out[u] for u in (cycle[(start - step + 1) % k],
-                                      cycle[(start - step - 1) % k]) if u in out}
-            out[v] = pick_color(lists[v] - avoid, color_order)
-    _check_result(g, lists, out)
+# ---------------------------------------------------------------------------
+# degree_choose: a non-Gallai block with tight lists, then greedy
+# ---------------------------------------------------------------------------
+
+
+def _precolor_then_greedy(b: Graph, lists: Lists, pre: Coloring, slack: int,
+                          color_order: ColorOrder) -> Coloring:
+    """Fix ``pre`` and color the rest of ``b`` greedily off ``slack``, which
+    must have lost more neighbors than colors to ``pre``."""
+    rest = b.delete_vertices(pre)
+    left = {v: lists[v] - {pre[u] for u in b.neighbors(v) if u in pre}
+            for v in rest.vertices()}
+    out = greedy_with_slack(rest, left, slack, color_order)
+    out.update(pre)
     return out
 
 
-# ---------------------------------------------------------------------------
-# the 2-connected core: even frame (even cycle with at most one chord)
-# ---------------------------------------------------------------------------
+def _color_block(b: Graph, lists: Lists, color_order: ColorOrder) -> Coloring:
+    """Color a 2-connected graph, neither complete nor an odd cycle, whose
+    lists have exactly its degrees as sizes.
 
-_FRAME_SIZE_CAP = 22
-
-
-def _cycle_order_of(g: Graph, s: frozenset[int]) -> list[int] | None:
-    """If g[s] is a cycle, return it as an ordered vertex list."""
-    return _cycle_order_of_sub(g.induced_subgraph(s), s)
-
-
-def find_even_frame(g: Graph) -> tuple[list[int], tuple[int, int] | None]:
-    """Find an induced even cycle, or an induced even-cycle-plus-one-chord,
-    in a 2-connected graph that is neither complete nor an odd cycle.
-
-    Such a frame always exists (the classical block lemma); the search is
-    exhaustive over induced subsets, smallest first, so its success on every
-    qualifying input doubles as an empirical check of the lemma.
-    Returns (cycle order, chord) with chord None for the chordless case.
+    Adjacent x, y with different lists (Erdős–Rubin–Taylor): x takes a color
+    y lacks, and y keeps its list with one neighbor fewer. All lists equal:
+    the block is regular; a cycle (even) alternates two colors, otherwise
+    some v has non-adjacent neighbors x, y whose removal keeps the block
+    connected (Lovász), and x, y share a color that v then has to spare.
     """
-    if g.n > _FRAME_SIZE_CAP:
-        raise DependencyColoringError(
-            f"frame search capped at {_FRAME_SIZE_CAP} vertices (got {g.n})")
-    verts = g.vertices()
-    for size in range(4, g.n + 1):
-        for combo in combinations(verts, size):
-            s = frozenset(combo)
-            sub = g.induced_subgraph(s)
-            if sub.m == size and size % 2 == 0:
-                order = _cycle_order_of(g, s)
-                if order is not None:
-                    return order, None
-            elif sub.m == size + 1:
-                deg3 = [v for v in combo if sub.degree(v) == 3]
-                if len(deg3) != 2 or not sub.has_edge(*deg3):
-                    continue
-                if any(sub.degree(v) not in (2, 3) for v in combo):
-                    continue
-                ring = sub.delete_edge(*deg3)
-                if any(ring.degree(v) != 2 for v in combo) or size % 2 != 0:
-                    continue
-                order = _cycle_order_of_sub(ring, s)
-                if order is not None:
-                    return order, (deg3[0], deg3[1])
-    raise AssertionError("no even frame found in a qualifying block — "
-                         "this contradicts the block lemma")
-
-
-def _cycle_order_of_sub(sub: Graph, s: frozenset[int]) -> list[int] | None:
-    if sub.m != len(s) or any(sub.degree(v) != 2 for v in s):
-        return None
-    start = min(s)
-    order = [start]
-    prev = None
-    while True:
-        nxt = [u for u in sub.neighbors(order[-1]) if u != prev]
-        if not nxt:
-            return None
-        prev = order[-1]
-        order.append(min(nxt))
-        if order[-1] == start:
-            return order[:-1] if len(order) - 1 == len(s) else None
-
-
-def _color_frame(g: Graph, frame_cycle: list[int], chord: tuple[int, int] | None,
-                 lists: Lists, color_order: ColorOrder) -> Coloring:
-    """Color the frame subgraph (its vertex set induces exactly the cycle
-    plus the optional chord) from lists covering the induced degrees."""
-    s = frozenset(frame_cycle)
-    sub = g.induced_subgraph(s)
-    if chord is None:
-        return _color_even_cycle(frame_cycle, lists, color_order)
-
-    u, w = chord
-    for v in s:
-        if len(lists[v]) > sub.degree(v):
-            return greedy_with_slack(sub, lists, v, color_order)
-    # tight: |L(u)| = |L(w)| = 3, cycle vertices have 2.
-    i = frame_cycle.index(u)
-    a = frame_cycle[(i - 1) % len(frame_cycle)]
-    b = frame_cycle[(i + 1) % len(frame_cycle)]
-    assert not sub.has_edge(a, b), "cycle neighbors of a chord end adjacent"
-    common = lists[a] & lists[b]
-    out: Coloring = {}
-    if common:
-        gamma = pick_color(common, color_order)
-        out[a] = out[b] = gamma
-        rest = sub.delete_vertices([a, b])
-    else:
-        gamma = pick_color((lists[a] | lists[b]) - lists[u], color_order)
-        start = a if gamma in lists[a] else b
-        out[start] = gamma
-        rest = sub.delete_vertex(start)
-    dist = rest.bfs_distances([u])
-    assert len(dist) == rest.n, "frame fell apart — chord case broken"
-    for v in sorted(rest.vertices(), key=lambda v: (-dist[v], v)):
-        avail = lists[v] - {out[x] for x in sub.neighbors(v) if x in out}
-        out[v] = pick_color(avail, color_order)
-    _check_result(sub, lists, out)
-    return out
-
-
-def _color_block_core(g: Graph, lists: Lists,
-                      color_order: ColorOrder) -> Coloring:
-    """Color a 2-connected graph that is neither complete nor an odd cycle,
-    with every list at least as large as the degree.
-
-    Find an even frame, color everything outside it greedily by decreasing
-    distance from the frame (everyone keeps an uncolored neighbor toward the
-    frame), then finish the frame with its dedicated routine on the reduced
-    lists, which still cover the frame-induced degrees.
-    """
-    for v in g.vertices():
-        if len(lists[v]) > g.degree(v):
-            return greedy_with_slack(g, lists, v, color_order)
-    frame_cycle, chord = find_even_frame(g)
-    s = frozenset(frame_cycle)
-    out: Coloring = {}
-    dist = g.bfs_distances(s)
-    for v in sorted((v for v in g.vertices() if v not in s),
-                    key=lambda v: (-dist[v], v)):
-        avail = lists[v] - {out[x] for x in g.neighbors(v) if x in out}
-        out[v] = pick_color(avail, color_order)
-    reduced = {v: lists[v] - {out[x] for x in g.neighbors(v) if x in out}
-               for v in s}
-    for v in s:
-        induced_deg = len(g.neighbors(v) & s)
-        assert len(reduced[v]) >= induced_deg, "frame lists fell short"
-    out.update(_color_frame(g, frame_cycle, chord, reduced, color_order))
-    _check_result(g, lists, out)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# degree_choose: slack / non-Gallai dispatch with leaf-block shedding
-# ---------------------------------------------------------------------------
-
-
-def _shed_to_target(g: Graph, lists: Lists, target: frozenset[int],
-                    finish: Callable[[Graph, Lists], Coloring | None],
-                    color_order: ColorOrder) -> Coloring | None:
-    """Peel leaf blocks other than ``target`` off the block-cut tree.
-
-    Each peeled block B with cut vertex x is colored first on B - x (which
-    has slack next to x since x is still uncolored), then x's list drops by
-    the colors used on its B-neighbors — still covering its remaining degree.
-    When only the target block survives (or slack appears), ``finish`` takes
-    over. Returns None only if ``finish`` does."""
-    cur = g
-    cur_lists = {v: set(lists[v]) for v in g.vertices()}
-    out: Coloring = {}
-    while True:
-        slack = next((v for v in cur.vertices()
-                      if len(cur_lists[v]) > cur.degree(v)), None)
-        if slack is not None:
-            out.update(greedy_with_slack(cur, cur_lists, slack, color_order))
-            return out
-        dec = blocks(cur)
-        if len(dec.blocks) <= 1:
-            fin = finish(cur, cur_lists)
-            if fin is None:
-                return None
-            out.update(fin)
-            return out
-        leaf = next(b for b in dec.blocks
-                    if b != target and len(b & dec.cut_vertices) == 1)
-        (x,) = leaf & dec.cut_vertices
-        inner = leaf - {x}
-        inner_g = cur.induced_subgraph(inner)
-        inner_slack = min(v for v in inner if cur.has_edge(v, x))
-        part = greedy_with_slack(inner_g, {v: cur_lists[v] for v in inner},
-                                 inner_slack, color_order)
-        out.update(part)
-        cur_lists[x] = cur_lists[x] - {part[v] for v in cur.neighbors(x) & inner}
-        cur = cur.delete_vertices(inner)
+    for x, y in b.edges():
+        if lists[x] != lists[y]:
+            if lists[x] <= lists[y]:
+                x, y = y, x
+            pre = {x: pick_color(lists[x] - lists[y], color_order)}
+            return _precolor_then_greedy(b, lists, pre, y, color_order)
+    first = b.vertices()[0]
+    same = lists[first]
+    if len(same) == 2:
+        a = pick_color(same, color_order)
+        pair = (a, pick_color(same - {a}, color_order))
+        dist = b.bfs_distances([first])
+        return {v: pair[dist[v] % 2] for v in b.vertices()}
+    v, x, y = next((v, x, y) for v in b.vertices()
+                   for x, y in combinations(sorted(b.neighbors(v)), 2)
+                   if not b.has_edge(x, y)
+                   and b.delete_vertices((x, y)).is_connected())
+    c = pick_color(same, color_order)
+    return _precolor_then_greedy(b, lists, {x: c, y: c}, v, color_order)
 
 
 def degree_choose(g: Graph, lists: Lists,
                   color_order: ColorOrder = None) -> Coloring | None:
     """Proper list coloring of a connected graph with |L(v)| >= d(v):
-    greedy if any vertex has slack; the constructive block argument if some
-    block is neither complete nor an odd cycle; otherwise refuse (None) —
+    greedy if any vertex has slack; toward the first block that is neither
+    complete nor an odd cycle if there is one; otherwise refuse (None) —
     the Gallai-tree case, where the caller must perturb lists."""
     if not g.is_connected():
         raise ValueError("degree_choose needs a connected graph")
@@ -367,17 +237,11 @@ def degree_choose(g: Graph, lists: Lists,
     if slack is not None:
         return greedy_with_slack(g, lists, slack, color_order)
     dec = blocks(g)
-    root = next((b for b, k in zip(dec.blocks, dec.kinds) if k == "other"), None)
-    if root is None:
+    core = next((b for b, k in zip(dec.blocks, dec.kinds) if k == "other"),
+                None)
+    if core is None:
         return None  # Gallai tree: refuse
-
-    def finish(cur: Graph, cur_lists: Lists) -> Coloring:
-        return _color_block_core(cur, cur_lists, color_order)
-
-    out = _shed_to_target(g, lists, root, finish, color_order)
-    assert out is not None
-    _check_result(g, lists, out)
-    return out
+    return _color_toward_core(g, lists, core, _color_block, color_order)
 
 
 # ---------------------------------------------------------------------------
@@ -385,55 +249,43 @@ def degree_choose(g: Graph, lists: Lists,
 # ---------------------------------------------------------------------------
 
 
-def _finish_gallai_block(cur: Graph, cur_lists: Lists,
+def _finish_gallai_block(b: Graph, lists: Lists,
                          color_order: ColorOrder) -> Coloring | None:
-    """Color a single complete/odd-cycle block with tight lists via the
-    propositions; None when every qualifying ordering is blocked (all lists
-    equal — the perturbation case)."""
-    verts = sorted(cur.vertices())
-    if len(verts) == 1:
-        v = verts[0]
-        if not cur_lists[v]:
-            return None
-        return {v: pick_color(cur_lists[v], color_order)}
-    kind = blocks(cur).kinds[0]
-    if kind == "complete":
-        pair = next(((a, b) for a, b in combinations(verts, 2)
-                     if set(cur_lists[a]) != set(cur_lists[b])), None)
+    """Color a complete or odd-cycle block with tight lists via the
+    propositions; None when all lists are equal (the perturbation case)."""
+    verts = b.vertices()
+    if block_kind(b, frozenset(verts)) == "complete":
+        pair = next(((x, y) for x, y in combinations(verts, 2)
+                     if lists[x] != lists[y]), None)
         if pair is None:
             return None
-        first, last = pair
         middle = [v for v in verts if v not in pair]
-        return color_complete_with_lists([first] + middle + [last],
-                                         cur_lists, color_order)
-    if kind == "odd-cycle":
-        order = _cycle_order_of_sub(cur, frozenset(verts))
-        assert order is not None
-        k = len(order)
-        for i in range(k):
-            a, b = order[i], order[(i + 1) % k]
-            if set(cur_lists[a]) != set(cur_lists[b]):
-                rotated = [order[(i + 1 + j) % k] for j in range(k)]
-                return color_odd_cycle_with_lists(rotated, cur_lists,
-                                                  color_order)
+        return color_complete_with_lists([pair[0], *middle, pair[1]],
+                                         lists, color_order)
+    order = [verts[0]]  # walk the odd cycle from its smallest vertex
+    while len(order) < len(verts):
+        order.append(min(b.neighbors(order[-1]) - set(order[-2:])))
+    k = len(order)
+    i = next((i for i in range(1, k + 1)
+              if lists[order[i - 1]] != lists[order[i % k]]), None)
+    if i is None:
         return None
-    raise AssertionError("non-Gallai block reached the proposition path")
+    return color_odd_cycle_with_lists(order[i:] + order[:i], lists,
+                                      color_order)
 
 
 def _color_component(g: Graph, lists: Lists,
                      color_order: ColorOrder) -> Coloring | None:
-    """One connected dependency-graph component: degree_choose, then the
-    propositions with every block tried as the surviving root."""
+    """One connected dependency-graph component: degree_choose, then each
+    block in turn as the core, finished by the propositions."""
     out = degree_choose(g, lists, color_order)
     if out is not None:
         return out
-    for root in blocks(g).blocks:
-        attempt = _shed_to_target(
-            g, lists, root,
-            lambda cur, cl: _finish_gallai_block(cur, cl, color_order),
-            color_order)
-        if attempt is not None:
-            return attempt
+    for core in blocks(g).blocks:
+        out = _color_toward_core(g, lists, core, _finish_gallai_block,
+                                 color_order)
+        if out is not None:
+            return out
     return None
 
 

@@ -1518,9 +1518,7 @@ def _color_classes(c: Coloring) -> set[frozenset[int]]:
     return {frozenset(s) for s in groups.values()}
 
 
-def certify_lemma(kind: str,
-                  host_generator: Callable[[str, int], Graph | None] | None = None,
-                  budget: int = 20) -> CertificateReport:
+def certify_lemma(kind: str, budget: int = 20) -> CertificateReport:
     """Certify one reduction kind: on ``budget`` generated hosts, enumerate
     every valid coloring of the reduced graph (one per palette-permutation
     class; lifting is permutation-equivariant up to color names, which is
@@ -1528,12 +1526,12 @@ def certify_lemma(kind: str,
     of the host.
 
     ``kind`` is a short label L1..L10 (L1 covers both of its sub-kinds) or
-    a full kind string.  ``host_generator(full_kind, index)`` returns a host
-    graph or None.  Hosts must be planar and must contain the intended
-    pattern (found by a scan restricted to that kind — other reducible
-    patterns may coexist elsewhere in the host); a None, a nonplanar host,
-    or a host without the pattern is reported as an embed failure, never
-    raised.
+    a full kind string.  Hosts come from ``hosts.host_for(full_kind,
+    index)``, which may return None.  Hosts must be planar and must contain
+    the intended pattern (found by a scan restricted to that kind — other
+    reducible patterns may coexist elsewhere in the host); a None, a
+    nonplanar host, or a host without the pattern is reported as an embed
+    failure, never raised.
     """
     short = kind
     if kind in KIND_ORDER:
@@ -1541,8 +1539,7 @@ def certify_lemma(kind: str,
     if short not in SHORT_KINDS:
         raise ValueError(f"unknown kind {kind!r}")
     targets = SHORT_KINDS[short]
-    if host_generator is None:
-        from .hosts import host_for as host_generator
+    from .hosts import host_for  # hosts imports this module
     report = CertificateReport(kind=short, hosts_requested=budget)
     rng = random.Random(0xC0 + sum(map(ord, short)))
     per_kind_index = {t: 0 for t in targets}
@@ -1550,7 +1547,7 @@ def certify_lemma(kind: str,
         want = targets[i % len(targets)]
         idx = per_kind_index[want]
         per_kind_index[want] += 1
-        g = host_generator(want, idx)
+        g = host_for(want, idx)
         if g is None:
             report.embed_failures.append(
                 f"{want}#{idx}: generator produced no host")

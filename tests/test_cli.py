@@ -67,6 +67,20 @@ class TestGen:
         res = invoke(runner, "gen", "--name", "mystery")
         assert res.exit_code == 1
 
+    @pytest.mark.parametrize("density", ["nan", "3", "-1"])
+    def test_density_outside_unit_interval_is_usage_error(self, runner,
+                                                          density):
+        res = invoke(runner, "gen", "--random", "--density", density)
+        assert res.exit_code == 1
+        assert "Usage:" in res.stderr
+        assert "Invalid value for '--density'" in res.stderr
+        assert res.stdout == ""
+
+    def test_nonpositive_n_is_usage_error(self, runner):
+        res = invoke(runner, "gen", "--random", "--n", "0")
+        assert res.exit_code == 1
+        assert "Invalid value for '--n'" in res.stderr
+
 
 @pytest.fixture()
 def cube_file(runner, tmp_path):

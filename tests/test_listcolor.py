@@ -1,19 +1,20 @@
 """Constructive list coloring: greedy slack, complete graphs, odd cycles,
-frames, and the degree-choosability machinery."""
+and the degree-choosability machinery."""
 
 import itertools
 import random
+import time
 
 import pytest
 
 import oracles
 from wdcolor.exact import list_color_exact
-from wdcolor.graphs import Graph
+from wdcolor.graphs import Graph, blocks
 from wdcolor.listcolor import (DependencyColoringError,
                                color_complete_with_lists,
                                color_dependency_graph,
                                color_odd_cycle_with_lists, degree_choose,
-                               find_even_frame, greedy_with_slack, pick_color)
+                               greedy_with_slack, pick_color)
 
 
 def subsets(universe, size):
@@ -97,43 +98,6 @@ def test_odd_cycle_rejects_even_or_equal_end_lists():
     with pytest.raises(ValueError):
         color_odd_cycle_with_lists([0, 1, 2],
                                    {v: frozenset({1, 2}) for v in range(3)})
-
-
-def test_find_even_frame_structure():
-    rng = random.Random(4)
-    found = 0
-    for _ in range(60):
-        g = oracles.random_connected_graph(rng.randint(4, 8), rng, p=0.55)
-        dec_blocks = [g.induced_subgraph(c)
-                      for c in g.connected_components()]
-        sub = dec_blocks[0]
-        # need 2-connected, not complete, not an odd cycle
-        if any(sub.degree(v) < 2 for v in sub.vertices()):
-            continue
-        if sub.m == sub.n * (sub.n - 1) // 2:
-            continue
-        if sub.m == sub.n and sub.n % 2 == 1 \
-                and all(sub.degree(v) == 2 for v in sub.vertices()):
-            continue
-        try:
-            cycle, chord = find_even_frame(sub)
-        except ValueError:
-            continue  # not 2-connected after all
-        found += 1
-        k = len(cycle)
-        assert k % 2 == 0 and k >= 4
-        assert len(set(cycle)) == k
-        for i in range(k):
-            assert sub.has_edge(cycle[i], cycle[(i + 1) % k])
-        induced = sub.induced_subgraph(cycle)
-        if chord is None:
-            assert induced.m == k
-        else:
-            u, v = chord
-            assert sub.has_edge(u, v)
-            assert u in cycle and v in cycle
-            assert induced.m == k + 1
-    assert found >= 10
 
 
 def test_degree_choose_output_or_principled_refusal():
@@ -223,3 +187,89 @@ def test_color_dependency_graph_components_and_hooks():
                                perturbation_hook=lambda comp: None)
     with pytest.raises(ValueError):
         color_dependency_graph(c5, {v: [1] for v in range(5)})
+
+
+def _cycle(k, offset=0):
+    return [(offset + i, offset + (i + 1) % k) for i in range(k)]
+
+
+@pytest.mark.parametrize("g,size", [
+    (Graph.from_edges(_cycle(24)), 2),
+    (Graph.from_edges(_cycle(100)), 2),
+    (Graph.from_edges(_cycle(12) + _cycle(12, 12)
+                      + [(i, 12 + i) for i in range(12)]), 3),
+    (Graph.from_edges(_cycle(50) + _cycle(50, 50)
+                      + [(i, 50 + i) for i in range(50)]), 3),
+], ids=["C24", "C100", "C12xK2", "C50xK2"])
+def test_large_tight_blocks_with_equal_lists_color_fast(g, size):
+    # a regular block with one list everywhere leaves no slack and no pair
+    # of differing lists, so only the equal-lists step can color it
+    lists = {v: set(range(1, size + 1)) for v in g.vertices()}
+    for solve in (degree_choose, color_dependency_graph):
+        start = time.perf_counter()
+        c = solve(g, lists)
+        assert time.perf_counter() - start < 1.0
+        check_in_lists(g, lists, c)
+
+
+@pytest.mark.parametrize("edges", [
+    # triangular prism: vertex 0's first neighbor pair is adjacent
+    _cycle(3) + _cycle(3, 3) + [(0, 3), (1, 4), (2, 5)],
+    # two K4 - e joined at their ends: removing 1 and 2, vertex 0's first
+    # non-adjacent neighbor pair, cuts the graph in two
+    [(0, 1), (0, 2), (0, 3), (1, 3), (2, 3), (4, 6), (4, 7), (5, 6),
+     (5, 7), (6, 7), (1, 4), (2, 5)],
+], ids=["C3xK2", "two-K4-e"])
+def test_equal_lists_share_a_color_on_a_pair_that_keeps_the_block_whole(
+        edges):
+    g = Graph.from_edges(edges)
+    lists = {v: {1, 2, 3} for v in g.vertices()}
+    check_in_lists(g, lists, degree_choose(g, lists))
+
+
+def _gallai_tree(n, rng):
+    """A connected graph on n vertices whose blocks are all complete graphs
+    or odd cycles, glued at random cut vertices."""
+    edges, size = [], 1
+    while size < n:
+        at = rng.randrange(size)
+        k = rng.choice((2, 3, 4, 5))
+        if size + k - 1 > n:
+            k = n - size + 1
+        ring = [at] + list(range(size, size + k - 1))
+        if k == 5 and rng.random() < 0.5:
+            edges += [(ring[i], ring[(i + 1) % 5]) for i in range(5)]
+        else:
+            edges += list(itertools.combinations(ring, 2))
+        size += k - 1
+    return Graph.from_edges(edges)
+
+
+def test_tight_lists_color_whenever_colorable():
+    # |L(v)| = d(v) from a small palette: equal lists are common, so the
+    # Gallai-tree inputs exercise each block as the core with the
+    # propositions, and the others the non-Gallai block step
+    rng = random.Random(13)
+    non_gallai = gallai_colored = refused = 0
+    for trial in range(6000):
+        n = rng.randint(3, 10)
+        g = (_gallai_tree(n, rng) if trial % 2
+             else oracles.random_connected_graph(n, rng, p=0.4))
+        palette = range(1, max(g.degree(v) for v in g.vertices()) + 2)
+        lists = {v: set(rng.sample(palette, g.degree(v)))
+                 for v in g.vertices()}
+        if any(k == "other" for k in blocks(g).kinds):
+            non_gallai += 1
+            check_in_lists(g, lists, degree_choose(g, lists))
+            continue
+        assert degree_choose(g, lists) is None
+        try:
+            c = color_dependency_graph(g, lists)
+        except DependencyColoringError:
+            refused += 1
+            assert list_color_exact(g, lists) is None, (sorted(g.edges()),
+                                                        lists)
+            continue
+        gallai_colored += 1
+        check_in_lists(g, lists, c)
+    assert non_gallai >= 1500 and gallai_colored >= 3000 and refused >= 100

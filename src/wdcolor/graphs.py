@@ -11,7 +11,6 @@ reused within the lifetime of a graph family derived from one root graph.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from itertools import combinations
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
@@ -114,16 +113,6 @@ class Graph(_Adjacency):
         if self._sorted is None:
             self._sorted = tuple(sorted(self._adj))
         return self._sorted
-
-    def to_networkx(self):
-        """A fresh ``networkx.Graph`` with these vertices and edges, each
-        added in ascending order."""
-        import networkx as nx
-
-        G = nx.Graph()
-        G.add_nodes_from(self.vertices())
-        G.add_edges_from(self.edges())
-        return G
 
     # -- derived graphs --------------------------------------------------
 
@@ -363,16 +352,9 @@ class EditableGraph(_Adjacency):
         return fresh
 
 
-@dataclass(frozen=True)
-class BlockDecomposition:
-    """Blocks (maximal 2-connected subgraphs / cut edges) and a structural
-    kind tag per block: 'complete' | 'odd-cycle' | 'other'."""
-
-    blocks: tuple[frozenset[int], ...]
-    kinds: tuple[str, ...]
-
-
 def block_kind(g: Graph, block: frozenset[int]) -> str:
+    """The structural kind of a block: 'complete', 'odd-cycle' or
+    'other'."""
     verts = sorted(block)
     if all(g.has_edge(a, b) for a, b in combinations(verts, 2)):
         return "complete"
@@ -381,16 +363,16 @@ def block_kind(g: Graph, block: frozenset[int]) -> str:
     return "other"
 
 
-def blocks(g: Graph) -> BlockDecomposition:
-    """Blocks (biconnected components), sorted, each with its kind.
+def blocks(g: Graph) -> tuple[frozenset[int], ...]:
+    """Blocks (biconnected components: maximal 2-connected subgraphs and
+    cut edges), sorted by their sorted vertex lists.
 
-    Isolated vertices belong to no block; the blocks partition the edge set.
+    Isolated vertices belong to no block; the blocks partition the edge
+    set.  The one use of networkx in the package: its biconnected split,
+    on a graph built from the edges.
     """
     import networkx as nx
 
-    G = g.to_networkx()
-    comps = [frozenset(c) for c in nx.biconnected_components(G)]
-    comps.sort(key=lambda c: sorted(c))
-    kinds = tuple(block_kind(g, c) for c in comps)
-    return BlockDecomposition(tuple(comps), kinds)
-
+    return tuple(sorted(map(frozenset,
+                            nx.biconnected_components(nx.Graph(g.edges()))),
+                        key=sorted))

@@ -10,9 +10,10 @@ Two graph formats are supported and sniffed automatically:
 
 Colorings are JSON ``{"colors": {"<vid>": <int>, ...}}`` and list
 assignments are JSON ``{"lists": {"<vid>": [<int>, ...], ...}}``; their
-vertex ids must match the ids of the graph file they accompany.  All
-parse errors raise :class:`FormatError`, which carries a 1-based line
-number for text input.
+vertex ids must match the ids of the graph file they accompany, and
+their colors are positive.  JSON ``true`` and ``false`` are not integers
+here.  All parse errors raise :class:`FormatError`, which carries a
+1-based line number for text input.
 """
 
 from __future__ import annotations
@@ -34,6 +35,11 @@ class FormatError(ValueError):
         super().__init__(message)
 
 
+def _is_int(x: object) -> bool:
+    """An integer, but not a bool (which Python counts as one)."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _parse_graph_json(text: str) -> Graph:
     try:
         data = json.loads(text)
@@ -42,12 +48,12 @@ def _parse_graph_json(text: str) -> Graph:
     if not isinstance(data, dict) or "edges" not in data:
         raise FormatError('graph JSON needs an "edges" array')
     n = data.get("n")
-    if not isinstance(n, int) or n < 0:
+    if not _is_int(n) or n < 0:
         raise FormatError('"n" must be a nonnegative integer')
     edges: list[tuple[int, int]] = []
     for i, pair in enumerate(data["edges"]):
         if (not isinstance(pair, (list, tuple)) or len(pair) != 2
-                or not all(isinstance(x, int) for x in pair)):
+                or not all(map(_is_int, pair))):
             raise FormatError(f"edge #{i} is not a pair of integers")
         u, v = pair
         if u == v:
@@ -161,8 +167,10 @@ def parse_coloring(text: str) -> Coloring:
         raise FormatError('coloring JSON needs a "colors" object')
     out: Coloring = {}
     for vid, color in _int_keyed(data["colors"], "color").items():
-        if not isinstance(color, int):
+        if not _is_int(color):
             raise FormatError(f"color of vertex {vid} is not an integer")
+        if color < 1:
+            raise FormatError(f"color of vertex {vid} is below 1")
         out[vid] = color
     return out
 
@@ -186,9 +194,10 @@ def parse_lists(text: str) -> dict[int, list[int]]:
         raise FormatError('list-assignment JSON needs a "lists" object')
     out: dict[int, list[int]] = {}
     for vid, colors in _int_keyed(data["lists"], "list").items():
-        if (not isinstance(colors, list)
-                or not all(isinstance(x, int) for x in colors)):
+        if not isinstance(colors, list) or not all(map(_is_int, colors)):
             raise FormatError(f"list of vertex {vid} is not an integer array")
+        if any(x < 1 for x in colors):
+            raise FormatError(f"list of vertex {vid} has a color below 1")
         out[vid] = list(colors)
     return out
 

@@ -236,9 +236,7 @@ def degree_choose(g: Graph, lists: Lists,
                   if len(lists[v]) > g.degree(v)), None)
     if slack is not None:
         return greedy_with_slack(g, lists, slack, color_order)
-    dec = blocks(g)
-    core = next((b for b, k in zip(dec.blocks, dec.kinds) if k == "other"),
-                None)
+    core = next((b for b in blocks(g) if block_kind(g, b) == "other"), None)
     if core is None:
         return None  # Gallai tree: refuse
     return _color_toward_core(g, lists, core, _color_block, color_order)
@@ -281,7 +279,7 @@ def _color_component(g: Graph, lists: Lists,
     out = degree_choose(g, lists, color_order)
     if out is not None:
         return out
-    for core in blocks(g).blocks:
+    for core in blocks(g):
         out = _color_toward_core(g, lists, core, _finish_gallai_block,
                                  color_order)
         if out is not None:

@@ -234,27 +234,22 @@ def build_H(g: Graph, gprime: Graph, cls: VertexClassification,
     result equals: the anchor-induced subgraph of ``g`` plus, for every
     non-anchor ``v``, a clique on ``N_g(v)`` restricted to anchors.
 
-    ``rotation`` is a planar rotation system of ``g``.  H is certified
-    planar without a planarity test of its own: the same dissolution,
-    carried out on ``rotation`` (:func:`_dissolved_rotation`), gives a
-    rotation of H that must pass the Euler check (``validate_rotation``),
-    in time linear in ``g``.  Also asserted on every call: coverage of
-    every ``gprime`` edge that joins an ``A4`` vertex to another anchor.
-    Either failing raises :class:`InvariantBreachError`.
+    ``rotation`` is a planar rotation system of ``g``.  The dissolution is
+    carried out on it (:func:`_dissolved_rotation`), and H is built once,
+    from the entries of that rotation taken as edges.  H is certified
+    planar without a planarity test of its own: the rotation must pass the
+    Euler check (``validate_rotation``), in time linear in ``g``, which
+    also fails an entry missing at one end or repeated.  Also asserted on
+    every call: coverage of every ``gprime`` edge that joins an ``A4``
+    vertex to another anchor.  Either failing raises
+    :class:`InvariantBreachError`.
     """
     kept = cls.A4 | cls.A3star
-    edges: set[tuple[int, int]] = set()
-    for x, y in g.edges():
-        if x in kept and y in kept:
-            edges.add((min(x, y), max(x, y)))
-    for v in g.vertices():
-        if v in kept:
-            continue
-        anchor_nbrs = sorted(g.neighbors(v) & kept)
-        for x, y in itertools.combinations(anchor_nbrs, 2):
-            edges.add((x, y))
-    h = Graph.from_edges(sorted(edges), vertices=sorted(kept))
-    if not validate_rotation(h, _dissolved_rotation(rotation, kept)):
+    rotation_h = _dissolved_rotation(rotation, kept)
+    h = Graph.from_edges(sorted({(min(a, b), max(a, b))
+                                 for a, ring in rotation_h.items()
+                                 for b in ring}), vertices=sorted(kept))
+    if not validate_rotation(h, rotation_h):
         raise InvariantBreachError(
             "the rotation derived for the anchor graph fails the Euler"
             f" check; offending input edges: {sorted(g.edges())}")

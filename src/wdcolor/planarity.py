@@ -11,9 +11,9 @@ stays nonplanar, a vertex pass and an edge pass of LR tests isolate a
 Kuratowski subdivision in the small residual, and its branch sets expand
 back to the input.  The LR tests run on shrinking graphs, about 140 of them
 on a 1000-vertex triangulation plus one edge, instead of one per vertex and
-edge of the input, and each stops at its verdict.  networkx serves only the
-minor search's graph bookkeeping and its biconnected split, as it does
-:func:`wdcolor.graphs.blocks`; no networkx planarity test runs.
+edge of the input, and each stops at its verdict.  The search contracts
+and edits the package's own graphs; its blocks come from
+:func:`wdcolor.graphs.blocks`.
 """
 
 from __future__ import annotations
@@ -21,9 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-import networkx as nx
-
-from .graphs import Graph
+from .graphs import EditableGraph, Graph, blocks
 from .lr import lr_planarity
 
 @dataclass(frozen=True)
@@ -110,51 +108,46 @@ def validate_minor_model(g: Graph, kind: str,
     return False
 
 
-def _nx_planar(G: nx.Graph) -> bool:
-    """The LR verdict on a networkx graph, read off its adjacency."""
-    return lr_planarity(G.adj, embed=False) is not None
-
-
 #: Contraction stops once the graph has at most this many vertices; the
 #: vertex and edge passes then run on graphs of this size.
 _RESIDUAL = 12
 
 
-def _contracted(G: nx.Graph, pairs: list[tuple[int, int]]) -> nx.Graph:
-    """``G`` with each pair ``(a, b)`` of a matching merged into ``a``."""
+def _contracted(g: Graph, pairs: list[tuple[int, int]]) -> Graph:
+    """``g`` with each pair ``(a, b)`` of a matching merged into ``a``."""
     rep = {b: a for a, b in pairs}
-    H = nx.Graph()
-    H.add_nodes_from(v for v in G if v not in rep)
-    H.add_edges_from((rep.get(u, u), rep.get(v, v)) for u, v in G.edges()
-                     if rep.get(u, u) != rep.get(v, v))
-    return H
+    adj: dict[int, set[int]] = {}
+    for v, nbrs in g.adjacency().items():
+        adj.setdefault(rep.get(v, v), set()).update(rep.get(u, u)
+                                                    for u in nbrs)
+    return Graph({v: frozenset(nbrs - {v}) for v, nbrs in adj.items()})
 
 
-def _contract_nonplanar(G: nx.Graph, merged: dict[int, list[int]],
+def _contract_nonplanar(g: Graph, merged: dict[int, list[int]],
                         pairs: list[tuple[int, int]],
-                        failed: set[tuple[int, int]]) -> nx.Graph:
-    """Contract the pairs of a matching that keep ``G`` nonplanar, all at
+                        failed: set[tuple[int, int]]) -> Graph:
+    """Contract the pairs of a matching that keep ``g`` nonplanar, all at
     once where that works.  Otherwise a binary search finds the longest
     prefix that keeps it nonplanar (a contraction is a minor, so every
     longer prefix makes it planar): the prefix is contracted, the next
     pair fails alone on the result and joins ``failed``, and the rest of
     the matching is tried again.  ``merged`` follows every merge."""
     while pairs:
-        # G/pairs[:lo] is ``keep``, nonplanar; G/pairs[:hi] is planar
-        lo, hi, keep = 0, len(pairs) + 1, G
+        # g/pairs[:lo] is ``keep``, nonplanar; g/pairs[:hi] is planar
+        lo, hi, keep = 0, len(pairs) + 1, g
         mid = len(pairs)
         while hi - lo > 1:
-            H = _contracted(G, pairs[:mid])
-            if _nx_planar(H):
+            h = _contracted(g, pairs[:mid])
+            if lr_planarity(h.adjacency(), embed=False) is not None:
                 hi = mid
             else:
-                lo, keep = mid, H
+                lo, keep = mid, h
             mid = (lo + hi) // 2
         for a, b in pairs[:lo]:
             merged[a] += merged.pop(b)
         failed.update(pairs[lo:hi])
-        G, pairs = keep, pairs[hi:]
-    return G
+        g, pairs = keep, pairs[hi:]
+    return g
 
 
 def _kuratowski_model(g: Graph) -> tuple[str, tuple[frozenset[int], ...]]:
@@ -178,7 +171,9 @@ def _kuratowski_model(g: Graph) -> tuple[str, tuple[frozenset[int], ...]]:
 
     On the residual, of at most ``_RESIDUAL`` vertices unless no pair
     could be contracted, one ascending pass drops every vertex, then one
-    pass every edge, whose removal leaves the graph nonplanar.
+    pass every edge, whose removal leaves the graph nonplanar: each is
+    deleted from an ``EditableGraph``, and restored by ``undo`` if the
+    graph turned planar.
     Nonplanarity carries over to supergraphs, so whatever a pass keeps
     could not be dropped later either: the rest, less its isolated
     vertices, is minimally nonplanar, hence a subdivision of K5 or K33
@@ -187,45 +182,48 @@ def _kuratowski_model(g: Graph) -> tuple[str, tuple[frozenset[int], ...]]:
     residual vertex is replaced by the input vertices merged into it.  The
     result depends only on the vertex and edge sets.
     """
-    G = g.to_networkx()
-    blocks = sorted(sorted(c) for c in nx.biconnected_components(G)
-                    if len(c) >= 5)
+    big = [b for b in blocks(g) if len(b) >= 5]
     # some block is nonplanar, so the last one needs no test
-    G = G.subgraph(next((c for c in blocks[:-1]
-                         if not _nx_planar(G.subgraph(c))),
-                        blocks[-1])).copy()
-    merged = {v: [v] for v in G}
+    g = g.induced_subgraph(next(
+        (b for b in big[:-1] if lr_planarity(
+            g.induced_subgraph(b).adjacency(), embed=False) is None),
+        big[-1]))
+    merged = {v: [v] for v in g.vertices()}
     failed: set[tuple[int, int]] = set()
-    while len(G) > _RESIDUAL:
-        free, pairs = set(G), []
-        for v in sorted(G):
+    while g.n > _RESIDUAL:
+        adj = g.adjacency()
+        free, pairs = set(adj), []
+        for v in g.vertices():
             if v in free:
-                u = min((u for u in G[v] if u > v and u in free
+                u = min((u for u in adj[v] if u > v and u in free
                          and (v, u) not in failed), default=None)
                 if u is not None:
                     free.remove(u)
                     pairs.append((v, u))
         if not pairs:
             break
-        G = _contract_nonplanar(G, merged, pairs, failed)
-    for v in sorted(G):
-        nbrs = list(G[v])
-        G.remove_node(v)
-        if _nx_planar(G):
-            G.add_edges_from((v, u) for u in nbrs)
-    for u, v in sorted((min(e), max(e)) for e in G.edges()):
-        G.remove_edge(u, v)
-        if _nx_planar(G):
-            G.add_edge(u, v)
-    branch = sorted(v for v in G if len(G[v]) >= 3)
+        g = _contract_nonplanar(g, merged, pairs, failed)
+    e = EditableGraph(g)
+    adj = e.adjacency()
+    for v in g.vertices():
+        e.checkpoint()
+        e.delete_vertices([v])
+        if lr_planarity(adj, embed=False) is not None:
+            e.undo()
+    for u, v in list(e.edges()):
+        e.checkpoint()
+        e.delete_edge(u, v)
+        if lr_planarity(adj, embed=False) is not None:
+            e.undo()
+    branch = sorted(v for v in adj if len(adj[v]) >= 3)
     sets = {b: {b} for b in branch}
     right: list[int] = []  # the path ends of branch[0]: K33's other side
     for b in branch:
-        for x in G[b]:
+        for x in adj[b]:
             prev, inner = b, []
             while x not in sets:
                 inner.append(x)
-                prev, x = x, next(y for y in G[x] if y != prev)
+                prev, x = x, next(y for y in adj[x] if y != prev)
             if b == branch[0]:
                 right.append(x)
             if b < x:

@@ -187,15 +187,15 @@ class LiftColoring(dict):
     """The coloring that lifts write in place.
 
     A dict that records every key written since ``begin``.  It also keeps
-    the smallest vertex of each color, which gives the first-use color
-    order of a lift with no sort of the whole coloring: a write can only
-    lower the smallest vertex of its color, and one sorted pass is needed
-    again only after a color's smallest vertex was recolored or deleted.
+    a lazy min-heap of vertices per color, which gives the first-use color
+    order of a lift with no sort of the whole coloring: every write pushes
+    its vertex onto its color's heap, and ``color_order`` pops the entries
+    whose vertex no longer has that color, recolored or deleted since.
     Deleting a key is not recorded as a write: a lift's check counts the
     colored vertices instead.
     """
 
-    __slots__ = ("written", "_firsts")
+    __slots__ = ("written", "_heaps")
 
     def __init__(self, coloring: Coloring, vertices) -> None:
         """A copy of ``coloring``, which must color exactly ``vertices``
@@ -207,7 +207,9 @@ class LiftColoring(dict):
             raise LiftError("coloring uses a color outside the palette")
         super().__init__(coloring)
         self.written: set[int] = set()
-        self._firsts: dict[int, int] | None = None
+        self._heaps: dict[int, list[int]] = {}
+        for v in sorted(coloring):  # a sorted list is a heap
+            self._heaps.setdefault(coloring[v], []).append(v)
 
     def begin(self) -> None:
         """Forget the keys written so far."""
@@ -216,12 +218,11 @@ class LiftColoring(dict):
     def __setitem__(self, v: int, col: int) -> None:
         dict.__setitem__(self, v, col)
         self.written.add(v)
-        firsts = self._firsts
-        if firsts is not None and v < firsts.get(col, v + 1):
-            firsts[col] = v
+        heapq.heappush(self._heaps.setdefault(col, []), v)
 
     # every way of writing goes through __setitem__, so no write escapes
-    # ``written``, which the lift's check relies on
+    # ``written`` or the heaps, which the lift's check and the color
+    # order rely on
 
     def update(self, *args, **kwargs) -> None:
         for v, col in dict(*args, **kwargs).items():
@@ -240,17 +241,14 @@ class LiftColoring(dict):
         """First-use order of colors over ascending vertex ids, then the
         rest of the palette numerically.  Permutation-equivariant by
         construction."""
-        firsts = self._firsts
-        if firsts is None or any(self.get(v) != col
-                                 for col, v in firsts.items()):
-            firsts = self._firsts = {}
-            used = len(set(self.values()))
-            for v in sorted(self):
-                firsts.setdefault(self[v], v)
-                if len(firsts) == used:
-                    break
-        order = sorted(firsts, key=firsts.__getitem__)
-        return tuple(order + [c for c in PALETTE if c not in firsts])
+        firsts = []
+        for col, heap in self._heaps.items():
+            while heap and self.get(heap[0]) != col:
+                heapq.heappop(heap)
+            if heap:
+                firsts.append((heap[0], col))
+        order = [col for _, col in sorted(firsts)]
+        return tuple(order + [c for c in PALETTE if c not in order])
 
 
 def _satisfy_through(g: Graph, coloring: Coloring, target: int,

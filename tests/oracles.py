@@ -672,3 +672,118 @@ def validate_configuration_by_cases(g, conf) -> bool:
         return False
     except (KeyError, ValueError):
         return False
+
+
+# ---------------------------------------------------------------------------
+# planarity certificates, on networkx graphs
+# ---------------------------------------------------------------------------
+
+
+def to_networkx(g: Graph):
+    """A fresh ``networkx.Graph`` with the vertices and edges of ``g``,
+    each added in ascending order."""
+    import networkx as nx
+    G = nx.Graph()
+    G.add_nodes_from(g.vertices())
+    G.add_edges_from(g.edges())
+    return G
+
+
+def _nx_planar(G) -> bool:
+    """The verdict of the package's LR test on a networkx adjacency (that
+    test is checked against networkx's own in ``test_lr``)."""
+    from wdcolor.lr import lr_planarity
+    return lr_planarity(G.adj, embed=False) is not None
+
+
+def _nx_contracted(G, pairs):
+    import networkx as nx
+    rep = {b: a for a, b in pairs}
+    H = nx.Graph()
+    H.add_nodes_from(v for v in G if v not in rep)
+    H.add_edges_from((rep.get(u, u), rep.get(v, v)) for u, v in G.edges()
+                     if rep.get(u, u) != rep.get(v, v))
+    return H
+
+
+def kuratowski_model_nx(g: Graph) -> tuple[str, tuple[frozenset[int], ...]]:
+    """The minor search of ``wdcolor.planarity`` as first written: on
+    networkx copies, one rebuilt per contraction, with networkx's
+    biconnected split and edits.  Same contraction rounds, passes and
+    branch-set reading, so it must give the same model."""
+    import networkx as nx
+    G = to_networkx(g)
+    blocks = sorted(sorted(c) for c in nx.biconnected_components(G)
+                    if len(c) >= 5)
+    G = G.subgraph(next((c for c in blocks[:-1]
+                         if not _nx_planar(G.subgraph(c))),
+                        blocks[-1])).copy()
+    merged = {v: [v] for v in G}
+    failed: set[tuple[int, int]] = set()
+    while len(G) > 12:
+        free, pairs = set(G), []
+        for v in sorted(G):
+            if v in free:
+                u = min((u for u in G[v] if u > v and u in free
+                         and (v, u) not in failed), default=None)
+                if u is not None:
+                    free.remove(u)
+                    pairs.append((v, u))
+        if not pairs:
+            break
+        while pairs:
+            lo, hi, keep = 0, len(pairs) + 1, G
+            mid = len(pairs)
+            while hi - lo > 1:
+                H = _nx_contracted(G, pairs[:mid])
+                if _nx_planar(H):
+                    hi = mid
+                else:
+                    lo, keep = mid, H
+                mid = (lo + hi) // 2
+            for a, b in pairs[:lo]:
+                merged[a] += merged.pop(b)
+            failed.update(pairs[lo:hi])
+            G, pairs = keep, pairs[hi:]
+    for v in sorted(G):
+        nbrs = list(G[v])
+        G.remove_node(v)
+        if _nx_planar(G):
+            G.add_edges_from((v, u) for u in nbrs)
+    for u, v in sorted((min(e), max(e)) for e in G.edges()):
+        G.remove_edge(u, v)
+        if _nx_planar(G):
+            G.add_edge(u, v)
+    branch = sorted(v for v in G if len(G[v]) >= 3)
+    sets = {b: {b} for b in branch}
+    right: list[int] = []
+    for b in branch:
+        for x in G[b]:
+            prev, inner = b, []
+            while x not in sets:
+                inner.append(x)
+                prev, x = x, next(y for y in G[x] if y != prev)
+            if b == branch[0]:
+                right.append(x)
+            if b < x:
+                sets[b].update(inner)
+
+    def expand(b: int) -> frozenset[int]:
+        return frozenset(x for r in sets[b] for x in merged[r])
+
+    if len(branch) == 5:
+        return "K5", tuple(map(expand, branch))
+    right.sort()
+    left = [b for b in branch if b not in right]
+    return "K33", tuple(map(expand, left + right))
+
+
+def anchor_graph_from_edges(g: Graph, kept) -> Graph:
+    """The anchor graph from ``g``'s edges: every edge between anchors
+    (``kept``), plus a clique on each non-anchor's anchor neighbors."""
+    edges = {(x, y) for x, y in g.edges() if x in kept and y in kept}
+    for v in g.vertices():
+        if v not in kept:
+            edges.update(itertools.combinations(
+                sorted(g.neighbors(v) & kept), 2))
+    return Graph.from_edges(sorted(edges), vertices=sorted(kept))

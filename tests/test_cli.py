@@ -162,6 +162,16 @@ class TestColorAndVerify:
         assert payload["proper"] is True
         assert payload["weak_dynamic"] is True
 
+    def test_verify_color_below_one_is_usage_error(self, runner, c5_file,
+                                                   tmp_path):
+        zero = tmp_path / "zero.json"
+        zero.write_text('{"colors": {"0": 0, "1": 1, "2": 2, "3": 1,'
+                        ' "4": 2}}')
+        res = invoke(runner, "verify", str(c5_file), str(zero))
+        assert res.exit_code == 1
+        assert "below 1" in res.stderr
+        assert res.stdout == ""
+
     def test_verify_incomplete_coloring_is_usage_error(self, runner,
                                                        c5_file, tmp_path):
         partial = tmp_path / "partial.json"

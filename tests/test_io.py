@@ -123,6 +123,9 @@ class TestJsonGraph:
         ('{"n": 2, "edges": [[0, "x"]]}', "edge #0"),
         ('{"n": 2, "edges": [[1, 1]]}', "self-loop"),
         ('{"n": 2, "edges": [[0, 2]]}', "out of range"),
+        ('{"n": true, "edges": []}', '"n" must be'),
+        ('{"n": 3, "edges": [[true, 2]]}', "edge #0"),
+        ('{"n": 3, "edges": [[0, false]]}', "edge #0"),
     ])
     def test_malformed_json_graphs(self, text, fragment):
         with pytest.raises(FormatError, match=fragment):
@@ -148,6 +151,9 @@ class TestColoring:
         ('{"colors": [1, 2]}', '"colors" object'),
         ('{"colors": {"x": 1}}', "not an integer"),
         ('{"colors": {"0": "red"}}', "not an integer"),
+        ('{"colors": {"0": true}}', "not an integer"),
+        ('{"colors": {"0": 0}}', "below 1"),
+        ('{"colors": {"0": -3}}', "below 1"),
     ])
     def test_malformed_colorings(self, text, fragment):
         with pytest.raises(FormatError, match=fragment):
@@ -165,6 +171,8 @@ class TestLists:
         ('{"lists": {"a": [1]}}', "not an integer"),
         ('{"lists": {"0": 1}}', "integer array"),
         ('{"lists": {"0": [1, "x"]}}', "integer array"),
+        ('{"lists": {"0": [1, true]}}', "integer array"),
+        ('{"lists": {"0": [0, 1]}}', "below 1"),
     ])
     def test_malformed_lists(self, text, fragment):
         with pytest.raises(FormatError, match=fragment):

@@ -9,6 +9,7 @@ import time
 import networkx as nx
 import pytest
 
+import oracles
 from wdcolor.generators import named, random_planar, triangulation
 from wdcolor.graphs import Graph
 from wdcolor.lr import lr_planarity
@@ -17,7 +18,7 @@ from wdcolor.planarity import is_planar, validate_rotation
 
 def nx_rotation(g: Graph):
     """networkx's rotation of ``g``, built in ascending order, or None."""
-    ok, emb = nx.check_planarity(g.to_networkx())
+    ok, emb = nx.check_planarity(oracles.to_networkx(g))
     if not ok:
         return None
     data = emb.get_data()

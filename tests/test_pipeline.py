@@ -18,7 +18,8 @@ import time
 import networkx as nx
 import pytest
 
-from hubs import bipyramid, radial, wheel
+import oracles
+from hubs import HUB_FAMILIES, bipyramid, radial, wheel
 from oracles import connected_atlas, proper_partitions
 from wdcolor.exact import wd_number_exact
 from wdcolor.generators import named, random_planar, triangulation
@@ -35,9 +36,11 @@ from wdcolor.pipeline import (
     four_color_H,
     wd3_color_planar,
 )
-from wdcolor.reductions import LiftError, reduce_fully, reduce_in_place
+from wdcolor.reductions import (LiftError, detect_configuration, reduce_fully,
+                                reduce_in_place)
 from wdcolor.verify import is_proper, is_weak_dynamic, palette_size
 
+import wdcolor.hosts as hosts_module
 import wdcolor.pipeline as pipeline_module
 
 
@@ -249,6 +252,50 @@ class TestBuildH:
             assert is_planar(h).is_planar
         assert succeeded >= 4
 
+    def test_equals_the_anchor_graph_built_from_the_edges(self):
+        graphs = [reduce_fully(random_planar(n, density, seed))[0]
+                  for n, density, seed in ((40, 1.0, 1), (80, 0.9, 2),
+                                           (150, 0.8, 3), (300, 1.0, 4))]
+        graphs += [radial(family(d)) for family in HUB_FAMILIES.values()
+                   for d in (4, 7, 12)]
+        # every graph that reducing a certification host passes through;
+        # a graph that still reduces may trip the coverage check instead
+        for kind, bases in hosts_module._BASES.items():
+            for i in range(len(bases)):
+                core, stack = reduce_fully(hosts_module.host_for(kind, i))
+                graphs += [before for before, _ in stack] + [core]
+        compared = 0
+        for g in graphs:
+            cls = classify(g)
+            try:
+                h = build_H(g, build_Gprime(g, cls), cls,
+                            is_planar(g).rotation)
+            except InvariantBreachError as e:
+                assert "witness-clique" in str(e)
+                assert detect_configuration(g) is not None
+                continue
+            compared += 1
+            assert h == oracles.anchor_graph_from_edges(g,
+                                                        cls.A4 | cls.A3star)
+        assert compared >= len(graphs) - 12
+
+    @pytest.mark.parametrize("fault", ["missing", "repeated"])
+    def test_a_faulty_derived_rotation_is_a_breach(self, monkeypatch, fault):
+        real = pipeline_module._dissolved_rotation
+
+        def patched(rotation, kept):
+            out = real(rotation, kept)
+            a = min(v for v in out if out[v])
+            ring = out[a]
+            out[a] = ring[1:] if fault == "missing" else ring + ring[:1]
+            return out
+
+        monkeypatch.setattr(pipeline_module, "_dissolved_rotation", patched)
+        g = radial(bipyramid(12))
+        cls = classify(g)
+        with pytest.raises(InvariantBreachError, match="Euler"):
+            build_H(g, build_Gprime(g, cls), cls, is_planar(g).rotation)
+
     def test_coverage_check_fires_on_unreduced_input(self):
         g = Graph.from_edges(COVERAGE_BREACH_EDGES)
         cls = classify(g)
@@ -256,7 +303,6 @@ class TestBuildH:
         with pytest.raises(InvariantBreachError, match="witness-clique edge"):
             build_H(g, gp, cls, is_planar(g).rotation)
         # The driver never sees this state: the graph is still reducible.
-        from wdcolor.reductions import detect_configuration
         assert detect_configuration(g) is not None
 
 

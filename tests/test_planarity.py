@@ -8,6 +8,7 @@ import networkx as nx
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from oracles import random_connected_graph
 from wdcolor import planarity
 from wdcolor.generators import named, random_planar, triangulation
@@ -138,7 +139,7 @@ def plus_random_edge(g: Graph, rng: random.Random) -> Graph:
 
 def until_nonplanar(g: Graph, rng: random.Random) -> Graph:
     """``g`` with random non-edges added until it is nonplanar."""
-    while nx.check_planarity(g.to_networkx())[0]:
+    while nx.check_planarity(oracles.to_networkx(g))[0]:
         g = plus_random_edge(g, rng)
     return g
 
@@ -231,6 +232,29 @@ def test_random_planar_graphs_plus_edges_get_models():
         cert = is_planar(g)
         assert not cert.is_planar
         validate_minor(g, cert)
+
+
+def test_minor_models_equal_the_networkx_search():
+    """The search on the package's graphs returns exactly the model of the
+    same search run on networkx copies."""
+    k5 = list(itertools.combinations(range(5), 2))
+    tri = triangulation(200, random.Random(4))
+    inputs = [named("k5"), named("k33"),
+              Graph.from_edges([(u + 200, v + 200) for u, v in k5]
+                               + list(tri.edges()))]
+    for n in (8, 20, 60, 150, 400, 1000):
+        rng = random.Random(n)
+        inputs.append(plus_non_edges(triangulation(n, rng), rng, 1))
+    rng = random.Random(5)
+    for density, seed in ((0.3, 3), (0.6, 4), (0.9, 5)):
+        inputs.append(until_nonplanar(random_planar(120, density, seed), rng))
+    g = triangulation(3000, random.Random(1))  # the CI guard's input
+    inputs.append(g.add_edge(0, next(v for v in g.vertices()
+                                     if v != 0 and not g.has_edge(0, v))))
+    for g in inputs:
+        cert = is_planar(g)
+        assert (cert.minor_kind, cert.branch_sets) == \
+            oracles.kuratowski_model_nx(g)
 
 
 @st.composite

@@ -70,7 +70,7 @@ def test_step_record_boundary_is_the_ring_within_distance_two():
         for before, step in reduce_fully(g)[1]:
             members = {v for _, v in step.matched}
             dist = nx.multi_source_dijkstra_path_length(
-                before.to_networkx(), members, cutoff=2)
+                oracles.to_networkx(before), members, cutoff=2)
             assert step.to_json_dict(before)["boundary"] == sorted(
                 v for v, d in dist.items() if d > 0)
 

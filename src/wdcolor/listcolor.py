@@ -33,14 +33,16 @@ class DependencyColoringError(Exception):
 
 
 def pick_color(candidates: Iterable[int], order: ColorOrder = None) -> int:
-    """Smallest candidate color under the preference order."""
+    """Smallest candidate color under the preference order: the candidate
+    that ``order`` lists first, else the numerically smallest."""
     cands = list(candidates)
     if not cands:
         raise ValueError("no color available")
-    if order is None:
-        return min(cands)
-    pos = {c: i for i, c in enumerate(order)}
-    return min(cands, key=lambda c: (0, pos[c]) if c in pos else (1, c))
+    if order is not None:
+        for c in order:
+            if c in cands:
+                return c
+    return min(cands)
 
 
 def _check_result(g: Graph, lists: Lists, c: Coloring) -> None:
@@ -225,21 +227,29 @@ def degree_choose(g: Graph, lists: Lists,
     greedy if any vertex has slack; toward the first block that is neither
     complete nor an odd cycle if there is one; otherwise refuse (None) —
     the Gallai-tree case, where the caller must perturb lists."""
+    return _degree_choose(g, lists, color_order)[0]
+
+
+def _degree_choose(g: Graph, lists: Lists, color_order: ColorOrder
+                   ) -> tuple[Coloring | None, tuple[frozenset[int], ...]]:
+    """``degree_choose``, and the blocks of ``g`` when it computed them
+    (always when it refuses), else ()."""
     if not g.is_connected():
         raise ValueError("degree_choose needs a connected graph")
     if g.n == 0:
-        return {}
+        return {}, ()
     for v in g.vertices():
         if v not in lists or len(lists[v]) < g.degree(v):
             raise ValueError(f"list at {v} missing or smaller than degree")
     slack = next((v for v in g.vertices()
                   if len(lists[v]) > g.degree(v)), None)
     if slack is not None:
-        return greedy_with_slack(g, lists, slack, color_order)
-    core = next((b for b in blocks(g) if block_kind(g, b) == "other"), None)
+        return greedy_with_slack(g, lists, slack, color_order), ()
+    bs = blocks(g)
+    core = next((b for b in bs if block_kind(g, b) == "other"), None)
     if core is None:
-        return None  # Gallai tree: refuse
-    return _color_toward_core(g, lists, core, _color_block, color_order)
+        return None, bs  # Gallai tree: refuse
+    return _color_toward_core(g, lists, core, _color_block, color_order), bs
 
 
 # ---------------------------------------------------------------------------
@@ -275,11 +285,12 @@ def _finish_gallai_block(b: Graph, lists: Lists,
 def _color_component(g: Graph, lists: Lists,
                      color_order: ColorOrder) -> Coloring | None:
     """One connected dependency-graph component: degree_choose, then each
-    block in turn as the core, finished by the propositions."""
-    out = degree_choose(g, lists, color_order)
+    block in turn as the core, finished by the propositions; the blocks
+    are those that degree_choose computed when it refused."""
+    out, bs = _degree_choose(g, lists, color_order)
     if out is not None:
         return out
-    for core in blocks(g):
+    for core in bs:
         out = _color_toward_core(g, lists, core, _finish_gallai_block,
                                  color_order)
         if out is not None:

@@ -507,11 +507,17 @@ def wd3_color_planar(g: Graph, trace: list[dict] | None = None) -> Coloring:
             f"input is not planar (contains a {cert.minor_kind} minor)")
     coloring: Coloring = {}
     for comp in sorted(g.connected_components(), key=min):
-        sub = g.induced_subgraph(comp)
-        if sub.n == 1:
+        if len(comp) == 1:
             coloring[next(iter(comp))] = 1
             continue
-        rotation = {v: cert.rotation[v] for v in comp}
+        if len(comp) == g.n:
+            # a connected input is its own component: no copy of it, nor
+            # of its rotation (the copy would keep ``next_fresh``, so the
+            # fresh ids are the same)
+            sub, rotation = g, cert.rotation
+        else:
+            sub = g.induced_subgraph(comp)
+            rotation = {v: cert.rotation[v] for v in comp}
         coloring.update(_color_component_wd3(sub, rotation, trace))
     ok, violations = is_weak_dynamic(g, coloring, 3)
     if not ok:

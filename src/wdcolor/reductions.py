@@ -20,9 +20,10 @@ graph.  The driver reduces one ``EditableGraph`` in place
 the closed neighborhood N[M] of the matched vertices M, plus the fresh
 vertex of a contraction or identification, and records the sets it
 replaced in an undo entry.  A ``DetectionIndex`` keeps the matching
-anchors of kinds L1a-L8 and re-matches, when a kind is next asked, only
-the anchors near the vertices those entries name; it picks what the full
-scan would.  The full scan runs only when none of them matches, for L9
+anchors of kinds L1a-L8, with the roles their match gave, and re-matches,
+when a kind is next asked, only the anchors near the vertices those
+entries name; it picks what the full scan would, and ``pick`` itself
+matches nothing.  The full scan runs only when none of them matches, for L9
 and L10, which order by cycle length.  The driver then lifts one
 ``LiftColoring`` in place while popping the undo entries, so each lift
 sees exactly the graph before its step.  The coloring records the keys a
@@ -120,14 +121,14 @@ class LiftError(ReductionError):
         self.coloring = dict(coloring) if coloring is not None else None
 
 
-@dataclass(frozen=True)
-class Configuration:
+class Configuration(NamedTuple):
     """A detected reducible pattern.
 
     ``kind`` is one of ``KIND_ORDER``.  ``matched`` names the pattern's
     vertices as ordered ``(role, vertex)`` pairs; role names follow the
     published v1..vk convention for each kind, with ``w``-prefixed roles for
-    companion vertices (hubs, witnesses).
+    companion vertices (hubs, witnesses).  A named tuple: immutable, and
+    cheap to build, as detection builds one per step.
     """
 
     kind: str
@@ -140,14 +141,14 @@ class Configuration:
         return tuple(v for _, v in self.matched)
 
 
-@dataclass(frozen=True)
-class ReductionStep:
+class ReductionStep(NamedTuple):
     """One replayable reduction: what was removed, merged, and frozen.
 
     ``local`` keeps the neighbor set (in the pre-reduction graph) of every
     matched vertex so a later lift can check it is being replayed against
     the same graph.  A step keeps only what its lift reads; its JSON
     record, which adds the boundary, is built from the graph before it.
+    A named tuple, as ``Configuration`` is: every step builds one.
     """
 
     kind: str
@@ -264,15 +265,18 @@ def _satisfy_through(g: Graph, coloring: Coloring, target: int,
     earliest colors under ``color_order`` are designated, keeping the choice
     permutation-equivariant.
     """
-    m = min(g.degree(target), 3)
+    nbrs = g.neighbors(target)
+    m = min(len(nbrs), 3)
     fixed: set[int] = set()
-    for u in g.neighbors(target):
+    for u in nbrs:
         if u in pending:
             continue
         cu = coloring.get(u)
         if cu is not None:
             fixed.add(cu)
-    if len(fixed) >= m:
+            if len(fixed) >= m:
+                return set()
+    if not m:
         return set()
     need = m - incoming
     if need <= 0:
@@ -353,11 +357,13 @@ def _match_l1b(adj, v1: int):
 
 def _match_l2(adj, u: int):
     """At ``u``, the edge to its smallest higher 4+ neighbor; so the
-    smallest anchor gives the lexicographically first 4+/4+ edge."""
-    higher = [w for w in adj[u] if w > u and len(adj[w]) >= 4]
-    if not higher:
-        return None
-    return [("v1", u), ("v2", min(higher))]
+    smallest anchor gives the lexicographically first 4+/4+ edge.  The
+    neighbors are sorted at C speed and walked only up to that one, which
+    at a hub is soon."""
+    for w in sorted(adj[u]):
+        if w > u and len(adj[w]) >= 4:
+            return [("v1", u), ("v2", w)]
+    return None
 
 
 def _l3_sides(adj, mid: int, other: int):
@@ -720,17 +726,21 @@ class DetectionIndex:
     would pick on an ``EditableGraph``, kept current while reductions edit
     it.
 
-    For each anchored kind (L1a-L8) the index holds the set of anchors
-    that match, with a heap for the smallest.  Between two looks at a kind,
-    its answer can change only at an anchor within ``sets`` of a vertex
-    whose neighbor set an edit replaced, or within ``degrees`` of one
-    whose degree class changed: the first read that differs follows a path
-    of neighbor sets that read the same in both graphs, so the path exists
-    in both and the changed vertex at its end is as near now as before.
-    A kind catches up with the graph's undo log only when it is asked, so
-    the later kinds pay nothing for steps the earlier kinds settle.  L9
-    and L10 order by cycle length first and are not indexed: the driver
-    runs the full scan when no anchored kind matches.
+    For each anchored kind (L1a-L8) the index holds the anchors that
+    match, each with the roles its match gave, and a heap for the
+    smallest; ``pick`` hands out the roles kept at the heap top and runs
+    no matcher.  Between two looks at a kind, its answer can change only
+    at an anchor within ``sets`` of a vertex whose neighbor set an edit
+    replaced, or within ``degrees`` of one whose degree class changed: the
+    first read that differs follows a path of neighbor sets that read the
+    same in both graphs, so the path exists in both and the changed vertex
+    at its end is as near now as before.  An anchor whose reads are all
+    the same gives the same roles, so the kept roles stay current.  A kind
+    catches up with the graph's undo log only when it is asked, so the
+    later kinds pay nothing for steps the earlier kinds settle; kinds that
+    catch up over the same entries with the same reach share the anchors
+    to match again.  L9 and L10 order by cycle length first and are not
+    indexed: the driver runs the full scan when no anchored kind matches.
 
     The index is valid while the graph's undo log only grows.
     """
@@ -740,11 +750,12 @@ class DetectionIndex:
         self._adj = g.adjacency()
         kinds = len(_ANCHORED)
         self._depth: list[int | None] = [None] * kinds
-        self._cands: list[set[int]] = [set() for _ in range(kinds)]
+        self._cands: list[dict[int, list]] = [{} for _ in range(kinds)]
         self._heaps: list[list[int]] = [[] for _ in range(kinds)]
         # the changes since one depth, shared by the kinds that ask for
-        # them at the same depth: (since, until, old sets, present ones)
-        self._changes: tuple = (None, None, {}, set())
+        # them at the same depth: (since, until, old sets, present ones,
+        # deleted ones, anchors to match again by (sets, degrees))
+        self._changes: tuple = (None, None, {}, set(), set(), {})
 
     def pick(self) -> Configuration | None:
         """The first configuration of the anchored kinds, in kind order, as
@@ -770,8 +781,7 @@ class DetectionIndex:
             heapq.heappop(heap)
         if not heap:
             return None
-        row = _ANCHORED[i]
-        return Configuration(row.kind, tuple(row.match(self._adj, heap[0])))
+        return Configuration(_ANCHORED[i].kind, tuple(cands[heap[0]]))
 
     def _catch_up(self, i: int) -> None:
         depth = self._g.depth
@@ -784,24 +794,40 @@ class DetectionIndex:
         if seen is None:
             anchors = adj.keys()
         else:
-            since, until, before, present = self._changes
-            if (since, until) != (seen, depth):
-                before = self._g.changed_since(seen)
-                present = before.keys() & adj.keys()
-                self._changes = (seen, depth, before, present)
-            cands -= before.keys() - present
-            anchors = _ball(adj, present, sets)
+            gone, anchors = self._near(seen, depth, sets, degrees)
+            for v in gone:
+                cands.pop(v, None)
+        for v in anchors:
+            roles = match(adj, v) if lo <= len(adj[v]) <= hi else None
+            if roles is None:
+                cands.pop(v, None)
+            else:
+                if v not in cands:
+                    heapq.heappush(heap, v)
+                cands[v] = roles
+
+    def _near(self, seen: int, depth: int, sets: int,
+              degrees: int) -> tuple[set[int], set[int]]:
+        """The vertices deleted since depth ``seen``, and the anchors to
+        match again for a kind of the given reach."""
+        adj = self._adj
+        since, until, before, present, gone, near = self._changes
+        if (since, until) != (seen, depth):
+            before = self._g.changed_since(seen)
+            present = before.keys() & adj.keys()
+            gone = before.keys() - present
+            near = {}
+            self._changes = (seen, depth, before, present, gone, near)
+        anchors = near.get((sets, degrees))
+        if anchors is None:
+            anchors = _ball(adj, present, sets) if sets else present
             if degrees > sets:
                 reclassed = [v for v in present if _degree_class(before[v])
                              != _degree_class(adj[v])]
-                anchors |= _ball(adj, reclassed, degrees)
-        for v in anchors:
-            if lo <= len(adj[v]) <= hi and match(adj, v) is not None:
-                if v not in cands:
-                    cands.add(v)
-                    heapq.heappush(heap, v)
-            else:
-                cands.discard(v)
+                if reclassed:
+                    anchors = anchors | _ball(adj, reclassed, degrees)
+            near[sets, degrees] = anchors
+        return gone, anchors
 
 
 # --------------------------------------------------------------------------
@@ -879,7 +905,7 @@ def _reduce_in_place(g: EditableGraph, conf: Configuration) -> ReductionStep:
         out = {(min(a, b), max(a, b)) for a in vs for b in adj[a]}
         return tuple(sorted(out))
 
-    local = tuple((v, adj[v]) for v in sorted(set(conf.vertices())))
+    local = tuple((v, adj[v]) for v in sorted({v for _, v in conf.matched}))
     m = g.m
     g.checkpoint()
     if conf.kind == KIND_L1A:
@@ -916,11 +942,8 @@ def _reduce_in_place(g: EditableGraph, conf: Configuration) -> ReductionStep:
         g.undo()
         raise ReductionError(
             f"{conf.kind} reduction failed to decrease the edge count")
-    return ReductionStep(
-        kind=conf.kind, matched=conf.matched,
-        removed_vertices=removed_v, removed_edges=removed_e,
-        contracted=contracted, identified=identified, fresh=fresh,
-        local=local)
+    return ReductionStep(conf.kind, conf.matched, removed_v, removed_e,
+                         contracted, identified, fresh, local)
 
 
 def reduce_in_place(g: EditableGraph) -> list[ReductionStep]:
@@ -1042,10 +1065,12 @@ def _free_hub_hook(g: Graph, coloring: Coloring, cycle: tuple[int, ...],
     k = len(cycle)
     pos = {v: i for i, v in enumerate(cycle)}
     cset = frozenset(cycle)
-    hubs = _cycle_hubs(g.adjacency(), cycle)
+    hubs: list[int] = []  # filled on the first call, which most lifts skip
     attempted: set[tuple[int, int]] = set()
 
     def hook(stuck: frozenset[int]) -> Lists | None:
+        if not hubs:
+            hubs.extend(_cycle_hubs(g.adjacency(), cycle))
         stuck_pos = sorted(pos[v] for v in stuck if v in pos)
         target_pos = sorted({(p + d) % k for p in stuck_pos for d in (-1, 1)})
         cands: list[tuple[int, int]] = []
@@ -1407,7 +1432,10 @@ def lift_coloring(g: Graph | EditableGraph, step: ReductionStep,
     """
     adj = g.adjacency()
     for v, nbrs in step.local:
-        if adj.get(v) != nbrs:
+        # undo restores the very sets the step saved, so identity settles
+        # the check at once; a set that is another object is compared
+        now = adj.get(v)
+        if now is not nbrs and now != nbrs:
             raise StaleConfigurationError(
                 f"graph changed at {v} since the {step.kind} step was taken")
     in_place = isinstance(c_reduced, LiftColoring)
@@ -1419,7 +1447,8 @@ def lift_coloring(g: Graph | EditableGraph, step: ReductionStep,
         except LiftError as e:
             raise LiftError(f"reduced coloring: {e}", kind=step.kind,
                             matched=step.matched) from e
-    order = c.color_order()
+    # the L2 lift writes nothing and reads no color order
+    order = c.color_order() if step.kind != KIND_L2 else ()
     c.begin()
     try:
         _LIFTERS[step.kind](g, step, c, order, stats)

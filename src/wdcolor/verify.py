@@ -38,15 +38,23 @@ def _weak_dynamic_violations(adj: Mapping[int, frozenset[int]],
 
     ``adj`` is a whole adjacency (``Graph.adjacency()``) and ``c`` must
     color every neighbor of ``vs``.  One pass in ascending vertex order.
+    A vertex's colors are counted only until ``min(d(v), k)`` are seen, so
+    a hub costs no more than a vertex of small degree once it is
+    satisfied; a violation has seen all its neighbors, so it reports the
+    exact count.
     """
     violations = []
     for v in sorted(vs):
         nbrs = adj[v]
         need = min(len(nbrs), k)
         if need:
-            got = len({c[u] for u in nbrs})
-            if got < need:
-                violations.append(Violation(v, got, need))
+            seen = set()
+            for u in nbrs:
+                seen.add(c[u])
+                if len(seen) >= need:
+                    break
+            else:
+                violations.append(Violation(v, len(seen), need))
     return violations
 
 

@@ -787,3 +787,41 @@ def anchor_graph_from_edges(g: Graph, kept) -> Graph:
             edges.update(itertools.combinations(
                 sorted(g.neighbors(v) & kept), 2))
     return Graph.from_edges(sorted(edges), vertices=sorted(kept))
+
+
+# ---------------------------------------------------------------------------
+# the lift checks, counting in full
+# ---------------------------------------------------------------------------
+
+
+def weak_dynamic_violations_full(adj, c: Coloring, k: int, vs):
+    """``(vertex, seen, required)`` of every vertex of ``vs`` that sees
+    fewer than ``min(d(v), k)`` colors, ascending; each vertex's colors
+    are counted over all its neighbors."""
+    out = []
+    for v in sorted(vs):
+        need = min(len(adj[v]), k)
+        if need:
+            got = len({c[u] for u in adj[v]})
+            if got < need:
+                out.append((v, got, need))
+    return out
+
+
+def satisfy_through_full(g: Graph, coloring: Coloring, target: int, pending,
+                         incoming: int = 1, *, color_order) -> set[int]:
+    """The colors that fresh assignments next to ``target`` must avoid,
+    from the full set of its fixed neighbor colors: none once they reach
+    ``min(d, 3)``; else as many as are still needed, besides the
+    ``incoming`` fresh ones, the earliest under ``color_order`` first."""
+    m = min(g.degree(target), 3)
+    fixed = {coloring[u] for u in g.neighbors(target)
+             if u not in pending and u in coloring}
+    if len(fixed) >= m:
+        return set()
+    need = m - incoming
+    if need <= 0:
+        return set()
+    if len(fixed) <= need:
+        return set(fixed)
+    return set(sorted(fixed, key=color_order.index)[:need])

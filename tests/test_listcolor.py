@@ -8,6 +8,7 @@ import time
 import pytest
 
 import oracles
+from wdcolor import listcolor
 from wdcolor.exact import list_color_exact
 from wdcolor.graphs import Graph, block_kind, blocks
 from wdcolor.listcolor import (DependencyColoringError,
@@ -187,6 +188,25 @@ def test_color_dependency_graph_components_and_hooks():
                                perturbation_hook=lambda comp: None)
     with pytest.raises(ValueError):
         color_dependency_graph(c5, {v: [1] for v in range(5)})
+
+
+def test_a_gallai_tree_is_split_into_blocks_once(monkeypatch):
+    """degree_choose refuses a Gallai tree after splitting it into
+    blocks; the propositions then take those blocks, with no split of
+    their own."""
+    calls = []
+
+    def spy(g):
+        calls.append(g)
+        return blocks(g)
+
+    monkeypatch.setattr(listcolor, "blocks", spy)
+    bowtie = Graph.from_edges([(0, 1), (1, 2), (0, 2), (0, 3), (3, 4),
+                               (0, 4)])
+    lists = {0: [1, 2, 3, 4], 1: [1, 2], 2: [1, 2], 3: [1, 3], 4: [1, 3]}
+    c = color_dependency_graph(bowtie, lists)
+    check_in_lists(bowtie, {v: frozenset(lists[v]) for v in lists}, c)
+    assert len(calls) == 1
 
 
 def _cycle(k, offset=0):

@@ -17,9 +17,10 @@ import random
 
 import pytest
 
+import oracles
 from wdcolor import reductions
 from wdcolor.exact import wd_number_exact
-from wdcolor.generators import random_planar
+from wdcolor.generators import random_planar, triangulation
 from wdcolor.graphs import Graph
 from wdcolor.hosts import host_for
 from wdcolor.reductions import (KIND_ORDER, PALETTE, LiftError,
@@ -185,3 +186,30 @@ def test_untouched_neighbor_sets_are_shared():
     h = g.delete_vertices([u])
     assert all(h.neighbors(w) is g.neighbors(w)
                for w in h.vertices() if w not in g.neighbors(u))
+
+
+def test_protection_sets_stop_once_the_target_is_satisfied():
+    """``_satisfy_through`` returns as soon as the fixed colors reach
+    ``min(d, 3)``; on partial colorings with pending vertices, at every
+    target and for every count of incoming colors, it gives what the full
+    count gives."""
+    rng = random.Random(31)
+    graphs = [random_planar(rng.randint(4, 80), rng.choice((0.4, 0.7, 1.0)),
+                            seed) for seed in range(20)]
+    graphs += [triangulation(n, random.Random(n)) for n in (40, 200)]
+    designated = 0
+    for g in graphs:
+        vs = list(g.vertices())
+        for _ in range(4):
+            c = {v: rng.randint(1, rng.choice((2, 3, 6))) for v in vs
+                 if rng.random() < 0.8}
+            pending = set(rng.sample(vs, len(vs) // 5))
+            order = tuple(rng.sample(PALETTE, len(PALETTE)))
+            for x in vs:
+                for incoming in (0, 1, 2, 3):
+                    got = reductions._satisfy_through(
+                        g, c, x, pending, incoming, color_order=order)
+                    assert got == oracles.satisfy_through_full(
+                        g, c, x, pending, incoming, color_order=order)
+                    designated += bool(got)
+    assert designated > 1000

@@ -109,6 +109,32 @@ def test_lift_rejects_wrong_vertex_cover():
         lift_coloring(g, step, bad)
 
 
+def test_lift_replays_only_on_the_neighbor_sets_of_its_step():
+    """Equal neighbor sets that are other objects pass the lift's check;
+    a matched vertex whose neighbor set changed makes the step stale."""
+    rng = random.Random(3)
+    checked = 0
+    for seed in range(12):
+        g = random_planar(rng.randint(8, 30), rng.choice((0.5, 1.0)), seed)
+        conf = detect_configuration(g)
+        if conf is None:
+            continue
+        reduced, step = apply_reduction(g, conf)
+        base = wd_number_exact(reduced, 3, 6).witness
+        rebuilt = Graph.from_edges(list(g.edges()), vertices=g.vertices())
+        assert lift_coloring(rebuilt, step, base) == lift_coloring(g, step,
+                                                                   base)
+        for v in sorted(conf.vertices()):
+            w = next((w for w in g.vertices()
+                      if w != v and not g.has_edge(v, w)), None)
+            if w is None:
+                continue
+            with pytest.raises(StaleConfigurationError):
+                lift_coloring(g.add_edge(v, w), step, base)
+            checked += 1
+    assert checked > 20
+
+
 def test_full_reduce_and_lift_roundtrip():
     rng = random.Random(0)
     total_steps = 0

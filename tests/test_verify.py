@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from wdcolor.generators import named
+from wdcolor.generators import named, random_planar, triangulation
 from wdcolor.graphs import Graph
-from wdcolor.verify import (Hypergraph, is_dynamic, is_proper,
+from wdcolor.verify import (Hypergraph, _weak_dynamic_violations,
+                            is_dynamic, is_proper,
                             is_proper_hypergraph_coloring,
                             is_satisfied_general, is_weak_dynamic,
                             neighborhood_hypergraph, palette_size,
@@ -121,3 +122,32 @@ def test_weak_dynamic_never_requires_more_than_degree_or_k():
         for v in violations:
             assert v.required <= min(g.degree(v.vertex), 3)
             assert v.seen < v.required
+
+
+def test_violations_stop_counting_at_the_requirement_and_stay_exact():
+    """Counting a vertex's colors only until it has seen ``min(d, k)``
+    gives the full count's violations, seen counts included, on graphs
+    with hubs, under random colorings and under colorings that starve
+    chosen vertices."""
+    rng = random.Random(29)
+    graphs = [random_planar(rng.randint(5, 120), rng.choice((0.4, 0.7, 1.0)),
+                            seed) for seed in range(24)]
+    graphs += [triangulation(n, random.Random(n)) for n in (60, 300)]
+    found = 0
+    for g in graphs:
+        adj = g.adjacency()
+        vs = list(adj)
+        for trial in range(6):
+            c = {v: rng.randint(1, rng.choice((2, 3, 6))) for v in vs}
+            for v in rng.sample(vs, min(len(vs), trial)):
+                col = rng.randint(1, 6)  # every neighbor of v on one color
+                for u in adj[v]:
+                    c[u] = col
+            for k in (1, 2, 3, 4):
+                for some in (vs, rng.sample(vs, len(vs) // 3)):
+                    got = [(x.vertex, x.seen, x.required) for x in
+                           _weak_dynamic_violations(adj, c, k, some)]
+                    assert got == oracles.weak_dynamic_violations_full(
+                        adj, c, k, some)
+                    found += len(got)
+    assert found > 1000

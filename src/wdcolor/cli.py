@@ -31,7 +31,7 @@ from .io import (FormatError, load_coloring, load_graph,
                  serialize_graph_dimacs, serialize_graph_json)
 from .pipeline import (InvariantBreachError, NonplanarInputError,
                        wd3_color_planar)
-from .reductions import SHORT_KINDS, certify_lemma, reduce_in_place
+from .reductions import SHORT_KINDS, certify_lemma, reduce_in_place, unwind
 from .verify import is_weak_dynamic, palette_size
 
 EXIT_OK = 0
@@ -229,11 +229,7 @@ def reduce(graph_file: str, with_trace: bool) -> None:
                                  for u, v in cur.edges())},
     }
     if with_trace:
-        # undo newest first: each step's record reads the graph before it
-        records = []
-        for step in reversed(steps):
-            e.undo()
-            records.append(step.to_json_dict(e))
+        records = [step.to_json_dict(e) for step in unwind(e, steps)]
         out["steps"] = records[::-1]
     _emit(out)
 

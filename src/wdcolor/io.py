@@ -10,15 +10,17 @@ Two graph formats are supported and sniffed automatically:
 
 Colorings are JSON ``{"colors": {"<vid>": <int>, ...}}`` and list
 assignments are JSON ``{"lists": {"<vid>": [<int>, ...], ...}}``; their
-vertex ids must match the ids of the graph file they accompany, and
-their colors are positive.  JSON ``true`` and ``false`` are not integers
-here.  All parse errors raise :class:`FormatError`, which carries a
-1-based line number for text input.
+vertex ids are written as ``str(int)`` writes them and must match the
+ids of the graph file they accompany; colors are positive, and a list
+repeats none.  JSON ``true`` and ``false`` are not integers here, and no
+key or edge may repeat.  All parse errors raise :class:`FormatError`,
+which carries a 1-based line number for text input.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from pathlib import Path
 
 from .graphs import Graph
@@ -40,17 +42,32 @@ def _is_int(x: object) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _parse_graph_json(text: str) -> Graph:
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict[str, object]:
+    """A JSON object as a dict; ``json.loads`` alone would keep the last
+    of a repeated key's values."""
+    out = dict(pairs)
+    if len(out) != len(pairs):
+        [(key, _)] = Counter(k for k, _ in pairs).most_common(1)
+        raise FormatError(f"repeated key {key!r}")
+    return out
+
+
+def _load_json(text: str):
     try:
-        data = json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise FormatError(f"invalid JSON: {exc.msg}", line=exc.lineno) from exc
+
+
+def _parse_graph_json(text: str) -> Graph:
+    data = _load_json(text)
     if not isinstance(data, dict) or "edges" not in data:
         raise FormatError('graph JSON needs an "edges" array')
     n = data.get("n")
     if not _is_int(n) or n < 0:
         raise FormatError('"n" must be a nonnegative integer')
     edges: list[tuple[int, int]] = []
+    index: dict[tuple[int, int], int] = {}
     for i, pair in enumerate(data["edges"]):
         if (not isinstance(pair, (list, tuple)) or len(pair) != 2
                 or not all(map(_is_int, pair))):
@@ -60,6 +77,10 @@ def _parse_graph_json(text: str) -> Graph:
             raise FormatError(f"edge #{i} is a self-loop at {u}")
         if not (0 <= u < n and 0 <= v < n):
             raise FormatError(f"edge #{i} endpoint out of range 0..{n - 1}")
+        j = index.setdefault((min(u, v), max(u, v)), i)
+        if j != i:
+            raise FormatError(f"duplicate edge: #{j} and #{i} both join"
+                              f" {u} and {v}")
         edges.append((u, v))
     return Graph.from_edges(edges, vertices=range(n))
 
@@ -151,18 +172,18 @@ def _int_keyed(obj: dict, what: str) -> dict[int, object]:
         try:
             vid = int(key)
         except ValueError:
-            raise FormatError(f"{what} key {key!r} is not an integer"
-                              ) from None
+            vid = None
+        # int() also reads " 1", "01" and "1_0", aliases of "1" and "10"
+        if vid is None or str(vid) != key:
+            raise FormatError(f"{what} key {key!r} is not an integer in"
+                              f" plain decimal")
         out[vid] = value
     return out
 
 
 def parse_coloring(text: str) -> Coloring:
     """Coloring JSON ``{"colors": {"<vid>": int}}`` to a dict."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"invalid JSON: {exc.msg}", line=exc.lineno) from exc
+    data = _load_json(text)
     if not isinstance(data, dict) or not isinstance(data.get("colors"), dict):
         raise FormatError('coloring JSON needs a "colors" object')
     out: Coloring = {}
@@ -186,10 +207,7 @@ def serialize_coloring(c: Coloring) -> str:
 
 def parse_lists(text: str) -> dict[int, list[int]]:
     """List-assignment JSON ``{"lists": {"<vid>": [ints]}}`` to a dict."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"invalid JSON: {exc.msg}", line=exc.lineno) from exc
+    data = _load_json(text)
     if not isinstance(data, dict) or not isinstance(data.get("lists"), dict):
         raise FormatError('list-assignment JSON needs a "lists" object')
     out: dict[int, list[int]] = {}
@@ -198,6 +216,8 @@ def parse_lists(text: str) -> dict[int, list[int]]:
             raise FormatError(f"list of vertex {vid} is not an integer array")
         if any(x < 1 for x in colors):
             raise FormatError(f"list of vertex {vid} has a color below 1")
+        if len(set(colors)) != len(colors):
+            raise FormatError(f"list of vertex {vid} repeats a color")
         out[vid] = list(colors)
     return out
 

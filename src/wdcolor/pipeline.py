@@ -32,7 +32,7 @@ from .graphs import EditableGraph, Graph
 from .listcolor import DependencyColoringError, color_dependency_graph
 from .planarity import is_planar, validate_rotation
 from .reductions import (PALETTE, LiftColoring, LiftError, lift_coloring,
-                         reduce_in_place)
+                         reduce_in_place, unwind)
 from .verify import Coloring, is_proper, is_weak_dynamic, palette_size
 
 logger = logging.getLogger(__name__)
@@ -470,12 +470,9 @@ def _color_component_wd3(g: Graph, rotation: Mapping[int, tuple[int, ...]],
             logger.warning("construction invariant breached on the core"
                            " (n=%d m=%d): %s", cur.n, cur.m, exc)
             coloring = _exact_wd3_cap6(cur, "invariant breach")
-    # one coloring, lifted in place while the undo log restores each
-    # graph before its step, which is also the graph its record reads
     c = LiftColoring(coloring, cur.adjacency().keys())
     records = []
-    for step in reversed(steps):
-        e.undo()
+    for step in unwind(e, steps):
         if trace is not None:
             records.append(step.to_json_dict(e))
         try:

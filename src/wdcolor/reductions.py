@@ -25,10 +25,10 @@ when a kind is next asked, only the anchors near the vertices those
 entries name; it picks what the full scan would, and ``pick`` itself
 matches nothing.  The full scan runs only when none of them matches, for L9
 and L10, which order by cycle length.  The driver then lifts one
-``LiftColoring`` in place while popping the undo entries, so each lift
-sees exactly the graph before its step.  The coloring records the keys a
-lift writes, the set D, and a lift is verified on N[D] and the ends of
-removed edges only: any other vertex has the same neighbors, the same
+``LiftColoring`` in place while ``unwind`` pops the undo entries, so each
+lift sees exactly the graph before its step.  The coloring records the
+keys a lift writes, the set D, and a lift is verified on N[D] and the
+matched vertices only: any other vertex has the same neighbors, the same
 demand and the same seen colors as in the reduced graph, where the input
 coloring was valid.  The driver re-checks the whole graph once at the
 end.  The public functions on an immutable ``Graph`` and a plain dict run
@@ -147,14 +147,14 @@ class ReductionStep(NamedTuple):
     ``local`` keeps the neighbor set (in the pre-reduction graph) of every
     matched vertex so a later lift can check it is being replayed against
     the same graph.  A step keeps only what its lift reads; its JSON
-    record, which adds the boundary, is built from the graph before it.
+    record, which adds the boundary and the removed edges, is built from
+    the graph before it.
     A named tuple, as ``Configuration`` is: every step builds one.
     """
 
     kind: str
     matched: tuple[tuple[str, int], ...]
     removed_vertices: tuple[int, ...]
-    removed_edges: tuple[tuple[int, int], ...]
     contracted: tuple[int, int] | None
     identified: tuple[int, int] | None
     fresh: int | None
@@ -166,15 +166,24 @@ class ReductionStep(NamedTuple):
     def to_json_dict(self, before: Graph | EditableGraph) -> dict:
         """The step's JSON record.  ``before`` is the graph the step was
         applied to; ``boundary`` lists the vertices within distance two of
-        the matched ones there, outside them, ascending."""
-        members = {v for _, v in self.matched}
-        ball = _ball(before.adjacency(), members, 2)
+        the matched ones there, outside them, ascending; ``removed_edges``
+        the edge v1v2 of L1b and L2, or the edges at removed vertices."""
+        adj = before.adjacency()
+        roles = dict(self.matched)
+        members = set(roles.values())
+        ball = _ball(adj, members, 2)
+        if self.kind in (KIND_L1B, KIND_L2):
+            removed = [sorted((roles["v1"], roles["v2"]))]
+        else:
+            removed = [list(e) for e in sorted(
+                {(min(a, b), max(a, b))
+                 for a in self.removed_vertices for b in adj[a]})]
         return {
             "kind": self.kind,
-            "matched": {r: v for r, v in self.matched},
+            "matched": roles,
             "boundary": sorted(ball - members),
             "removed_vertices": list(self.removed_vertices),
-            "removed_edges": [list(e) for e in self.removed_edges],
+            "removed_edges": removed,
             "contracted": list(self.contracted) if self.contracted else None,
             "identified": list(self.identified) if self.identified else None,
             "fresh": self.fresh,
@@ -524,17 +533,6 @@ def _ball(adj, centers, radius: int) -> set[int]:
     return ball
 
 
-def _scan_anchors(g: Graph | EditableGraph, i: int) -> Configuration | None:
-    kind, match, _, lo, hi, _, _ = _ANCHORED[i]
-    adj = g.adjacency()
-    for v in g.vertices():
-        if lo <= len(adj[v]) <= hi:
-            roles = match(adj, v)
-            if roles is not None:
-                return Configuration(kind, tuple(roles))
-    return None
-
-
 def _chordless_deg3_cycles(g: Graph) -> Iterator[tuple[int, ...]]:
     """Chordless cycles whose vertices all have degree three, ascending by
     length, then by canonical labeling (minimum vertex first, second vertex
@@ -683,11 +681,21 @@ def _match_l10(adj, cycle: tuple[int, ...]):
 _AT_CYCLE = {KIND_L9: _match_l9, KIND_L10: _match_l10}
 
 
-def _scan_cycles(g: Graph | EditableGraph, kind: str) -> Configuration | None:
-    match = _AT_CYCLE[kind]
+def _scan(g: Graph | EditableGraph, kind: str) -> Configuration | None:
+    """The first match of ``kind`` over its seeds in order: the anchors in
+    the kind's degree range, ascending, or the chordless cycles of
+    3-vertices, shortest first."""
     adj = g.adjacency()
-    for cycle in _chordless_deg3_cycles(g):
-        roles = match(adj, cycle)
+    match = _AT_CYCLE.get(kind)
+    if match is not None:
+        seeds = _chordless_deg3_cycles(g)
+    elif kind in _ANCHORED_AT:
+        _, match, _, lo, hi, _, _ = _ANCHORED[_ANCHORED_AT[kind]]
+        seeds = (v for v in g.vertices() if lo <= len(adj[v]) <= hi)
+    else:
+        raise ReductionError(f"unknown configuration kind {kind!r}")
+    for seed in seeds:
+        roles = match(adj, seed)
         if roles is not None:
             return Configuration(kind, tuple(roles))
     return None
@@ -705,20 +713,12 @@ def detect_configuration(g: Graph | EditableGraph,
     used to exercise one rule in isolation.
     """
     if kind is not None:
-        return _detect_kind(g, kind)
+        return _scan(g, kind)
     for k in KIND_ORDER:
-        conf = _detect_kind(g, k)
+        conf = _scan(g, k)
         if conf is not None:
             return conf
     return None
-
-
-def _detect_kind(g: Graph | EditableGraph, kind: str) -> Configuration | None:
-    if kind in _AT_CYCLE:
-        return _scan_cycles(g, kind)
-    if kind not in _ANCHORED_AT:
-        raise ReductionError(f"unknown configuration kind {kind!r}")
-    return _scan_anchors(g, _ANCHORED_AT[kind])
 
 
 class DetectionIndex:
@@ -771,7 +771,7 @@ class DetectionIndex:
         L9 and L10, the full scan's."""
         i = _ANCHORED_AT.get(kind)
         if i is None:
-            return _detect_kind(self._g, kind)
+            return _scan(self._g, kind)
         return self._first_anchored(i)
 
     def _first_anchored(self, i: int) -> Configuration | None:
@@ -896,22 +896,15 @@ def apply_reduction(g: Graph | EditableGraph, conf: Configuration
 def _reduce_in_place(g: EditableGraph, conf: Configuration) -> ReductionStep:
     r = conf.roles()
     removed_v: tuple[int, ...] = ()
-    removed_e: tuple[tuple[int, int], ...] = ()
     contracted = identified = None
     fresh = None
     adj = g.adjacency()
-
-    def incident(vs) -> tuple[tuple[int, int], ...]:
-        out = {(min(a, b), max(a, b)) for a in vs for b in adj[a]}
-        return tuple(sorted(out))
-
     local = tuple((v, adj[v]) for v in sorted({v for _, v in conf.matched}))
     m = g.m
     g.checkpoint()
     if conf.kind == KIND_L1A:
         removed_v = (r["v1"],)
     elif conf.kind in (KIND_L1B, KIND_L2):
-        removed_e = (tuple(sorted((r["v1"], r["v2"]))),)
         g.delete_edge(r["v1"], r["v2"])
     elif conf.kind == KIND_L3:
         removed_v = tuple(sorted((r["v2"], r["v3"])))
@@ -933,7 +926,6 @@ def _reduce_in_place(g: EditableGraph, conf: Configuration) -> ReductionStep:
         g.undo()
         raise ReductionError(f"unknown kind {conf.kind}")
     if removed_v:
-        removed_e = incident(removed_v)
         g.delete_vertices(removed_v)
     if conf.kind == KIND_L10 and r["w1"] != r["w3"]:
         identified = (r["w1"], r["w3"])
@@ -942,17 +934,17 @@ def _reduce_in_place(g: EditableGraph, conf: Configuration) -> ReductionStep:
         g.undo()
         raise ReductionError(
             f"{conf.kind} reduction failed to decrease the edge count")
-    return ReductionStep(conf.kind, conf.matched, removed_v, removed_e,
-                         contracted, identified, fresh, local)
+    return ReductionStep(conf.kind, conf.matched, removed_v, contracted,
+                         identified, fresh, local)
 
 
 def reduce_in_place(g: EditableGraph) -> list[ReductionStep]:
     """Apply reductions to ``g`` in place until none matches; returns the
     steps in applied order.
 
-    Each step leaves one undo entry on ``g``, so undoing them one by one
-    restores the graph before each step, newest first.  Detection goes
-    through a ``DetectionIndex``.  When no anchored kind matches, the full
+    Each step leaves one undo entry on ``g``, so ``unwind`` restores the
+    graph before each step, newest first.  Detection goes through a
+    ``DetectionIndex``.  When no anchored kind matches, the full
     ``detect_configuration`` scan looks for L9 and L10, and at the end it
     confirms the core.
     """
@@ -970,21 +962,14 @@ def reduce_in_place(g: EditableGraph) -> list[ReductionStep]:
         steps.append(apply_reduction(g, conf)[1])
 
 
-def reduce_fully(g: Graph) -> tuple[Graph, list[tuple[Graph, ReductionStep]]]:
-    """Apply reductions until none matches.  Returns the reduction-free
-    core and the stack of (graph-before-step, step) pairs, applied order.
-
-    The steps are those of ``reduce_in_place``; each graph is a snapshot
-    taken while its undo entry is popped."""
-    e = EditableGraph(g)
-    steps = reduce_in_place(e)
-    core = e.snapshot()
-    stack = []
+def unwind(g: EditableGraph,
+           steps: list[ReductionStep]) -> Iterator[ReductionStep]:
+    """Undo ``steps``, which ``reduce_in_place`` applied to ``g``, newest
+    first, yielding each step once ``g`` is again the graph it was applied
+    to: the graph its lift and its JSON record read."""
     for step in reversed(steps):
-        e.undo()
-        stack.append((e.snapshot(), step))
-    stack.reverse()
-    return core, stack
+        g.undo()
+        yield step
 
 
 # --------------------------------------------------------------------------
@@ -1420,13 +1405,13 @@ def lift_coloring(g: Graph | EditableGraph, step: ReductionStep,
     color, the fresh vertex of a contraction or identification must be
     gone, and the count of colored vertices must be that of ``g``; so
     exactly ``g`` is colored.  Then every vertex of N_g[D] and every
-    endpoint of a removed edge must see min(d(v), 3) colors, where D is
-    the set of written vertices (newly colored or recolored, wherever they
-    lie).  That is the whole rule on ``g``.  Every removed, contracted or
-    identified vertex is new in ``g``, so it was written; a vertex outside
-    that set keeps its neighbors, as it is no endpoint of a removed edge
-    and touches no merged vertex, and its neighbors keep their colors from
-    ``c_reduced``, so it sees what it saw in the reduced graph.  A failed
+    matched vertex must see min(d(v), 3) colors, where D is the set of
+    written vertices (newly colored or recolored, wherever they lie).
+    That is the whole rule on ``g``.  Every removed, contracted or
+    identified vertex is new in ``g``, so it was written; L1b and L2
+    delete the edge v1v2 between matched vertices.  So a vertex outside
+    that set keeps its neighbors, and they keep their colors from
+    ``c_reduced``: it sees what it saw in the reduced graph.  A failed
     lift raises LiftError carrying the local state, never returning a
     degraded coloring.
     """
@@ -1465,8 +1450,7 @@ def lift_coloring(g: Graph | EditableGraph, step: ReductionStep,
         raise LiftError("lift used a color outside the palette",
                         kind=step.kind, matched=step.matched, coloring=c)
     ball = written.union(*map(adj.__getitem__, written))
-    for edge in step.removed_edges:
-        ball.update(edge)
+    ball.update(v for v, _ in step.local)
     out = c if in_place else dict(c)
     violations = _weak_dynamic_violations(adj, out, 3, ball)
     if violations:

@@ -4,7 +4,9 @@ Everything here recomputes from first principles — exhaustive enumeration
 over all colorings, all edge subsets, all assignments — so the package's
 optimized routines have something genuinely separate to be checked against.
 Only the ``Graph`` container is shared; none of the package's coloring or
-search logic is reused.
+search logic is reused.  The one exception, ``reduce_fully``, is no
+reference: it lays the package's own reduction out as snapshots for tests
+to replay.
 """
 
 from __future__ import annotations
@@ -12,10 +14,11 @@ from __future__ import annotations
 import itertools
 import random
 
-from wdcolor.graphs import Graph
+from wdcolor.graphs import EditableGraph, Graph
 from wdcolor.reductions import (KIND_L1A, KIND_L1B, KIND_L2, KIND_L3, KIND_L4,
                                 KIND_L5, KIND_L6, KIND_L7, KIND_L8, KIND_L9,
-                                KIND_L10)
+                                KIND_L10, ReductionStep, reduce_in_place,
+                                unwind)
 
 Coloring = dict[int, int]
 
@@ -825,3 +828,22 @@ def satisfy_through_full(g: Graph, coloring: Coloring, target: int, pending,
     if len(fixed) <= need:
         return set(fixed)
     return set(sorted(fixed, key=color_order.index)[:need])
+
+
+# ---------------------------------------------------------------------------
+# the package's reduction, as snapshots
+# ---------------------------------------------------------------------------
+
+
+def reduce_fully(g: Graph) -> tuple[Graph, list[tuple[Graph, ReductionStep]]]:
+    """Apply reductions until none matches.  Returns the reduction-free
+    core and the stack of (graph-before-step, step) pairs, applied order.
+
+    The steps are those of ``reduce_in_place``; each graph is a snapshot
+    taken as ``unwind`` restores it."""
+    e = EditableGraph(g)
+    steps = reduce_in_place(e)
+    core = e.snapshot()
+    stack = [(e.snapshot(), step) for step in unwind(e, steps)]
+    stack.reverse()
+    return core, stack

@@ -14,11 +14,12 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from oracles import reduce_fully
 from wdcolor.cli import cli
 from wdcolor.generators import random_planar
+from wdcolor.graphs import Graph
 from wdcolor.io import (parse_coloring, parse_graph, serialize_coloring,
                         serialize_graph_json)
-from wdcolor.reductions import reduce_fully
 
 
 @pytest.fixture()
@@ -310,21 +311,28 @@ class TestErrorPaths:
 
 
 def test_reduce_trace_equals_reduce_fully(runner, tmp_path):
-    g = random_planar(300, 0.8, 5)
-    path = tmp_path / "g.json"
-    path.write_text(serialize_graph_json(g))
-    res = invoke(runner, "reduce", str(path), "--trace")
-    assert res.exit_code == 0
-    core, stack = reduce_fully(g)
-    steps = [step for _, step in stack]
-    assert json.loads(res.stdout) == {
-        "input": {"n": g.n, "m": g.m},
-        "steps_applied": len(steps),
-        "kinds": [s.kind for s in steps],
-        "core": {"n": core.n, "m": core.m,
-                 "vertices": sorted(core.vertices()),
-                 "edges": sorted([min(u, v), max(u, v)]
-                                 for u, v in core.edges())},
-        "steps": [s.to_json_dict(before) for before, s in stack],
-    }
-    assert len(steps) > 100
+    # the second input has two components and an isolated vertex, which
+    # the command reduces together in one graph
+    a, b = random_planar(150, 0.8, 5), random_planar(100, 1.0, 6)
+    apart = Graph.from_edges(
+        list(a.edges()) + [(u + a.n, v + a.n) for u, v in b.edges()],
+        vertices=range(a.n + b.n + 1))
+    assert len(apart.connected_components()) == 3
+    for g in (random_planar(300, 0.8, 5), apart):
+        path = tmp_path / "g.json"
+        path.write_text(serialize_graph_json(g))
+        res = invoke(runner, "reduce", str(path), "--trace")
+        assert res.exit_code == 0
+        core, stack = reduce_fully(g)
+        steps = [step for _, step in stack]
+        assert json.loads(res.stdout) == {
+            "input": {"n": g.n, "m": g.m},
+            "steps_applied": len(steps),
+            "kinds": [s.kind for s in steps],
+            "core": {"n": core.n, "m": core.m,
+                     "vertices": sorted(core.vertices()),
+                     "edges": sorted([min(u, v), max(u, v)]
+                                     for u, v in core.edges())},
+            "steps": [s.to_json_dict(before) for before, s in stack],
+        }
+        assert len(steps) > 100

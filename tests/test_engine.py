@@ -20,6 +20,7 @@ import random
 import networkx as nx
 
 import oracles
+from oracles import reduce_fully
 from wdcolor import reductions
 from wdcolor.exact import wd_number_exact
 from wdcolor.generators import named, random_planar, triangulation
@@ -29,7 +30,7 @@ from wdcolor.pipeline import wd3_color_planar
 from wdcolor.reductions import (KIND_L9, KIND_L10, KIND_ORDER, PALETTE,
                                 Configuration, DetectionIndex, LiftColoring,
                                 apply_reduction, detect_configuration,
-                                lift_coloring, reduce_fully, reduce_in_place)
+                                lift_coloring, reduce_in_place, unwind)
 from wdcolor.verify import is_weak_dynamic
 
 
@@ -183,8 +184,7 @@ def test_in_place_lifts_equal_public_lifts():
         steps = reduce_in_place(e)
         assert steps == [step for _, step in stack]
         shared = LiftColoring(base, e.adjacency().keys())
-        for step, want in zip(reversed(steps), public):
-            e.undo()
+        for step, want in zip(unwind(e, steps), public):
             assert lift_coloring(e, step, shared) is shared
             assert shared == want
             lifts += 1

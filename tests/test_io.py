@@ -126,6 +126,8 @@ class TestJsonGraph:
         ('{"n": true, "edges": []}', '"n" must be'),
         ('{"n": 3, "edges": [[true, 2]]}', "edge #0"),
         ('{"n": 3, "edges": [[0, false]]}', "edge #0"),
+        ('{"n": 3, "edges": [[0, 1], [1, 2], [1, 0]]}',
+         "duplicate edge: #0 and #2"),
     ])
     def test_malformed_json_graphs(self, text, fragment):
         with pytest.raises(FormatError, match=fragment):
@@ -154,6 +156,10 @@ class TestColoring:
         ('{"colors": {"0": true}}', "not an integer"),
         ('{"colors": {"0": 0}}', "below 1"),
         ('{"colors": {"0": -3}}', "below 1"),
+        ('{"colors": {"1": 2, "01": 3}}', "'01' is not an integer"),
+        ('{"colors": {" 1": 4}}', "' 1' is not an integer"),
+        ('{"colors": {"1_0": 1}}', "'1_0' is not an integer"),
+        ('{"colors": {"1": 2, "1": 3}}', "repeated key '1'"),
     ])
     def test_malformed_colorings(self, text, fragment):
         with pytest.raises(FormatError, match=fragment):
@@ -173,6 +179,10 @@ class TestLists:
         ('{"lists": {"0": [1, "x"]}}', "integer array"),
         ('{"lists": {"0": [1, true]}}', "integer array"),
         ('{"lists": {"0": [0, 1]}}', "below 1"),
+        ('{"lists": {"1": [1], "+1": [2]}}', "'\\+1' is not an integer"),
+        ('{"lists": {"10": [1], "1_0": [2]}}', "'1_0' is not an integer"),
+        ('{"lists": {"0": [1], "0": [2]}}', "repeated key '0'"),
+        ('{"lists": {"0": [1, 1, 2]}}', "repeats a color"),
     ])
     def test_malformed_lists(self, text, fragment):
         with pytest.raises(FormatError, match=fragment):

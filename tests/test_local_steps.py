@@ -1,9 +1,9 @@
 """Each reduce-and-lift step is checked and edited locally; these tests pin
 down why that is sound.
 
-* A lift is verified on the closed neighborhood of the matched vertices
-  and of every vertex whose color changed.  Whatever a lifter recolors,
-  the local verdict must equal the verdict of the full rule on the graph.
+* A lift is verified on the matched vertices and the closed neighborhood
+  of every vertex whose color changed.  Whatever a lifter recolors, the
+  local verdict must equal the verdict of the full rule on the graph.
 * A reduction changes adjacency only inside the closed neighborhood of
   the matched vertices (plus the fresh vertex it may create), which is
   what makes the local verdict complete.
@@ -18,6 +18,7 @@ import random
 import pytest
 
 import oracles
+from oracles import reduce_fully
 from wdcolor import reductions
 from wdcolor.exact import wd_number_exact
 from wdcolor.generators import random_planar, triangulation
@@ -25,7 +26,7 @@ from wdcolor.graphs import Graph
 from wdcolor.hosts import host_for
 from wdcolor.reductions import (KIND_ORDER, PALETTE, LiftError,
                                 apply_reduction, detect_configuration,
-                                lift_coloring, reduce_fully)
+                                lift_coloring)
 from wdcolor.verify import is_weak_dynamic
 
 HOSTS_PER_KIND = 4
@@ -116,6 +117,22 @@ def test_far_recoloring_is_caught(monkeypatch):
 
     monkeypatch.setitem(reductions._LIFTERS, step.kind, lifter)
     with pytest.raises(LiftError, match="vertex=2"):
+        lift_coloring(g, step, c_reduced)
+
+
+def test_l2_lift_checks_the_deleted_edge_ends():
+    # the octahedron: every vertex has degree 4, so L2 deletes the edge
+    # v1v2 and its lift writes nothing; only the check at v1 and v2,
+    # which the deleted edge joined, can see that v1 has too few colors
+    g = Graph.from_edges([(u, v) for u in range(6) for v in range(u + 1, 6)
+                          if u + v != 5])
+    reduced, step = apply_reduction(g, detect_configuration(g))
+    assert step.kind == "L2-adjacent-4plus"
+    v1 = step.roles()["v1"]
+    u = min(reduced.neighbors(v1))
+    # v1 sees two colors in the reduced graph, and v2 carries one of them
+    c_reduced = {v: 2 if v == u else 1 for v in reduced.vertices()}
+    with pytest.raises(LiftError, match=f"vertex={v1}, seen=2"):
         lift_coloring(g, step, c_reduced)
 
 

@@ -20,7 +20,7 @@ import pytest
 
 import oracles
 from hubs import HUB_FAMILIES, bipyramid, radial, wheel
-from oracles import connected_atlas, proper_partitions
+from oracles import connected_atlas, proper_partitions, reduce_fully
 from wdcolor.exact import wd_number_exact
 from wdcolor.generators import named, random_planar, triangulation
 from wdcolor.graphs import EditableGraph, Graph
@@ -36,8 +36,7 @@ from wdcolor.pipeline import (
     four_color_H,
     wd3_color_planar,
 )
-from wdcolor.reductions import (LiftError, detect_configuration, reduce_fully,
-                                reduce_in_place)
+from wdcolor.reductions import LiftError, detect_configuration, reduce_in_place
 from wdcolor.verify import is_proper, is_weak_dynamic, palette_size
 
 import wdcolor.hosts as hosts_module

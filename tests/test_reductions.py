@@ -7,6 +7,7 @@ import networkx as nx
 import pytest
 
 import oracles
+from oracles import reduce_fully
 from wdcolor.exact import wd_number_exact
 from wdcolor.generators import named, random_planar
 from wdcolor.graphs import Graph
@@ -16,8 +17,7 @@ from wdcolor.reductions import (KIND_ORDER, SHORT_KINDS, LiftError,
                                 ReductionError, StaleConfigurationError,
                                 apply_reduction, canonical_colorings,
                                 certify_lemma, detect_configuration,
-                                lift_coloring, reduce_fully,
-                                validate_configuration)
+                                lift_coloring, validate_configuration)
 from wdcolor.verify import is_weak_dynamic
 
 

@@ -17,14 +17,14 @@ import itertools
 import random
 
 import oracles
+from oracles import reduce_fully
 from test_engine import host_graphs, prism, random_edit, random_graphs
 from wdcolor import reductions
 from wdcolor.generators import named
 from wdcolor.graphs import EditableGraph, Graph
 from wdcolor.hosts import host_for
 from wdcolor.reductions import (KIND_L9, KIND_L10, KIND_ORDER, Configuration,
-                                detect_configuration, reduce_fully,
-                                validate_configuration)
+                                detect_configuration, validate_configuration)
 
 
 def detections():

@@ -10,11 +10,12 @@ Two graph formats are supported and sniffed automatically:
 
 Colorings are JSON ``{"colors": {"<vid>": <int>, ...}}`` and list
 assignments are JSON ``{"lists": {"<vid>": [<int>, ...], ...}}``; their
-vertex ids are written as ``str(int)`` writes them and must match the
-ids of the graph file they accompany; colors are positive, and a list
-repeats none.  JSON ``true`` and ``false`` are not integers here, and no
-key or edge may repeat.  All parse errors raise :class:`FormatError`,
-which carries a 1-based line number for text input.
+vertex ids must match the ids of the graph file they accompany; colors
+are positive, and a list repeats none.  Every number of a DIMACS file and
+every vertex id key is written as ``str(int)`` writes it.  JSON ``true``
+and ``false`` are not integers here, and no key or edge may repeat.  All
+parse errors, a file not in UTF-8 too, raise :class:`FormatError`, which
+carries a 1-based line number for text input.
 """
 
 from __future__ import annotations
@@ -42,6 +43,22 @@ def _is_int(x: object) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _plain_int(text: str) -> int | None:
+    """``int(text)`` if ``str`` writes that back as ``text``, else None:
+    ``int`` also reads " 1", "01", "+1", "1_0" and non-ASCII digits."""
+    try:
+        return int(text) if str(int(text)) == text else None
+    except ValueError:
+        return None
+
+
+def _read_text(path: str | Path) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"not UTF-8: {exc}") from None
+
+
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict[str, object]:
     """A JSON object as a dict; ``json.loads`` alone would keep the last
     of a repeated key's values."""
@@ -61,7 +78,7 @@ def _load_json(text: str):
 
 def _parse_graph_json(text: str) -> Graph:
     data = _load_json(text)
-    if not isinstance(data, dict) or "edges" not in data:
+    if not isinstance(data, dict) or not isinstance(data.get("edges"), list):
         raise FormatError('graph JSON needs an "edges" array')
     n = data.get("n")
     if not _is_int(n) or n < 0:
@@ -99,24 +116,19 @@ def _parse_graph_dimacs(text: str) -> Graph:
                 raise FormatError("duplicate p line", line=lineno)
             if len(fields) != 4 or fields[1] != "edge":
                 raise FormatError('expected "p edge <n> <m>"', line=lineno)
-            try:
-                n, m = int(fields[2]), int(fields[3])
-            except ValueError:
-                raise FormatError("p line counts must be integers",
-                                  line=lineno) from None
-            if n < 0 or m < 0:
-                raise FormatError("p line counts must be nonnegative",
-                                  line=lineno)
+            n, m = _plain_int(fields[2]), _plain_int(fields[3])
+            if n is None or m is None or min(n, m) < 0:
+                raise FormatError("p line counts must be nonnegative"
+                                  " integers in plain decimal", line=lineno)
         elif fields[0] == "e":
             if n is None:
                 raise FormatError("e line before the p line", line=lineno)
             if len(fields) != 3:
                 raise FormatError('expected "e <u> <v>"', line=lineno)
-            try:
-                u, v = int(fields[1]), int(fields[2])
-            except ValueError:
-                raise FormatError("edge endpoints must be integers",
-                                  line=lineno) from None
+            u, v = _plain_int(fields[1]), _plain_int(fields[2])
+            if u is None or v is None:
+                raise FormatError("edge endpoints must be integers in plain"
+                                  " decimal", line=lineno)
             if u == v:
                 raise FormatError(f"self-loop at {u}", line=lineno)
             if not (1 <= u <= n and 1 <= v <= n):
@@ -144,7 +156,7 @@ def parse_graph(text: str) -> Graph:
 
 
 def load_graph(path: str | Path) -> Graph:
-    return parse_graph(Path(path).read_text())
+    return parse_graph(_read_text(path))
 
 
 def serialize_graph_dimacs(g: Graph) -> str:
@@ -169,12 +181,8 @@ def serialize_graph_json(g: Graph) -> str:
 def _int_keyed(obj: dict, what: str) -> dict[int, object]:
     out: dict[int, object] = {}
     for key, value in obj.items():
-        try:
-            vid = int(key)
-        except ValueError:
-            vid = None
-        # int() also reads " 1", "01" and "1_0", aliases of "1" and "10"
-        if vid is None or str(vid) != key:
+        vid = _plain_int(key)
+        if vid is None:
             raise FormatError(f"{what} key {key!r} is not an integer in"
                               f" plain decimal")
         out[vid] = value
@@ -197,7 +205,7 @@ def parse_coloring(text: str) -> Coloring:
 
 
 def load_coloring(path: str | Path) -> Coloring:
-    return parse_coloring(Path(path).read_text())
+    return parse_coloring(_read_text(path))
 
 
 def serialize_coloring(c: Coloring) -> str:

@@ -19,20 +19,21 @@ graph.  The driver reduces one ``EditableGraph`` in place
 (``reduce_in_place``): each step replaces only the neighbor sets within
 the closed neighborhood N[M] of the matched vertices M, plus the fresh
 vertex of a contraction or identification, and records the sets it
-replaced in an undo entry.  A ``DetectionIndex`` keeps the matching
-anchors of kinds L1a-L8, with the roles their match gave, and re-matches,
-when a kind is next asked, only the anchors near the vertices those
-entries name; it picks what the full scan would, and ``pick`` itself
-matches nothing.  The full scan runs only when none of them matches, for L9
-and L10, which order by cycle length.  The driver then lifts one
+replaced in an undo entry.  A ``DetectionIndex`` answers all eleven kinds
+and picks what the full scan would.  It keeps the matching anchors of
+kinds L1a-L8, with the roles their match gave, and re-matches, when a kind
+is next asked, only the anchors near the vertices those entries name; L9
+and L10, which order by cycle length, rescan after their first miss only
+the cycles near those vertices.  The full scan runs once per component, on
+the core, as the irreducibility check.  The driver then lifts one
 ``LiftColoring`` in place while ``unwind`` pops the undo entries, so each
 lift sees exactly the graph before its step.  The coloring records the
 keys a lift writes, the set D, and a lift is verified on N[D] and the
 matched vertices only: any other vertex has the same neighbors, the same
 demand and the same seen colors as in the reduced graph, where the input
-coloring was valid.  The driver re-checks the whole graph once at the
-end.  The public functions on an immutable ``Graph`` and a plain dict run
-the same edits and the same checks on a copy.
+coloring was valid.  The driver re-checks the whole graph once at the end.
+The public functions on an immutable ``Graph`` and a plain dict run the
+same edits and the same checks on a copy.
 
 Every lift step draws colors through ``pick_color`` under a color order
 derived from the input coloring's first-use order, which makes the whole
@@ -533,30 +534,29 @@ def _ball(adj, centers, radius: int) -> set[int]:
     return ball
 
 
-def _chordless_deg3_cycles(g: Graph) -> Iterator[tuple[int, ...]]:
+def _chordless_deg3_cycles(g: Graph, near=None
+                           ) -> Iterator[tuple[int, ...]]:
     """Chordless cycles whose vertices all have degree three, ascending by
     length, then by canonical labeling (minimum vertex first, second vertex
-    smaller than last)."""
+    smaller than last); only in the components of 3-vertices that meet
+    ``near``, when it is given."""
     adj = g.adjacency()
-    deg3 = [v for v in g.vertices() if len(adj[v]) == 3]
-    if len(deg3) < 3:
-        return
-    allowed = set(deg3)
     # a cycle lies inside one component of the subgraph the 3-vertices
     # induce, so a start in a component smaller than the length is skipped
     size: dict[int, int] = {}
-    for s in deg3:
-        if s in size:
+    for s in adj if near is None else near:
+        if s in size or len(adj[s]) != 3:
             continue
         comp = [s]
         size[s] = 0
         for v in comp:
             for w in adj[v]:
-                if w in allowed and w not in size:
+                if w not in size and len(adj[w]) == 3:
                     size[w] = 0
                     comp.append(w)
         for v in comp:
             size[v] = len(comp)
+    deg3 = sorted(size)
 
     def extend(path: list[int], target_len: int) -> Iterator[tuple[int, ...]]:
         start = path[0]
@@ -566,7 +566,7 @@ def _chordless_deg3_cycles(g: Graph) -> Iterator[tuple[int, ...]]:
                 yield tuple(path)
             return
         for w in sorted(adj[tail]):
-            if w <= start or w in path or w not in allowed:
+            if w <= start or w in path or w not in size:
                 continue
             # chordlessness: w may touch only the tail (and the start when
             # it is about to close the cycle)
@@ -577,7 +577,7 @@ def _chordless_deg3_cycles(g: Graph) -> Iterator[tuple[int, ...]]:
             yield from extend(path, target_len)
             path.pop()
 
-    for length in range(3, max(size.values()) + 1):
+    for length in range(3, max(size.values(), default=2) + 1):
         for s in deg3:
             if size[s] >= length:
                 yield from extend([s], length)
@@ -681,14 +681,15 @@ def _match_l10(adj, cycle: tuple[int, ...]):
 _AT_CYCLE = {KIND_L9: _match_l9, KIND_L10: _match_l10}
 
 
-def _scan(g: Graph | EditableGraph, kind: str) -> Configuration | None:
+def _scan(g: Graph | EditableGraph, kind: str,
+          near=None) -> Configuration | None:
     """The first match of ``kind`` over its seeds in order: the anchors in
     the kind's degree range, ascending, or the chordless cycles of
-    3-vertices, shortest first."""
+    3-vertices, shortest first (those ``near`` lets in, if given)."""
     adj = g.adjacency()
     match = _AT_CYCLE.get(kind)
     if match is not None:
-        seeds = _chordless_deg3_cycles(g)
+        seeds = _chordless_deg3_cycles(g, near)
     elif kind in _ANCHORED_AT:
         _, match, _, lo, hi, _, _ = _ANCHORED[_ANCHORED_AT[kind]]
         seeds = (v for v in g.vertices() if lo <= len(adj[v]) <= hi)
@@ -722,13 +723,12 @@ def detect_configuration(g: Graph | EditableGraph,
 
 
 class DetectionIndex:
-    """The configuration of kinds L1a-L8 that ``detect_configuration``
-    would pick on an ``EditableGraph``, kept current while reductions edit
-    it.
+    """The configuration that ``detect_configuration`` would pick on an
+    ``EditableGraph``, kept current while reductions edit it.
 
     For each anchored kind (L1a-L8) the index holds the anchors that
     match, each with the roles its match gave, and a heap for the
-    smallest; ``pick`` hands out the roles kept at the heap top and runs
+    smallest; ``first`` hands out the roles kept at the heap top and runs
     no matcher.  Between two looks at a kind, its answer can change only
     at an anchor within ``sets`` of a vertex whose neighbor set an edit
     replaced, or within ``degrees`` of one whose degree class changed: the
@@ -739,8 +739,11 @@ class DetectionIndex:
     catches up with the graph's undo log only when it is asked, so the
     later kinds pay nothing for steps the earlier kinds settle; kinds that
     catch up over the same entries with the same reach share the anchors
-    to match again.  L9 and L10 order by cycle length first and are not
-    indexed: the driver runs the full scan when no anchored kind matches.
+    to match again.  L9 and L10 order by cycle length and keep no anchors:
+    once one has matched nowhere, it rescans only the components of
+    3-vertices that meet a vertex within 1 of a set replaced since, as its
+    matcher reads only the sets of the cycle and its hubs.  Until its first
+    miss it scans the whole graph.
 
     The index is valid while the graph's undo log only grows.
     """
@@ -756,32 +759,33 @@ class DetectionIndex:
         # them at the same depth: (since, until, old sets, present ones,
         # deleted ones, anchors to match again by (sets, degrees))
         self._changes: tuple = (None, None, {}, set(), set(), {})
+        self._missed: dict[str, int] = {}  # cycle kind -> depth of last miss
 
     def pick(self) -> Configuration | None:
-        """The first configuration of the anchored kinds, in kind order, as
-        the full scan's; None when no anchored kind matches."""
-        for i in range(len(_ANCHORED)):
-            conf = self._first_anchored(i)
+        """The first configuration in kind order, as the full scan's; None
+        when the graph is reduction-free."""
+        for kind in KIND_ORDER:
+            conf = self.first(kind)
             if conf is not None:
                 return conf
         return None
 
     def first(self, kind: str) -> Configuration | None:
-        """The configuration of one kind that the full scan would pick; for
-        L9 and L10, the full scan's."""
+        """The configuration of one kind that the full scan would pick."""
         i = _ANCHORED_AT.get(kind)
         if i is None:
-            return _scan(self._g, kind)
-        return self._first_anchored(i)
-
-    def _first_anchored(self, i: int) -> Configuration | None:
+            seen, depth = self._missed.get(kind), self._g.depth
+            near = None if seen is None else self._near(seen, depth, 1, 1)[1]
+            conf = _scan(self._g, kind, near)
+            if conf is None:
+                self._missed[kind] = depth
+            return conf
         self._catch_up(i)
         heap, cands = self._heaps[i], self._cands[i]
         while heap and heap[0] not in cands:
             heapq.heappop(heap)
-        if not heap:
-            return None
-        return Configuration(_ANCHORED[i].kind, tuple(cands[heap[0]]))
+        return (Configuration(_ANCHORED[i].kind, tuple(cands[heap[0]]))
+                if heap else None)
 
     def _catch_up(self, i: int) -> None:
         depth = self._g.depth
@@ -943,10 +947,9 @@ def reduce_in_place(g: EditableGraph) -> list[ReductionStep]:
     steps in applied order.
 
     Each step leaves one undo entry on ``g``, so ``unwind`` restores the
-    graph before each step, newest first.  Detection goes through a
-    ``DetectionIndex``.  When no anchored kind matches, the full
-    ``detect_configuration`` scan looks for L9 and L10, and at the end it
-    confirms the core.
+    graph before each step, newest first.  A ``DetectionIndex`` picks every
+    step, of all eleven kinds; once it picks nothing, one full
+    ``detect_configuration`` scan confirms the core.
     """
     index = DetectionIndex(g)
     steps = []
@@ -956,9 +959,8 @@ def reduce_in_place(g: EditableGraph) -> list[ReductionStep]:
             conf = detect_configuration(g)
             if conf is None:
                 return steps
-            if conf.kind not in _AT_CYCLE:
-                log.warning("detection index missed a %s configuration",
-                            conf.kind)
+            log.warning("detection index missed a %s configuration",
+                        conf.kind)
         steps.append(apply_reduction(g, conf)[1])
 
 

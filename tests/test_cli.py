@@ -302,6 +302,19 @@ class TestErrorPaths:
         assert res.exit_code == 1
         assert "line 2" in res.stderr
 
+    @pytest.mark.parametrize("data", [
+        b"p edge 10 1\ne 1_0 2\n",
+        b'{"n": 2, "edges": null}',
+        b"p edge 2 1\nc \xe9\ne 1 2\n",
+    ])
+    def test_malformed_graph_file_exits_one_with_a_message(self, runner,
+                                                           tmp_path, data):
+        bad = tmp_path / "bad.graph"
+        bad.write_bytes(data)
+        res = invoke(runner, "color", str(bad))
+        assert res.exit_code == 1
+        assert res.stderr.startswith(f"{bad}: ")
+
     def test_help_exits_zero(self, runner):
         res = invoke(runner, "--help")
         assert res.exit_code == 0

@@ -3,13 +3,17 @@
 * ``DetectionIndex`` picks, kind by kind and at every step, what the full
   scan ``detect_configuration(graph, kind=k)`` picks on the same graph,
   including "none", whether it is asked every step or only now and then;
-  its pick is the full scan's whenever that is an anchored kind (L1a-L8).
+  its pick is the full scan's ``detect_configuration(graph)``, of every
+  kind.  After a miss, a cycle kind (L9, L10) rescans only the components
+  of 3-vertices near the edits, and finds there what the full scan finds.
 * ``EditableGraph.undo`` restores each graph before its step exactly, and
   ``changed_since`` names every vertex whose neighbor set changed.
 * Lifting in place through one ``LiftColoring`` gives the colorings that
   the public ``lift_coloring`` gives on immutable graphs and plain dicts.
 * The driver survives a lifter that recolors a vertex far from its step.
-* The chordless-cycle enumeration skips only starts that cannot yield.
+* The chordless-cycle enumeration skips only starts that cannot yield,
+  and restricted to a vertex set walks the components of 3-vertices that
+  meet it, in the full enumeration's order.
 """
 
 from __future__ import annotations
@@ -27,10 +31,11 @@ from wdcolor.generators import named, random_planar, triangulation
 from wdcolor.graphs import EditableGraph, Graph
 from wdcolor.hosts import host_for
 from wdcolor.pipeline import wd3_color_planar
-from wdcolor.reductions import (KIND_L9, KIND_L10, KIND_ORDER, PALETTE,
-                                Configuration, DetectionIndex, LiftColoring,
-                                apply_reduction, detect_configuration,
-                                lift_coloring, reduce_in_place, unwind)
+from wdcolor.reductions import (KIND_L2, KIND_L9, KIND_L10, KIND_ORDER,
+                                PALETTE, Configuration, DetectionIndex,
+                                LiftColoring, apply_reduction,
+                                detect_configuration, lift_coloring,
+                                reduce_in_place, unwind)
 from wdcolor.verify import is_weak_dynamic
 
 
@@ -94,12 +99,8 @@ def test_index_picks_what_the_full_scan_picks():
                         assert index.first(kind) == want, kind
                         if want is not None:
                             found.add(kind)
-                want = detect_configuration(snap)
                 conf = index.pick()
-                if want is None or want.kind in (KIND_L9, KIND_L10):
-                    assert conf is None
-                    conf = want
-                assert conf == want
+                assert conf == detect_configuration(snap)
                 if conf is None:
                     break
                 apply_reduction(e, conf)
@@ -273,13 +274,76 @@ def test_driver_catches_a_far_recoloring_and_falls_back(monkeypatch, caplog):
 
 
 def test_chordless_cycles_skip_only_starts_that_cannot_yield():
-    graphs = (list(random_graphs(60, 9)) + list(radial_graphs())
-              + [prism(k) for k in range(3, 7)] + [named("cube")]
-              + [host_for(kind, i) for kind in (KIND_L9, KIND_L10)
-                 for i in range(6)])
     cycles = 0
-    for g in graphs:
+    for g in cycle_test_graphs():
         got = list(reductions._chordless_deg3_cycles(g))
         assert got == list(oracles.chordless_deg3_cycles_by_length_scan(g))
         cycles += len(got)
     assert cycles > 100
+
+
+def cycle_test_graphs():
+    return (list(random_graphs(60, 9)) + list(radial_graphs())
+            + [prism(k) for k in range(3, 7)] + [named("cube")]
+            + [host_for(kind, i) for kind in (KIND_L9, KIND_L10)
+               for i in range(6)])
+
+
+def deg3_component(g: Graph, v: int) -> set[int]:
+    """The component of ``v`` in the subgraph the 3-vertices induce."""
+    comp = {v}
+    todo = [v]
+    while todo:
+        for w in g.neighbors(todo.pop()):
+            if w not in comp and g.degree(w) == 3:
+                comp.add(w)
+                todo.append(w)
+    return comp
+
+
+def test_chordless_cycles_near_a_set_walk_the_components_it_meets():
+    rng = random.Random(12)
+    cycles = 0
+    for g in cycle_test_graphs():
+        every = list(oracles.chordless_deg3_cycles_by_length_scan(g))
+        vs = list(g.vertices())
+        for size in (0, 1, 3, len(vs) // 4):
+            near = set(rng.sample(vs, min(size, len(vs))))
+            met = set()
+            for v in near:
+                if g.degree(v) == 3:
+                    met |= deg3_component(g, v)
+            want = [c for c in every if c[0] in met]
+            assert list(reductions._chordless_deg3_cycles(g, near)) == want
+            cycles += len(want)
+    assert cycles > 100
+
+
+def test_a_cycle_kind_rescans_near_the_edits_after_a_miss(monkeypatch):
+    """The 4-cycle 0-1-2-3 of 3-vertices has the hubs 10 and 11 at its
+    even positions and the 3-vertices 12 and 13 at its odd ones.  The edge
+    between the 4+ hubs 10 and 11 blocks L10; an L2 step deletes it and
+    touches no vertex of degree three, so only a rescan that reaches one
+    vertex beyond the replaced sets finds the cycle again."""
+    edges = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 10), (2, 11), (1, 12),
+             (3, 13), (10, 11), (12, 26), (12, 27), (13, 28), (13, 29)]
+    edges += [(10, 20 + i) for i in range(3)]
+    edges += [(11, 23 + i) for i in range(3)]
+    e = EditableGraph(Graph.from_edges(edges))
+    index = DetectionIndex(e)
+    walked = []
+    full_walk = reductions._chordless_deg3_cycles
+
+    def spy(g, near=None):
+        walked.append(near)
+        return full_walk(g, near)
+
+    monkeypatch.setattr(reductions, "_chordless_deg3_cycles", spy)
+    assert index.first(KIND_L10) is None and walked == [None]
+    apply_reduction(e, Configuration(KIND_L2, (("v1", 10), ("v2", 11))))
+    got = index.first(KIND_L10)
+    near = walked[1]
+    assert near is not None and 0 in near and 12 not in near
+    want = detect_configuration(e.snapshot(), kind=KIND_L10)
+    assert want is not None and got == want
+    assert walked[2:] == [None]

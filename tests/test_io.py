@@ -79,6 +79,13 @@ class TestDimacs:
         ("p edge 2 1\ne 1 3\n", 2, "out of range"),
         ("p edge 2 2\ne 1 2\ne 2 1\n", 3, "duplicate edge"),
         ("p edge 2 1\nq 1 2\n", 2, "unknown line type"),
+        ("p edge 10 1\ne 1_0 2\n", 2, "plain decimal"),
+        ("p edge 3 1\ne 01 2\n", 2, "plain decimal"),
+        ("p edge 3 1\ne +1 2\n", 2, "plain decimal"),
+        ("p edge 3 1\ne 1 \uff13\n", 2, "plain decimal"),
+        ("p edge 0_3 1\ne 1 2\n", 1, "plain decimal"),
+        ("p edge 3 +1\ne 1 2\n", 1, "plain decimal"),
+        ("p edge \uff13 1\ne 1 2\n", 1, "plain decimal"),
     ])
     def test_malformed_lines_are_located(self, text, lineno, fragment):
         with pytest.raises(FormatError, match=fragment) as info:
@@ -117,6 +124,9 @@ class TestJsonGraph:
     @pytest.mark.parametrize("text,fragment", [
         ('{"n": 2}', '"edges" array'),
         ('{}', '"edges" array'),
+        ('{"n": 2, "edges": 5}', '"edges" array'),
+        ('{"n": 2, "edges": null}', '"edges" array'),
+        ('{"n": 2, "edges": {"0": 1}}', '"edges" array'),
         ('{"edges": []}', '"n" must be'),
         ('{"n": -1, "edges": []}', '"n" must be'),
         ('{"n": 2, "edges": [[0]]}', "edge #0"),
@@ -198,3 +208,12 @@ class TestFileLoading:
         cpath = tmp_path / "c.json"
         cpath.write_text(serialize_coloring({1: 1, 2: 2}))
         assert load_coloring(cpath) == {1: 1, 2: 2}
+
+    @pytest.mark.parametrize("load", [load_graph, load_coloring])
+    def test_a_file_that_is_not_utf8_is_a_format_error(self, tmp_path,
+                                                        load):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"n": 1, "edges": [], "name": "\xe9"}'
+                         .encode("latin-1"))
+        with pytest.raises(FormatError, match="not UTF-8"):
+            load(path)

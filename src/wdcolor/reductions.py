@@ -24,8 +24,12 @@ and picks what the full scan would.  It keeps the matching anchors of
 kinds L1a-L8, with the roles their match gave, and re-matches, when a kind
 is next asked, only the anchors near the vertices those entries name; L9
 and L10, which order by cycle length, rescan after their first miss only
-the cycles near those vertices.  The full scan runs once per component, on
-the core, as the irreducibility check.  The driver then lifts one
+the cycles near those vertices.  On a graph no step has edited yet, each
+kind's first look is the full scan itself, so an irreducible component is
+scanned once, by the index.  After the last step, the full scan runs once
+more, on the core, to check the index's incremental answer.  At a hub a
+matcher makes one pass over the neighbors and sorts at most the
+3-neighbors.  The driver then lifts one
 ``LiftColoring`` in place while ``unwind`` pops the undo entries, so each
 lift sees exactly the graph before its step.  The coloring records the
 keys a lift writes, the set D, and a lift is verified on N[D] and the
@@ -367,13 +371,14 @@ def _match_l1b(adj, v1: int):
 
 def _match_l2(adj, u: int):
     """At ``u``, the edge to its smallest higher 4+ neighbor; so the
-    smallest anchor gives the lexicographically first 4+/4+ edge.  The
-    neighbors are sorted at C speed and walked only up to that one, which
-    at a hub is soon."""
-    for w in sorted(adj[u]):
-        if w > u and len(adj[w]) >= 4:
-            return [("v1", u), ("v2", w)]
-    return None
+    smallest anchor gives the lexicographically first 4+/4+ edge.  One
+    pass keeps the least such neighbor, O(d) at a hub, where a sort of
+    the whole set would be O(d log d)."""
+    v2 = None
+    for w in adj[u]:
+        if w > u and (v2 is None or w < v2) and len(adj[w]) >= 4:
+            v2 = w
+    return None if v2 is None else [("v1", u), ("v2", v2)]
 
 
 def _l3_sides(adj, mid: int, other: int):
@@ -391,7 +396,9 @@ def _l3_sides(adj, mid: int, other: int):
 def _deg3_partners(adj, a: int) -> list[int]:
     """The 3-vertices b > a next to a 3-vertex ``a``, ascending: anchored
     at their smaller end, 3-3 edges come in lexicographic order."""
-    return sorted(b for b in adj[a] if b > a and len(adj[b]) == 3)
+    out = [b for b in adj[a] if b > a and len(adj[b]) == 3]
+    out.sort()
+    return out
 
 
 def _match_l3(adj, a: int):
@@ -438,34 +445,40 @@ def _match_l5(adj, a: int):
 
 
 def _match_l6(adj, v3: int):
-    for v1 in sorted(adj[v3]):
-        if len(adj[v1]) < 4:
-            continue
-        v2, v4 = sorted(adj[v3] - {v1})
-        if len(adj[v2]) != 3 or len(adj[v4]) != 3:
-            continue
-        if not (v2 in adj[v1] and v4 in adj[v1]):
-            continue
-        if v4 in adj[v2]:
-            continue
-        v5 = _only(adj[v2] - {v1, v3})
-        v6 = _only(adj[v4] - {v1, v3})
-        if len(adj[v5]) < 3 or len(adj[v6]) < 3:
-            continue
-        return [("v1", v1), ("v2", v2), ("v3", v3), ("v4", v4), ("v5", v5),
-                ("v6", v6)]
-    return None
+    """The 3-vertex ``v3`` with two 3-neighbors v2 < v4 and a 4+ neighbor
+    v1 next to both; so v1 is its one neighbor that is not a 3-vertex."""
+    nbrs = adj[v3]
+    threes = [u for u in nbrs if len(adj[u]) == 3]
+    if len(threes) != 2:
+        return None
+    v1 = _only(nbrs.difference(threes))
+    if len(adj[v1]) < 4:
+        return None
+    v2, v4 = sorted(threes)
+    if not (v2 in adj[v1] and v4 in adj[v1]) or v4 in adj[v2]:
+        return None
+    v5 = _only(adj[v2] - {v1, v3})
+    v6 = _only(adj[v4] - {v1, v3})
+    if len(adj[v5]) < 3 or len(adj[v6]) < 3:
+        return None
+    return [("v1", v1), ("v2", v2), ("v3", v3), ("v4", v4), ("v5", v5),
+            ("v6", v6)]
 
 
 def _match_apex_triangle(adj, v3: int):
     """A triangle of two 3-vertices on the apex ``v3``, each with one more
     3-vertex neighbor; with a degree-4 apex both of its other neighbors
-    must have degree at most three."""
-    for v1, v2 in itertools.combinations(sorted(adj[v3]), 2):
-        if v2 not in adj[v1]:
-            continue
-        if len(adj[v1]) != 3 or len(adj[v2]) != 3:
-            continue
+    must have degree at most three.  The pairs v1 < v2 come in
+    lexicographic order: the apex's 3-neighbors v1 ascending, then their
+    common neighbors v2 with the apex, which are at most two.  So a hub
+    of degree d costs one pass and a sort of its 3-neighbors, not d²/2
+    pair trials."""
+    nbrs = adj[v3]
+    threes = [u for u in nbrs if len(adj[u]) == 3]
+    threes.sort()
+    pairs = ((v1, v2) for v1 in threes for v2 in sorted(adj[v1] & nbrs)
+             if v2 > v1 and len(adj[v2]) == 3)
+    for v1, v2 in pairs:
         v4 = _only(adj[v1] - {v2, v3})
         v5 = _only(adj[v2] - {v1, v3})
         if v4 == v5:
@@ -473,8 +486,8 @@ def _match_apex_triangle(adj, v3: int):
         if len(adj[v4]) != 3 or len(adj[v5]) != 3:
             continue
         roles = [("v1", v1), ("v2", v2), ("v3", v3), ("v4", v4), ("v5", v5)]
-        if len(adj[v3]) == 4:
-            v6, v7 = sorted(adj[v3] - {v1, v2})
+        if len(nbrs) == 4:
+            v6, v7 = sorted(nbrs - {v1, v2})
             if len(adj[v6]) > 3 or len(adj[v7]) > 3:
                 continue
             roles += [("v6", v6), ("v7", v7)]
@@ -743,7 +756,9 @@ class DetectionIndex:
     once one has matched nowhere, it rescans only the components of
     3-vertices that meet a vertex within 1 of a set replaced since, as its
     matcher reads only the sets of the cycle and its hubs.  Until its first
-    miss it scans the whole graph.
+    miss it scans the whole graph.  So on a graph with no undo entry yet,
+    every kind's first answer is the full scan's: an anchored kind matches
+    every anchor in its degree range, and a cycle kind walks every cycle.
 
     The index is valid while the graph's undo log only grows.
     """
@@ -948,14 +963,18 @@ def reduce_in_place(g: EditableGraph) -> list[ReductionStep]:
 
     Each step leaves one undo entry on ``g``, so ``unwind`` restores the
     graph before each step, newest first.  A ``DetectionIndex`` picks every
-    step, of all eleven kinds; once it picks nothing, one full
-    ``detect_configuration`` scan confirms the core.
+    step, of all eleven kinds; once it picks nothing after a step, one full
+    ``detect_configuration`` scan confirms the core.  When it picks nothing
+    at once, its first look at every kind was already that full scan, so
+    an irreducible graph is scanned once.
     """
     index = DetectionIndex(g)
     steps = []
     while True:
         conf = index.pick()
         if conf is None:
+            if not steps:
+                return steps
             conf = detect_configuration(g)
             if conf is None:
                 return steps

@@ -678,6 +678,73 @@ def validate_configuration_by_cases(g, conf) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# matchers at an anchor, as first written: by sorting, and at every pair
+# ---------------------------------------------------------------------------
+
+
+def match_l2_by_sorting(adj, u: int):
+    """At ``u``, the edge to its smallest higher 4+ neighbor; so the
+    smallest anchor gives the lexicographically first 4+/4+ edge.  The
+    neighbors are sorted at C speed and walked only up to that one, which
+    at a hub is soon."""
+    for w in sorted(adj[u]):
+        if w > u and len(adj[w]) >= 4:
+            return [("v1", u), ("v2", w)]
+    return None
+
+
+def deg3_partners_by_sorting(adj, a: int) -> list[int]:
+    """The 3-vertices b > a next to a 3-vertex ``a``, ascending: anchored
+    at their smaller end, 3-3 edges come in lexicographic order."""
+    return sorted(b for b in adj[a] if b > a and len(adj[b]) == 3)
+
+
+def match_l6_at_every_neighbor(adj, v3: int):
+    for v1 in sorted(adj[v3]):
+        if len(adj[v1]) < 4:
+            continue
+        v2, v4 = sorted(adj[v3] - {v1})
+        if len(adj[v2]) != 3 or len(adj[v4]) != 3:
+            continue
+        if not (v2 in adj[v1] and v4 in adj[v1]):
+            continue
+        if v4 in adj[v2]:
+            continue
+        v5 = _only(adj[v2] - {v1, v3})
+        v6 = _only(adj[v4] - {v1, v3})
+        if len(adj[v5]) < 3 or len(adj[v6]) < 3:
+            continue
+        return [("v1", v1), ("v2", v2), ("v3", v3), ("v4", v4), ("v5", v5),
+                ("v6", v6)]
+    return None
+
+
+def match_apex_triangle_at_every_pair(adj, v3: int):
+    """A triangle of two 3-vertices on the apex ``v3``, each with one more
+    3-vertex neighbor; with a degree-4 apex both of its other neighbors
+    must have degree at most three."""
+    for v1, v2 in itertools.combinations(sorted(adj[v3]), 2):
+        if v2 not in adj[v1]:
+            continue
+        if len(adj[v1]) != 3 or len(adj[v2]) != 3:
+            continue
+        v4 = _only(adj[v1] - {v2, v3})
+        v5 = _only(adj[v2] - {v1, v3})
+        if v4 == v5:
+            continue
+        if len(adj[v4]) != 3 or len(adj[v5]) != 3:
+            continue
+        roles = [("v1", v1), ("v2", v2), ("v3", v3), ("v4", v4), ("v5", v5)]
+        if len(adj[v3]) == 4:
+            v6, v7 = sorted(adj[v3] - {v1, v2})
+            if len(adj[v6]) > 3 or len(adj[v7]) > 3:
+                continue
+            roles += [("v6", v6), ("v7", v7)]
+        return roles
+    return None
+
+
+# ---------------------------------------------------------------------------
 # planarity certificates, on networkx graphs
 # ---------------------------------------------------------------------------
 

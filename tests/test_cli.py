@@ -14,6 +14,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from hubs import bipyramid, radial
 from oracles import reduce_fully
 from wdcolor.cli import cli
 from wdcolor.generators import random_planar
@@ -228,6 +229,18 @@ class TestReduce:
         assert payload["steps_applied"] >= 1
         assert payload["kinds"][0].startswith("L1b")
         assert "steps" not in payload
+
+    def test_an_irreducible_graph_is_its_own_core(self, runner, tmp_path):
+        g = radial(bipyramid(6))
+        path = tmp_path / "g.json"
+        path.write_text(serialize_graph_json(g))
+        res = invoke(runner, "reduce", str(path))
+        assert res.exit_code == 0
+        payload = json.loads(res.stdout)
+        assert payload["steps_applied"] == 0 and payload["kinds"] == []
+        assert payload["core"] == {
+            "n": g.n, "m": g.m, "vertices": sorted(g.vertices()),
+            "edges": sorted([min(u, v), max(u, v)] for u, v in g.edges())}
 
     def test_trace_includes_steps(self, runner, c5_file):
         res = invoke(runner, "reduce", str(c5_file), "--trace")

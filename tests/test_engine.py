@@ -14,16 +14,22 @@
 * The chordless-cycle enumeration skips only starts that cannot yield,
   and restricted to a vertex set walks the components of 3-vertices that
   meet it, in the full enumeration's order.
+* The matchers that skip sorting and pair trials give, at every anchor in
+  their range, the roles of the matchers as first written.
+* ``reduce_in_place`` runs the full scan ``detect_configuration`` only
+  after a step: on an irreducible graph the index's first pick is it.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 import random
 
 import networkx as nx
 
 import oracles
+from hubs import HUB_FAMILIES, bipyramid, radial
 from oracles import reduce_fully
 from wdcolor import reductions
 from wdcolor.exact import wd_number_exact
@@ -347,3 +353,62 @@ def test_a_cycle_kind_rescans_near_the_edits_after_a_miss(monkeypatch):
     want = detect_configuration(e.snapshot(), kind=KIND_L10)
     assert want is not None and got == want
     assert walked[2:] == [None]
+
+
+def matcher_test_graphs():
+    rng = random.Random(18)
+    graphs = [random_planar(rng.randint(6, 500),
+                            rng.choice((0.3, 0.5, 0.7, 0.85, 1.0)), s)
+              for s in range(60)]
+    graphs += [triangulation(n, random.Random(n)) for n in range(4, 600, 10)]
+    for family in HUB_FAMILIES.values():
+        for d in (3, 4, 5, 6, 9, 16, 33):
+            graphs += [family(d), radial(family(d))]
+    # the graphs a reduction passes through, where 3-vertices abound
+    for g in random_graphs(10, 18):
+        graphs += [before for before, _ in reduce_fully(g)[1]]
+    return graphs + list(host_graphs())
+
+
+def test_matchers_give_the_roles_of_the_sorting_matchers():
+    pairs = [
+        (reductions._match_l2, oracles.match_l2_by_sorting, 4, math.inf),
+        (reductions._deg3_partners, oracles.deg3_partners_by_sorting, 3, 3),
+        (reductions._match_l6, oracles.match_l6_at_every_neighbor, 3, 3),
+        (reductions._match_apex_triangle,
+         oracles.match_apex_triangle_at_every_pair, 4, math.inf),
+    ]
+    calls = 0
+    matched = [0] * len(pairs)
+    for g in matcher_test_graphs():
+        adj = g.adjacency()
+        for v in g.vertices():
+            for i, (fast, plain, lo, hi) in enumerate(pairs):
+                if lo <= len(adj[v]) <= hi:
+                    want = plain(adj, v)
+                    assert fast(adj, v) == want, (fast.__name__, v)
+                    calls += 1
+                    matched[i] += bool(want)
+    assert calls > 30000 and all(matched), (calls, matched)
+
+
+def test_an_irreducible_graph_is_scanned_once(monkeypatch):
+    """The index's first pick on an untouched graph is the full scan, so
+    the confirming ``detect_configuration`` runs only after a step."""
+    calls = []
+    scan = reductions.detect_configuration
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return scan(*args, **kwargs)
+
+    monkeypatch.setattr(reductions, "detect_configuration", spy)
+    for d in (4, 6, 50):
+        g = radial(bipyramid(d))
+        e = EditableGraph(g)
+        assert reduce_in_place(e) == [] and e.snapshot() == g
+        assert scan(g) is None
+    assert calls == []
+    e = EditableGraph(random_planar(60, 0.8, 2))
+    assert reduce_in_place(e)
+    assert len(calls) == 1 and scan(e.snapshot()) is None

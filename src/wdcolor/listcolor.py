@@ -8,6 +8,12 @@ cycle gives degree-choosability (one vertex or pair precolored, then greedy),
 and complete or odd-cycle blocks use the two classical propositions. The
 dependency-graph orchestrator adds the perturbation protocol.
 
+The greedy runs on an adjacency mapping and the set of vertices it colors,
+which must hold every neighbor of its members: a component of a dependency
+graph is colored on that graph's own adjacency, with no copy. A ``Graph``
+of a component is built only on the tight path, where no vertex has slack
+and the blocks are needed.
+
 Every public routine verifies its output (proper, within lists) before
 returning; an invalid state raises instead of degrading.
 
@@ -19,13 +25,14 @@ coloring so that the whole construction commutes with palette permutations.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Collection, Iterable, Mapping, Sequence
 
 from .graphs import Graph, block_kind, blocks
 from .verify import Coloring
 
 Lists = dict[int, set[int]]
 ColorOrder = Sequence[int] | None
+Adjacency = Mapping[int, frozenset[int]]
 
 
 class DependencyColoringError(Exception):
@@ -45,11 +52,15 @@ def pick_color(candidates: Iterable[int], order: ColorOrder = None) -> int:
     return min(cands)
 
 
-def _check_result(g: Graph, lists: Lists, c: Coloring) -> None:
-    for v in g.vertices():
+def _check_result(adj: Adjacency, vs: Collection[int], lists: Lists,
+                  c: Coloring) -> None:
+    """Every vertex of ``vs`` colored from its list, and no edge of the
+    graph that ``adj`` induces on ``vs`` monochromatic."""
+    for v in vs:
         assert v in c and c[v] in lists[v], f"vertex {v} colored outside its list"
-    for u, v in g.edges():
-        assert c[u] != c[v], f"edge {u}-{v} monochromatic"
+    for v in vs:
+        for u in adj[v]:
+            assert c[u] != c[v], f"edge {min(u, v)}-{max(u, v)} monochromatic"
 
 
 # ---------------------------------------------------------------------------
@@ -57,19 +68,43 @@ def _check_result(g: Graph, lists: Lists, c: Coloring) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _color_outside(g: Graph, lists: Lists, core: Iterable[int],
-                   color_order: ColorOrder) -> Coloring:
-    """Color every vertex outside ``core`` by decreasing BFS distance from
-    it: each keeps an uncolored neighbor (its BFS parent) until colored, so
-    a list covering the degree always leaves a free color."""
-    dist = g.bfs_distances(core)
-    if len(dist) != g.n:
+def _color_outside(adj: Adjacency, vs: Collection[int], lists: Lists,
+                   core: Iterable[int], color_order: ColorOrder) -> Coloring:
+    """Color every vertex of ``vs`` outside ``core`` by decreasing BFS
+    distance from it: each keeps an uncolored neighbor (its BFS parent)
+    until colored, so a list covering the degree always leaves a free
+    color.  ``adj`` holds every neighbor of a vertex of ``vs`` in ``vs``;
+    a BFS that does not reach all of ``vs`` raises."""
+    ring = set(core)
+    seen = set(ring)
+    rings = []
+    while True:
+        nxt: set[int] = set()
+        for x in ring:
+            nxt |= adj[x]
+        nxt -= seen
+        if not nxt:
+            break
+        seen |= nxt
+        rings.append(nxt)
+        ring = nxt
+    if len(seen) != len(vs):
         raise ValueError("graph is not connected")
     out: Coloring = {}
-    for v in sorted((v for v in g.vertices() if dist[v] > 0),
-                    key=lambda v: (-dist[v], v)):
-        avail = lists[v] - {out[u] for u in g.neighbors(v) if u in out}
-        out[v] = pick_color(avail, color_order)
+    for ring in reversed(rings):
+        for v in sorted(ring):
+            avail = lists[v] - {out[u] for u in adj[v] if u in out}
+            out[v] = pick_color(avail, color_order)
+    return out
+
+
+def _greedy(adj: Adjacency, vs: Collection[int], lists: Lists, slack: int,
+            color_order: ColorOrder) -> Coloring:
+    """Color ``vs`` toward ``slack``, whose list is larger than its
+    degree; colored last, it survives on its extra list entry."""
+    out = _color_outside(adj, vs, lists, (slack,), color_order)
+    out[slack] = pick_color(lists[slack] - {out[u] for u in adj[slack]},
+                            color_order)
     return out
 
 
@@ -81,15 +116,14 @@ def greedy_with_slack(g: Graph, lists: Lists, slack: int,
     Everything else is colored toward the slack vertex; colored last, it
     survives on its extra list entry.
     """
-    for v in g.vertices():
-        if len(lists[v]) < g.degree(v):
+    adj = g.adjacency()
+    for v, nbrs in adj.items():
+        if len(lists[v]) < len(nbrs):
             raise ValueError(f"list at {v} smaller than its degree")
-    if len(lists[slack]) <= g.degree(slack):
+    if len(lists[slack]) <= len(adj[slack]):
         raise ValueError("slack vertex has no slack")
-    out = _color_outside(g, lists, [slack], color_order)
-    out[slack] = pick_color(lists[slack] - {out[u] for u in g.neighbors(slack)},
-                            color_order)
-    _check_result(g, lists, out)
+    out = _greedy(adj, adj.keys(), lists, slack, color_order)
+    _check_result(adj, adj.keys(), lists, out)
     return out
 
 
@@ -101,9 +135,10 @@ def _color_toward_core(
     then the core from what is left of its lists, which still cover the
     core's own degrees: greedily if a core vertex has slack, else by
     ``finish``. None only when ``finish`` refuses."""
-    out = _color_outside(g, lists, core, color_order)
+    adj = g.adjacency()
+    out = _color_outside(adj, adj.keys(), lists, core, color_order)
     sub = g.induced_subgraph(core)
-    left = {v: lists[v] - {out[u] for u in g.neighbors(v) if u in out}
+    left = {v: lists[v] - {out[u] for u in adj[v] if u in out}
             for v in core}
     slack = next((v for v in sub.vertices() if len(left[v]) > sub.degree(v)),
                  None)
@@ -112,7 +147,7 @@ def _color_toward_core(
     if part is None:
         return None
     out.update(part)
-    _check_result(g, lists, out)
+    _check_result(adj, adj.keys(), lists, out)
     return out
 
 
@@ -227,29 +262,38 @@ def degree_choose(g: Graph, lists: Lists,
     greedy if any vertex has slack; toward the first block that is neither
     complete nor an odd cycle if there is one; otherwise refuse (None) —
     the Gallai-tree case, where the caller must perturb lists."""
-    return _degree_choose(g, lists, color_order)[0]
+    adj = g.adjacency()
+    for v, nbrs in adj.items():
+        if v not in lists or len(lists[v]) < len(nbrs):
+            raise ValueError(f"list at {v} missing or smaller than degree")
+    out = _degree_choose(adj, adj.keys(), lists, color_order)[0]
+    if out is not None:
+        _check_result(adj, adj.keys(), lists, out)
+    return out
 
 
-def _degree_choose(g: Graph, lists: Lists, color_order: ColorOrder
-                   ) -> tuple[Coloring | None, tuple[frozenset[int], ...]]:
-    """``degree_choose``, and the blocks of ``g`` when it computed them
-    (always when it refuses), else ()."""
+def _degree_choose(adj: Adjacency, vs: Collection[int], lists: Lists,
+                   color_order: ColorOrder
+                   ) -> tuple[Coloring | None, Graph | None,
+                              tuple[frozenset[int], ...]]:
+    """``degree_choose`` on the connected graph that ``adj`` induces on
+    ``vs``, whose lists cover the degrees and which holds every neighbor
+    of its vertices.  Also the ``Graph`` and its blocks, when the tight
+    path built them (always when it refuses), else None and ()."""
+    slack = min((v for v in vs if len(lists[v]) > len(adj[v])), default=None)
+    if slack is not None:
+        return _greedy(adj, vs, lists, slack, color_order), None, ()
+    g = Graph({v: adj[v] for v in vs})
     if not g.is_connected():
         raise ValueError("degree_choose needs a connected graph")
     if g.n == 0:
-        return {}, ()
-    for v in g.vertices():
-        if v not in lists or len(lists[v]) < g.degree(v):
-            raise ValueError(f"list at {v} missing or smaller than degree")
-    slack = next((v for v in g.vertices()
-                  if len(lists[v]) > g.degree(v)), None)
-    if slack is not None:
-        return greedy_with_slack(g, lists, slack, color_order), ()
+        return {}, g, ()
     bs = blocks(g)
     core = next((b for b in bs if block_kind(g, b) == "other"), None)
     if core is None:
-        return None, bs  # Gallai tree: refuse
-    return _color_toward_core(g, lists, core, _color_block, color_order), bs
+        return None, g, bs  # Gallai tree: refuse
+    return (_color_toward_core(g, lists, core, _color_block, color_order),
+            g, bs)
 
 
 # ---------------------------------------------------------------------------
@@ -282,12 +326,12 @@ def _finish_gallai_block(b: Graph, lists: Lists,
                                       color_order)
 
 
-def _color_component(g: Graph, lists: Lists,
+def _color_component(adj: Adjacency, comp: frozenset[int], lists: Lists,
                      color_order: ColorOrder) -> Coloring | None:
     """One connected dependency-graph component: degree_choose, then each
     block in turn as the core, finished by the propositions; the blocks
     are those that degree_choose computed when it refused."""
-    out, bs = _degree_choose(g, lists, color_order)
+    out, g, bs = _degree_choose(adj, comp, lists, color_order)
     if out is not None:
         return out
     for core in bs:
@@ -305,30 +349,33 @@ def color_dependency_graph(
     """Proper list coloring of a dependency graph whose lists cover degrees.
 
     Components are handled independently: slack and non-Gallai components
-    constructively, Gallai-tight components via the propositions. A component
-    where every list pattern is blocked triggers the perturbation hook, which
-    recolors something in the host graph and returns a full fresh list
-    assignment (or None when out of options); the solve then restarts, since
-    a perturbation may move other components' lists too. Hard failure raises
+    constructively, Gallai-tight components via the propositions. Each is
+    colored on ``d``'s own adjacency, which holds every neighbor of a
+    component's vertices. A component where every list pattern is blocked
+    triggers the perturbation hook, which recolors something in the host
+    graph and returns a full fresh list assignment (or None when out of
+    options); the solve then restarts, since a perturbation may move other
+    components' lists too, on the same components. Hard failure raises
     DependencyColoringError — never a silent bad coloring.
     """
-    lists_now = {v: set(lists[v]) for v in d.vertices()}
-    for v in d.vertices():
-        if len(lists_now[v]) < d.degree(v):
+    adj = d.adjacency()
+    verts = d.vertices()
+    lists_now = {v: set(lists[v]) for v in verts}
+    for v in verts:
+        if len(lists_now[v]) < len(adj[v]):
             raise ValueError(f"list at {v} smaller than its dependency degree")
+    comps = d.connected_components()  # ascending by smallest vertex
     for _ in range(64):
         out: Coloring = {}
         stuck: frozenset[int] | None = None
-        for comp in sorted(d.connected_components(), key=min):
-            sub = d.induced_subgraph(comp)
-            part = _color_component(sub, {v: lists_now[v] for v in comp},
-                                    color_order)
+        for comp in comps:
+            part = _color_component(adj, comp, lists_now, color_order)
             if part is None:
                 stuck = comp
                 break
             out.update(part)
         if stuck is None:
-            _check_result(d, lists_now, out)
+            _check_result(adj, verts, lists_now, out)
             return out
         if perturbation_hook is None:
             raise DependencyColoringError(
@@ -337,9 +384,9 @@ def color_dependency_graph(
         if fresh is None:
             raise DependencyColoringError(
                 f"perturbation exhausted on component {sorted(stuck)}")
-        lists_now = {v: set(fresh[v]) for v in d.vertices()}
-        for v in d.vertices():
-            if len(lists_now[v]) < d.degree(v):
+        lists_now = {v: set(fresh[v]) for v in verts}
+        for v in verts:
+            if len(lists_now[v]) < len(adj[v]):
                 raise DependencyColoringError(
                     "perturbed lists no longer cover dependency degrees")
     raise DependencyColoringError("perturbation loop exceeded its cap")

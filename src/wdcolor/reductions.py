@@ -202,15 +202,19 @@ class LiftColoring(dict):
     """The coloring that lifts write in place.
 
     A dict that records every key written since ``begin``.  It also keeps
-    a lazy min-heap of vertices per color, which gives the first-use color
-    order of a lift with no sort of the whole coloring: every write pushes
-    its vertex onto its color's heap, and ``color_order`` pops the entries
-    whose vertex no longer has that color, recolored or deleted since.
-    Deleting a key is not recorded as a write: a lift's check counts the
-    colored vertices instead.
+    the first-use color order of a lift between lifts, with the first
+    vertex of each color, and computes it again only after a mutation
+    that can move some color's first vertex: a write below the first
+    vertex of its color, a write of a color not in use, or a recolor or
+    deletion of a color's first vertex.  The order is then read off a
+    lazy min-heap of vertices per color, with no sort of the whole
+    coloring: every write pushes its vertex onto its color's heap, and
+    ``color_order`` pops the entries whose vertex no longer has that
+    color, recolored or deleted since.  Deleting a key is not recorded as
+    a write: a lift's check counts the colored vertices instead.
     """
 
-    __slots__ = ("written", "_heaps")
+    __slots__ = ("written", "_heaps", "_firsts", "_order")
 
     def __init__(self, coloring: Coloring, vertices) -> None:
         """A copy of ``coloring``, which must color exactly ``vertices``
@@ -225,19 +229,29 @@ class LiftColoring(dict):
         self._heaps: dict[int, list[int]] = {}
         for v in sorted(coloring):  # a sorted list is a heap
             self._heaps.setdefault(coloring[v], []).append(v)
+        # the first vertex of each color in use, valid while _order is kept
+        self._firsts: dict[int, int] = {}
+        self._order: tuple[int, ...] | None = None
 
     def begin(self) -> None:
         """Forget the keys written so far."""
         self.written = set()
 
     def __setitem__(self, v: int, col: int) -> None:
+        old = self.get(v)
         dict.__setitem__(self, v, col)
         self.written.add(v)
         heapq.heappush(self._heaps.setdefault(col, []), v)
+        if self._order is not None:
+            first = self._firsts.get(col)
+            if (first is None or v < first
+                    or (old != col and self._firsts.get(old) == v)):
+                self._order = None
 
-    # every way of writing goes through __setitem__, so no write escapes
-    # ``written`` or the heaps, which the lift's check and the color
-    # order rely on
+    # every way of writing goes through __setitem__, and every way of
+    # deleting through _deleting, so no write escapes ``written`` or the
+    # heaps, and no mutation that moves a first vertex keeps the order;
+    # the lift's check and the color order rely on both
 
     def update(self, *args, **kwargs) -> None:
         for v, col in dict(*args, **kwargs).items():
@@ -252,18 +266,42 @@ class LiftColoring(dict):
         self.update(other)
         return self
 
+    def _deleting(self, v: int) -> None:
+        if self._order is not None and self._firsts.get(self.get(v)) == v:
+            self._order = None
+
+    def __delitem__(self, v: int) -> None:
+        self._deleting(v)
+        dict.__delitem__(self, v)
+
+    def pop(self, v: int, *default):
+        self._deleting(v)
+        return dict.pop(self, v, *default)
+
+    def popitem(self) -> tuple[int, int]:
+        self._order = None
+        return dict.popitem(self)
+
+    def clear(self) -> None:
+        self._order = None
+        dict.clear(self)
+
     def color_order(self) -> tuple[int, ...]:
         """First-use order of colors over ascending vertex ids, then the
         rest of the palette numerically.  Permutation-equivariant by
         construction."""
-        firsts = []
-        for col, heap in self._heaps.items():
-            while heap and self.get(heap[0]) != col:
-                heapq.heappop(heap)
-            if heap:
-                firsts.append((heap[0], col))
-        order = [col for _, col in sorted(firsts)]
-        return tuple(order + [c for c in PALETTE if c not in order])
+        if self._order is None:
+            firsts = {}
+            for col, heap in self._heaps.items():
+                while heap and self.get(heap[0]) != col:
+                    heapq.heappop(heap)
+                if heap:
+                    firsts[col] = heap[0]
+            order = sorted(firsts, key=firsts.__getitem__)
+            self._firsts = firsts
+            self._order = tuple(order
+                                + [c for c in PALETTE if c not in firsts])
+        return self._order
 
 
 def _satisfy_through(g: Graph, coloring: Coloring, target: int,
@@ -996,7 +1034,7 @@ def unwind(g: EditableGraph,
 # --------------------------------------------------------------------------
 # the shared dependency-instance builder for simultaneous recoloring
 
-def _dependency_instance(g: Graph, coloring: Coloring,
+def _dependency_instance(g: Graph | EditableGraph, coloring: Coloring,
                          group: frozenset[int],
                          order: tuple[int, ...]) -> tuple[Graph, Lists]:
     """Dependency graph and allowed-color lists for recoloring ``group``.
@@ -1008,18 +1046,24 @@ def _dependency_instance(g: Graph, coloring: Coloring,
     member must avoid that color (list restriction).  Outsiders touching
     the group in one, two, or three-plus places get, respectively, an
     avoid-set, a designated color plus a distinctness edge, or a triangle
-    of distinctness edges among three touching members.
+    of distinctness edges among three touching members.  Both are read
+    off ``g``'s adjacency, and the dependency graph is built from the
+    neighbor sets filled here.
     """
-    dep_edges: set[tuple[int, int]] = set()
-    restrict: dict[int, set[int]] = {s: set() for s in group}
-    for s in sorted(group):
-        if g.degree(s) != 3:
+    adj = g.adjacency()
+    members = sorted(group)
+    dep: dict[int, set[int]] = {s: set() for s in members}
+    restrict: dict[int, set[int]] = {s: set() for s in members}
+    for s in members:
+        nbrs = adj[s]
+        if len(nbrs) != 3:
             raise LiftError(f"group member {s} does not have degree 3",
                             stage="dependency-instance")
-        for x, y in itertools.combinations(sorted(g.neighbors(s)), 2):
+        for x, y in itertools.combinations(sorted(nbrs), 2):
             xin, yin = x in group, y in group
             if xin and yin:
-                dep_edges.add((min(x, y), max(x, y)))
+                dep[x].add(y)
+                dep[y].add(x)
             elif xin:
                 cy = coloring.get(y)
                 if cy is None:
@@ -1037,29 +1081,31 @@ def _dependency_instance(g: Graph, coloring: Coloring,
                     raise LiftError(
                         f"outside neighbors {x},{y} of {s} share a color,"
                         f" so {s} cannot see three", stage="dependency-instance")
-    outsiders = sorted({z for s in group for z in g.neighbors(s)} - group)
-    for z in outsiders:
-        touching = sorted(set(g.neighbors(z)) & group)
+    outsiders = set().union(*map(adj.__getitem__, members)) - group
+    for z in sorted(outsiders):
+        touching = sorted(adj[z] & group)
         t = len(touching)
         if t >= 3:
             for a, b in itertools.combinations(touching[:3], 2):
-                dep_edges.add((a, b))
+                dep[a].add(b)
+                dep[b].add(a)
             continue
         f = _satisfy_through(g, coloring, z, pending=group, incoming=t,
                              color_order=order)
         for s in touching:
             restrict[s] |= f
         if t == 2:
-            dep_edges.add((touching[0], touching[1]))
-    dep = Graph.from_edges(sorted(dep_edges), vertices=sorted(group))
-    lists: Lists = {s: set(PALETTE) - restrict[s] for s in group}
-    for s in sorted(group):
-        if len(lists[s]) < max(1, dep.degree(s)):
+            a, b = touching
+            dep[a].add(b)
+            dep[b].add(a)
+    lists: Lists = {s: set(PALETTE) - restrict[s] for s in members}
+    for s in members:
+        if len(lists[s]) < max(1, len(dep[s])):
             raise LiftError(
                 f"allowed colors {sorted(lists[s])} at {s} fall below its"
-                f" dependency degree {dep.degree(s)}",
+                f" dependency degree {len(dep[s])}",
                 stage="dependency-instance")
-    return dep, lists
+    return Graph({s: frozenset(nb) for s, nb in dep.items()}), lists
 
 
 def _free_hub_hook(g: Graph, coloring: Coloring, cycle: tuple[int, ...],

@@ -6,19 +6,26 @@ optimized routines have something genuinely separate to be checked against.
 Only the ``Graph`` container is shared; none of the package's coloring or
 search logic is reused.  The one exception, ``reduce_fully``, is no
 reference: it lays the package's own reduction out as snapshots for tests
-to replay.
+to replay.  The routines "as first written" are the package's own former
+versions, kept verbatim as references for the ones that replaced them; the
+Graph-based list coloring among them still calls the package's tight-path
+helpers, which did not change.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from typing import Callable, Iterable
 
-from wdcolor.graphs import EditableGraph, Graph
+from wdcolor.graphs import EditableGraph, Graph, block_kind, blocks
+from wdcolor.listcolor import (ColorOrder, DependencyColoringError, Lists,
+                               _color_block, _color_toward_core,
+                               _finish_gallai_block, pick_color)
 from wdcolor.reductions import (KIND_L1A, KIND_L1B, KIND_L2, KIND_L3, KIND_L4,
                                 KIND_L5, KIND_L6, KIND_L7, KIND_L8, KIND_L9,
-                                KIND_L10, ReductionStep, reduce_in_place,
-                                unwind)
+                                KIND_L10, PALETTE, LiftError, ReductionStep,
+                                _satisfy_through, reduce_in_place, unwind)
 
 Coloring = dict[int, int]
 
@@ -742,6 +749,205 @@ def match_apex_triangle_at_every_pair(adj, v3: int):
             roles += [("v6", v6), ("v7", v7)]
         return roles
     return None
+
+
+# ---------------------------------------------------------------------------
+# list coloring and dependency instances on Graph copies, as first written
+# ---------------------------------------------------------------------------
+
+
+def check_result_on_graph(g: Graph, lists: Lists, c: Coloring) -> None:
+    for v in g.vertices():
+        assert v in c and c[v] in lists[v], f"vertex {v} colored outside its list"
+    for u, v in g.edges():
+        assert c[u] != c[v], f"edge {u}-{v} monochromatic"
+
+
+def color_outside_on_graph(g: Graph, lists: Lists, core: Iterable[int],
+                           color_order: ColorOrder) -> Coloring:
+    """Color every vertex outside ``core`` by decreasing BFS distance from
+    it: each keeps an uncolored neighbor (its BFS parent) until colored, so
+    a list covering the degree always leaves a free color."""
+    dist = g.bfs_distances(core)
+    if len(dist) != g.n:
+        raise ValueError("graph is not connected")
+    out: Coloring = {}
+    for v in sorted((v for v in g.vertices() if dist[v] > 0),
+                    key=lambda v: (-dist[v], v)):
+        avail = lists[v] - {out[u] for u in g.neighbors(v) if u in out}
+        out[v] = pick_color(avail, color_order)
+    return out
+
+
+def greedy_with_slack_on_graph(g: Graph, lists: Lists, slack: int,
+                               color_order: ColorOrder = None) -> Coloring:
+    """Proper list coloring of a connected graph where every list covers the
+    degree and the slack vertex has a strictly larger list.
+
+    Everything else is colored toward the slack vertex; colored last, it
+    survives on its extra list entry.
+    """
+    for v in g.vertices():
+        if len(lists[v]) < g.degree(v):
+            raise ValueError(f"list at {v} smaller than its degree")
+    if len(lists[slack]) <= g.degree(slack):
+        raise ValueError("slack vertex has no slack")
+    out = color_outside_on_graph(g, lists, [slack], color_order)
+    out[slack] = pick_color(lists[slack] - {out[u] for u in g.neighbors(slack)},
+                            color_order)
+    check_result_on_graph(g, lists, out)
+    return out
+
+
+def degree_choose_on_graph(g: Graph, lists: Lists, color_order: ColorOrder
+                           ) -> tuple[Coloring | None, tuple[frozenset[int], ...]]:
+    """``degree_choose``, and the blocks of ``g`` when it computed them
+    (always when it refuses), else ()."""
+    if not g.is_connected():
+        raise ValueError("degree_choose needs a connected graph")
+    if g.n == 0:
+        return {}, ()
+    for v in g.vertices():
+        if v not in lists or len(lists[v]) < g.degree(v):
+            raise ValueError(f"list at {v} missing or smaller than degree")
+    slack = next((v for v in g.vertices()
+                  if len(lists[v]) > g.degree(v)), None)
+    if slack is not None:
+        return greedy_with_slack_on_graph(g, lists, slack, color_order), ()
+    bs = blocks(g)
+    core = next((b for b in bs if block_kind(g, b) == "other"), None)
+    if core is None:
+        return None, bs  # Gallai tree: refuse
+    return _color_toward_core(g, lists, core, _color_block, color_order), bs
+
+
+def color_component_on_graph(g: Graph, lists: Lists,
+                             color_order: ColorOrder) -> Coloring | None:
+    """One connected dependency-graph component: degree_choose, then each
+    block in turn as the core, finished by the propositions; the blocks
+    are those that degree_choose computed when it refused."""
+    out, bs = degree_choose_on_graph(g, lists, color_order)
+    if out is not None:
+        return out
+    for core in bs:
+        out = _color_toward_core(g, lists, core, _finish_gallai_block,
+                                 color_order)
+        if out is not None:
+            return out
+    return None
+
+
+def color_dependency_graph_on_copies(
+        d: Graph, lists: Lists,
+        perturbation_hook: Callable[[frozenset[int]], Lists | None] | None = None,
+        color_order: ColorOrder = None) -> Coloring:
+    """Proper list coloring of a dependency graph whose lists cover degrees.
+
+    Components are handled independently: slack and non-Gallai components
+    constructively, Gallai-tight components via the propositions. A component
+    where every list pattern is blocked triggers the perturbation hook, which
+    recolors something in the host graph and returns a full fresh list
+    assignment (or None when out of options); the solve then restarts, since
+    a perturbation may move other components' lists too. Hard failure raises
+    DependencyColoringError — never a silent bad coloring.
+    """
+    lists_now = {v: set(lists[v]) for v in d.vertices()}
+    for v in d.vertices():
+        if len(lists_now[v]) < d.degree(v):
+            raise ValueError(f"list at {v} smaller than its dependency degree")
+    for _ in range(64):
+        out: Coloring = {}
+        stuck: frozenset[int] | None = None
+        for comp in sorted(d.connected_components(), key=min):
+            sub = d.induced_subgraph(comp)
+            part = color_component_on_graph(
+                sub, {v: lists_now[v] for v in comp}, color_order)
+            if part is None:
+                stuck = comp
+                break
+            out.update(part)
+        if stuck is None:
+            check_result_on_graph(d, lists_now, out)
+            return out
+        if perturbation_hook is None:
+            raise DependencyColoringError(
+                f"component {sorted(stuck)} is blocked and no hook was given")
+        fresh = perturbation_hook(stuck)
+        if fresh is None:
+            raise DependencyColoringError(
+                f"perturbation exhausted on component {sorted(stuck)}")
+        lists_now = {v: set(fresh[v]) for v in d.vertices()}
+        for v in d.vertices():
+            if len(lists_now[v]) < d.degree(v):
+                raise DependencyColoringError(
+                    "perturbed lists no longer cover dependency degrees")
+    raise DependencyColoringError("perturbation loop exceeded its cap")
+
+
+def dependency_instance_by_probes(g: Graph, coloring: Coloring,
+                                  group: frozenset[int],
+                                  order: tuple[int, ...]) -> tuple[Graph, Lists]:
+    """Dependency graph and allowed-color lists for recoloring ``group``.
+
+    Every member must have degree three and end up seeing three distinct
+    neighbor colors; outside vertices touching the group must keep enough
+    sight.  Two members two apart around a common member must differ
+    (dependency edge); a member next to a colored vertex through a common
+    member must avoid that color (list restriction).  Outsiders touching
+    the group in one, two, or three-plus places get, respectively, an
+    avoid-set, a designated color plus a distinctness edge, or a triangle
+    of distinctness edges among three touching members.
+    """
+    dep_edges: set[tuple[int, int]] = set()
+    restrict: dict[int, set[int]] = {s: set() for s in group}
+    for s in sorted(group):
+        if g.degree(s) != 3:
+            raise LiftError(f"group member {s} does not have degree 3",
+                            stage="dependency-instance")
+        for x, y in itertools.combinations(sorted(g.neighbors(s)), 2):
+            xin, yin = x in group, y in group
+            if xin and yin:
+                dep_edges.add((min(x, y), max(x, y)))
+            elif xin:
+                cy = coloring.get(y)
+                if cy is None:
+                    raise LiftError(f"uncolored outside vertex {y} next to"
+                                    f" {s}", stage="dependency-instance")
+                restrict[x].add(cy)
+            elif yin:
+                cx = coloring.get(x)
+                if cx is None:
+                    raise LiftError(f"uncolored outside vertex {x} next to"
+                                    f" {s}", stage="dependency-instance")
+                restrict[y].add(cx)
+            else:
+                if coloring.get(x) == coloring.get(y):
+                    raise LiftError(
+                        f"outside neighbors {x},{y} of {s} share a color,"
+                        f" so {s} cannot see three", stage="dependency-instance")
+    outsiders = sorted({z for s in group for z in g.neighbors(s)} - group)
+    for z in outsiders:
+        touching = sorted(set(g.neighbors(z)) & group)
+        t = len(touching)
+        if t >= 3:
+            for a, b in itertools.combinations(touching[:3], 2):
+                dep_edges.add((a, b))
+            continue
+        f = _satisfy_through(g, coloring, z, pending=group, incoming=t,
+                             color_order=order)
+        for s in touching:
+            restrict[s] |= f
+        if t == 2:
+            dep_edges.add((touching[0], touching[1]))
+    dep = Graph.from_edges(sorted(dep_edges), vertices=sorted(group))
+    lists: Lists = {s: set(PALETTE) - restrict[s] for s in group}
+    for s in sorted(group):
+        if len(lists[s]) < max(1, dep.degree(s)):
+            raise LiftError(
+                f"allowed colors {sorted(lists[s])} at {s} fall below its"
+                f" dependency degree {dep.degree(s)}",
+                stage="dependency-instance")
+    return dep, lists
 
 
 # ---------------------------------------------------------------------------

@@ -207,16 +207,23 @@ def first_use_order(c: dict) -> tuple[int, ...]:
 
 
 def test_lift_coloring_records_writes_and_keeps_the_color_order():
+    """The kept order equals the first-use order after every mutation,
+    whether it moves a color's first vertex or not."""
     rng = random.Random(2)
-    for _ in range(200):
+    for _ in range(300):
         n = rng.randint(1, 12)
         c = LiftColoring({v: rng.choice(PALETTE) for v in range(n)},
                          set(range(n)))
         c.begin()
         wrote: set[int] = set()
-        for _ in range(rng.randint(1, 10)):
+        for _ in range(rng.randint(1, 12)):
+            firsts = {}
+            for v in sorted(c):
+                firsts.setdefault(c[v], v)
             v = rng.randrange(n + 4)
-            op = rng.randrange(4)
+            if firsts and rng.random() < 0.4:  # aim at a first vertex
+                v = rng.choice(list(firsts.values()))
+            op = rng.randrange(7)
             if op == 0:
                 c[v] = rng.choice(PALETTE)
                 wrote.add(v)
@@ -229,8 +236,14 @@ def test_lift_coloring_records_writes_and_keeps_the_color_order():
                 if v not in c:
                     wrote.add(v)
                 c.setdefault(v, rng.choice(PALETTE))
-            else:
+            elif op == 3:
                 c.pop(v, None)
+            elif op == 4 and v in c:
+                del c[v]
+            elif op == 5 and c:
+                c.popitem()
+            elif op == 6 and rng.random() < 0.1:
+                c.clear()
             assert c.written == wrote
             assert c.color_order() == first_use_order(c)
 

@@ -1,5 +1,6 @@
 """Constructive list coloring: greedy slack, complete graphs, odd cycles,
-and the degree-choosability machinery."""
+the degree-choosability machinery, and the routines that color on an
+adjacency against the Graph-based ones they replaced."""
 
 import itertools
 import random
@@ -8,14 +9,18 @@ import time
 import pytest
 
 import oracles
-from wdcolor import listcolor
+from hubs import HUB_FAMILIES, radial
+from wdcolor import listcolor, pipeline, reductions
 from wdcolor.exact import list_color_exact
+from wdcolor.generators import triangulation
 from wdcolor.graphs import Graph, block_kind, blocks
 from wdcolor.listcolor import (DependencyColoringError,
                                color_complete_with_lists,
                                color_dependency_graph,
                                color_odd_cycle_with_lists, degree_choose,
                                greedy_with_slack, pick_color)
+from wdcolor.pipeline import wd3_color_planar
+from wdcolor.reductions import SHORT_KINDS, LiftError, certify_lemma
 
 
 def subsets(universe, size):
@@ -293,3 +298,122 @@ def test_tight_lists_color_whenever_colorable():
         gallai_colored += 1
         check_in_lists(g, lists, c)
     assert non_gallai >= 1500 and gallai_colored >= 3000 and refused >= 100
+
+
+# ---------------------------------------------------------------------------
+# the adjacency-based routines give what the Graph-based ones gave
+# ---------------------------------------------------------------------------
+
+
+def outcome(solve, *args):
+    """What ``solve`` returns, or the type of the exception it raises."""
+    try:
+        return solve(*args)
+    except (ValueError, DependencyColoringError, LiftError) as exc:
+        return type(exc)
+
+
+def assert_colors_as_on_copies(d, lists, order, hooks=(None, None)):
+    got = outcome(color_dependency_graph, d, lists, hooks[0], order)
+    want = outcome(oracles.color_dependency_graph_on_copies, d, lists,
+                   hooks[1], order)
+    assert got == want, (sorted(d.edges()), lists, order)
+    return got
+
+
+def test_dependency_instances_of_the_lifts_match_the_graph_based_code(
+        monkeypatch):
+    real = reductions._dependency_instance
+    seen = []
+
+    def both(g, coloring, group, order):
+        got = outcome(real, g, coloring, group, order)
+        want = outcome(oracles.dependency_instance_by_probes, g, coloring,
+                       group, order)
+        assert got == want, (sorted(group), dict(coloring))
+        if isinstance(got, tuple):
+            assert_colors_as_on_copies(*got, order)
+        seen.append(group)
+        return real(g, coloring, group, order)
+
+    monkeypatch.setattr(reductions, "_dependency_instance", both)
+    for label in SHORT_KINDS:
+        assert certify_lemma(label, budget=20).ok, label
+    assert len(seen) > 30000
+
+
+def test_anchor_assemblies_match_the_graph_based_code(monkeypatch):
+    real = pipeline.color_dependency_graph
+    calls = []
+
+    def both(d, lists, *args):
+        assert not args
+        calls.append(d.n)
+        assert_colors_as_on_copies(d, lists, None)
+        return real(d, lists)
+
+    monkeypatch.setattr(pipeline, "color_dependency_graph", both)
+    graphs = [radial(triangulation(n, random.Random(n)))
+              for n in range(4, 40, 5)]
+    graphs += [radial(family(d)) for family in HUB_FAMILIES.values()
+               for d in (4, 7, 12, 30)]
+    for g in graphs:
+        wd3_color_planar(g)
+    assert len(calls) == len(graphs) and max(calls) > 50
+
+
+def _random_instance(rng, slack):
+    """A graph of one to three random components, and random lists that
+    cover the degrees exactly, or with one more color at some vertices."""
+    edges, top = [], 0
+    for _ in range(rng.choice((1, 1, 2, 3))):
+        part = oracles.random_connected_graph(rng.randint(1, 7), rng,
+                                              p=rng.choice((0.3, 0.5, 0.8)))
+        edges += [(u + top, v + top) for u, v in part.edges()]
+        top += part.n
+    g = Graph.from_edges(edges, vertices=range(top))
+    palette = range(1, max(g.degree(v) for v in g.vertices()) + 3)
+    lists = {v: set(rng.sample(palette, g.degree(v)
+                               + (slack and rng.random() < 0.3)))
+             for v in g.vertices()}
+    return g, lists
+
+
+def widen(lists):
+    """A perturbation hook that adds a color at the stuck component's
+    smallest vertex, once, and then gives up."""
+    calls = []
+
+    def hook(stuck):
+        if calls:
+            return None
+        calls.append(stuck)
+        fresh = {v: set(lists[v]) for v in lists}
+        fresh[min(stuck)].add(10)
+        return fresh
+    return hook
+
+
+def test_random_instances_color_as_on_copies():
+    rng = random.Random(19)
+    colored = refused = 0
+    for trial in range(3000):
+        g, lists = _random_instance(rng, slack=trial % 2)
+        order = (None if trial % 3 == 0
+                 else tuple(rng.sample(range(1, 10), 9)))
+        assert outcome(degree_choose, g, lists, order) == outcome(
+            lambda *a: oracles.degree_choose_on_graph(*a)[0], g, lists,
+            order)
+        slack = next((v for v in g.vertices()
+                      if len(lists[v]) > g.degree(v)), None)
+        if slack is not None:
+            assert outcome(greedy_with_slack, g, lists, slack, order) \
+                == outcome(oracles.greedy_with_slack_on_graph, g, lists,
+                           slack, order)
+        got = assert_colors_as_on_copies(g, lists, order,
+                                         (widen(lists), widen(lists)))
+        if isinstance(got, dict):
+            colored += 1
+        else:
+            refused += 1
+    assert colored > 2500 and refused > 50

@@ -6,14 +6,37 @@ engine edits in place and restores through an undo log.
 Vertex identities are stable: deletion never reindexes, and contraction /
 identification allocate a fresh id (tracked by ``next_fresh``) that is never
 reused within the lifetime of a graph family derived from one root graph.
+
+``rings`` is the package's one breadth-first walk: components, distances,
+the balls that detection and step records read, and the order in which
+list coloring works toward a core all take its rings.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from itertools import combinations
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
+
+
+def rings(adj: Mapping[int, frozenset[int]],
+          sources: Iterable[int]) -> Iterator[set[int]]:
+    """The vertices at distance 0, 1, 2, ... from ``sources``, one set per
+    distance, nearest first, until the walk has reached every vertex it
+    can.  The union of the first r + 1 rings is the ball of radius r.
+    ``adj`` must be undirected: u in adj[v] exactly when v in adj[u]."""
+    # so the neighbors of a ring lie in it or in the rings beside it, and
+    # the next ring is what the two nearest rings leave of them
+    prev: set[int] = set()
+    ring = set(sources)
+    while ring:
+        yield ring
+        nxt: set[int] = set()
+        for v in ring:
+            nxt |= adj[v]
+        nxt -= ring
+        nxt -= prev
+        prev, ring = ring, nxt
 
 
 class _Adjacency:
@@ -175,36 +198,23 @@ class Graph(_Adjacency):
     # -- traversal helpers ----------------------------------------------
 
     def connected_components(self) -> list[frozenset[int]]:
+        """The components, ascending by their smallest vertex."""
         seen: set[int] = set()
         comps = []
         for s in sorted(self._adj):
-            if s in seen:
-                continue
-            comp = {s}
-            q = deque([s])
-            while q:
-                x = q.popleft()
-                for y in self._adj[x]:
-                    if y not in comp:
-                        comp.add(y)
-                        q.append(y)
-            seen |= comp
-            comps.append(frozenset(comp))
+            if s not in seen:
+                comp = frozenset().union(*rings(self._adj, (s,)))
+                seen |= comp
+                comps.append(comp)
         return comps
 
     def is_connected(self) -> bool:
         return len(self.connected_components()) <= 1
 
     def bfs_distances(self, sources: Iterable[int]) -> dict[int, int]:
-        dist = {s: 0 for s in sources}
-        q = deque(dist)
-        while q:
-            x = q.popleft()
-            for y in self._adj[x]:
-                if y not in dist:
-                    dist[y] = dist[x] + 1
-                    q.append(y)
-        return dist
+        """The distance from ``sources`` of every vertex they reach."""
+        return {v: d for d, ring in enumerate(rings(self._adj, sources))
+                for v in ring}
 
     # -- dunder ----------------------------------------------------------
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Callable, Collection, Iterable, Mapping, Sequence
 
-from .graphs import Graph, block_kind, blocks
+from .graphs import Graph, block_kind, blocks, rings
 from .verify import Coloring
 
 Lists = dict[int, set[int]]
@@ -75,23 +75,11 @@ def _color_outside(adj: Adjacency, vs: Collection[int], lists: Lists,
     until colored, so a list covering the degree always leaves a free
     color.  ``adj`` holds every neighbor of a vertex of ``vs`` in ``vs``;
     a BFS that does not reach all of ``vs`` raises."""
-    ring = set(core)
-    seen = set(ring)
-    rings = []
-    while True:
-        nxt: set[int] = set()
-        for x in ring:
-            nxt |= adj[x]
-        nxt -= seen
-        if not nxt:
-            break
-        seen |= nxt
-        rings.append(nxt)
-        ring = nxt
-    if len(seen) != len(vs):
+    layers = list(rings(adj, core))
+    if sum(map(len, layers)) != len(vs):
         raise ValueError("graph is not connected")
     out: Coloring = {}
-    for ring in reversed(rings):
+    for ring in reversed(layers[1:]):
         for v in sorted(ring):
             avail = lists[v] - {out[u] for u in adj[v] if u in out}
             out[v] = pick_color(avail, color_order)

@@ -27,7 +27,7 @@ from heapq import heapify, heappop, heappush, nsmallest
 from typing import Mapping
 
 from .exact import (SearchBudgetExceeded, chromatic_number_exact,
-                    wd_number_exact)
+                    wd_colorings)
 from .graphs import EditableGraph, Graph
 from .listcolor import DependencyColoringError, color_dependency_graph
 from .planarity import is_planar, validate_rotation
@@ -432,15 +432,22 @@ def _construct_wd3(g: Graph,
 
 
 def _exact_wd3_cap6(g: Graph, why: str) -> Coloring:
-    """Exact 3-weak-dynamic coloring with at most six colors, or die."""
+    """The exact search's first 3-weak-dynamic coloring with at most six
+    colors, or die.  It asks for no minimum palette: every palette below
+    the minimum would take an exhaustive search to rule out."""
     logger.info("falling back to the exact solver (%s) on n=%d m=%d",
                 why, g.n, g.m)
-    res = wd_number_exact(g, 3, len(PALETTE))
-    if res.witness is None:
+    order = sorted(g.vertices(), key=lambda v: (-g.degree(v), v))
+    coloring = next(wd_colorings(g, 3, len(PALETTE), order), None)
+    if coloring is None:
         raise InvariantBreachError(
             "exact solver found no 3-weak-dynamic coloring within six"
             f" colors on a planar graph; edges: {sorted(g.edges())}")
-    return dict(res.witness)
+    ok, violations = is_weak_dynamic(g, coloring, 3)
+    if not ok:
+        raise InvariantBreachError(
+            f"exact solver produced an invalid coloring: {violations}")
+    return coloring
 
 
 def _color_component_wd3(g: Graph, rotation: Mapping[int, tuple[int, ...]],

@@ -60,7 +60,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator, NamedTuple
 
 from .exact import wd_colorings
-from .graphs import EditableGraph, Graph
+from .graphs import EditableGraph, Graph, rings
 from .listcolor import (DependencyColoringError, Lists,
                         color_dependency_graph, pick_color)
 from .planarity import is_planar
@@ -577,12 +577,7 @@ def _degree_class(nbrs: frozenset[int] | None) -> int:
 
 def _ball(adj, centers, radius: int) -> set[int]:
     """The vertices within ``radius`` of ``centers``."""
-    ball = set(centers)
-    ring = ball
-    for _ in range(radius):
-        ring = ring.union(*map(adj.__getitem__, ring)) - ball
-        ball |= ring
-    return ball
+    return set().union(*itertools.islice(rings(adj, centers), radius + 1))
 
 
 def _chordless_deg3_cycles(g: Graph, near=None
@@ -787,16 +782,16 @@ class DetectionIndex:
     same in both graphs, so the path exists in both and the changed vertex
     at its end is as near now as before.  An anchor whose reads are all
     the same gives the same roles, so the kept roles stay current.  A kind
-    catches up with the graph's undo log only when it is asked, so the
-    later kinds pay nothing for steps the earlier kinds settle; kinds that
-    catch up over the same entries with the same reach share the anchors
-    to match again.  L9 and L10 order by cycle length and keep no anchors:
-    once one has matched nowhere, it rescans only the components of
-    3-vertices that meet a vertex within 1 of a set replaced since, as its
-    matcher reads only the sets of the cycle and its hubs.  Until its first
-    miss it scans the whole graph.  So on a graph with no undo entry yet,
-    every kind's first answer is the full scan's: an anchored kind matches
-    every anchor in its degree range, and a cycle kind walks every cycle.
+    catches up with the graph's undo log only when it is asked, reading
+    the changes since its own last look, so the later kinds pay nothing
+    for steps the earlier kinds settle.  L9 and L10 order by cycle length
+    and keep no anchors: once one has matched nowhere, it rescans only the
+    components of 3-vertices that meet a vertex within 1 of a set replaced
+    since, as its matcher reads only the sets of the cycle and its hubs.
+    Until its first miss it scans the whole graph.  So on a graph with no
+    undo entry yet, every kind's first answer is the full scan's: an
+    anchored kind matches every anchor in its degree range, and a cycle
+    kind walks every cycle.
 
     The index is valid while the graph's undo log only grows.
     """
@@ -808,10 +803,6 @@ class DetectionIndex:
         self._depth: list[int | None] = [None] * kinds
         self._cands: list[dict[int, list]] = [{} for _ in range(kinds)]
         self._heaps: list[list[int]] = [[] for _ in range(kinds)]
-        # the changes since one depth, shared by the kinds that ask for
-        # them at the same depth: (since, until, old sets, present ones,
-        # deleted ones, anchors to match again by (sets, degrees))
-        self._changes: tuple = (None, None, {}, set(), set(), {})
         self._missed: dict[str, int] = {}  # cycle kind -> depth of last miss
 
     def pick(self) -> Configuration | None:
@@ -828,7 +819,7 @@ class DetectionIndex:
         i = _ANCHORED_AT.get(kind)
         if i is None:
             seen, depth = self._missed.get(kind), self._g.depth
-            near = None if seen is None else self._near(seen, depth, 1, 1)[1]
+            near = None if seen is None else self._near(seen, 1, 1)[1]
             conf = _scan(self._g, kind, near)
             if conf is None:
                 self._missed[kind] = depth
@@ -851,7 +842,7 @@ class DetectionIndex:
         if seen is None:
             anchors = adj.keys()
         else:
-            gone, anchors = self._near(seen, depth, sets, degrees)
+            gone, anchors = self._near(seen, sets, degrees)
             for v in gone:
                 cands.pop(v, None)
         for v in anchors:
@@ -863,27 +854,20 @@ class DetectionIndex:
                     heapq.heappush(heap, v)
                 cands[v] = roles
 
-    def _near(self, seen: int, depth: int, sets: int,
+    def _near(self, seen: int, sets: int,
               degrees: int) -> tuple[set[int], set[int]]:
         """The vertices deleted since depth ``seen``, and the anchors to
         match again for a kind of the given reach."""
         adj = self._adj
-        since, until, before, present, gone, near = self._changes
-        if (since, until) != (seen, depth):
-            before = self._g.changed_since(seen)
-            present = before.keys() & adj.keys()
-            gone = before.keys() - present
-            near = {}
-            self._changes = (seen, depth, before, present, gone, near)
-        anchors = near.get((sets, degrees))
-        if anchors is None:
-            anchors = _ball(adj, present, sets) if sets else present
-            if degrees > sets:
-                reclassed = [v for v in present if _degree_class(before[v])
-                             != _degree_class(adj[v])]
-                if reclassed:
-                    anchors = anchors | _ball(adj, reclassed, degrees)
-            near[sets, degrees] = anchors
+        before = self._g.changed_since(seen)
+        present = before.keys() & adj.keys()
+        gone = before.keys() - present
+        anchors = _ball(adj, present, sets) if sets else present
+        if degrees > sets:
+            reclassed = [v for v in present if _degree_class(before[v])
+                         != _degree_class(adj[v])]
+            if reclassed:
+                anchors |= _ball(adj, reclassed, degrees)
         return gone, anchors
 
 

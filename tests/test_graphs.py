@@ -2,12 +2,15 @@
 
 import random
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import random_connected_graph
-from wdcolor.graphs import Graph
+from oracles import random_connected_graph, to_networkx
+from wdcolor.generators import random_planar
+from wdcolor.graphs import Graph, rings
+from wdcolor.reductions import _ball
 
 
 def small_graph_strategy(max_n=8):
@@ -93,6 +96,31 @@ def test_connected_components_and_bfs():
     assert not g.is_connected()
     d = g.bfs_distances([0])
     assert d == {0: 0, 1: 1}
+    assert g.bfs_distances([4, 3, 0]) == {0: 0, 1: 1, 2: 1, 3: 0, 4: 0}
+
+
+def test_rings_are_the_networkx_distances_by_layer():
+    """Multi-source rings, distances and balls of radius 0-3 on seeded
+    planar graphs, and on a disjoint union with isolated vertices."""
+    rng = random.Random(5)
+    a, b = random_planar(20, 0.8, 7), random_planar(15, 1.0, 8)
+    union = Graph.from_edges(
+        [*a.edges(), *((u + 100, v + 100) for u, v in b.edges())],
+        vertices=[*a.vertices(), *(v + 100 for v in b.vertices()), 200, 201])
+    cases = [(union, [200]), (union, [0, 201]), (union, [3, 104, 200])]
+    for seed, n in enumerate((1, 12, 40, 90)):
+        g = random_planar(n, 0.6, seed)
+        cases += [(g, rng.sample(g.vertices(), min(k, n))) for k in (1, 2, 3)]
+    for g, sources in cases:
+        dist = nx.multi_source_dijkstra_path_length(to_networkx(g), sources)
+        layers = [set() for _ in range(max(dist.values()) + 1)]
+        for v, d in dist.items():
+            layers[d].add(v)
+        assert list(rings(g.adjacency(), sources)) == layers
+        assert g.bfs_distances(sources) == dist
+        for radius in range(4):
+            assert _ball(g.adjacency(), sources, radius) == {
+                v for v, d in dist.items() if d <= radius}
 
 
 def test_equality_and_hash_are_structural():

@@ -10,9 +10,11 @@ fallback behavior.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import logging
 import random
+import signal
 import time
 
 import networkx as nx
@@ -36,7 +38,9 @@ from wdcolor.pipeline import (
     four_color_H,
     wd3_color_planar,
 )
-from wdcolor.reductions import LiftError, detect_configuration, reduce_in_place
+from wdcolor import reductions
+from wdcolor.reductions import (KIND_L1A, LiftError, detect_configuration,
+                                reduce_in_place)
 from wdcolor.verify import is_proper, is_weak_dynamic, palette_size
 
 import wdcolor.hosts as hosts_module
@@ -665,6 +669,27 @@ class TestDriver:
 # ---------------------------------------------------------------------------
 
 
+@contextlib.contextmanager
+def deadline(seconds: int):
+    """Fail the test once ``seconds`` have passed in the block, so a
+    search that does not end fails its test instead of hanging the run."""
+    def expire(signum, frame):
+        raise TimeoutError
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    except TimeoutError:
+        # the traceback through a suspended generator can lack line
+        # numbers, which pytest cannot render: report the expiry alone
+        raise pytest.fail.Exception(f"no result within {seconds} s",
+                                    pytrace=False) from None
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
 class TestDriverFallbacks:
     def test_constructive_refusal_falls_back(self, monkeypatch, caplog):
         def refuse(g, rotation):
@@ -718,6 +743,42 @@ class TestDriverFallbacks:
         monkeypatch.setattr(pipeline_module, "lift_coloring", broken_lift)
         g = random_planar(8, 0.6, 13)
         coloring = wd3_color_planar(g)
+        assert wd3_ok(g, coloring)
+        assert palette_size(coloring) <= 6
+
+    def test_one_failed_lift_falls_back_within_seconds(self, monkeypatch):
+        # the last L1a lift fails, on a 58-vertex graph: the fallback must
+        # take the first coloring within six colors, not seek the fewest
+        g = triangulation(60, random.Random(1))
+        e = EditableGraph(g)
+        left = sum(s.kind == KIND_L1A for s in reduce_in_place(e))
+        honest = reductions._LIFTERS[KIND_L1A]
+        failed = []
+
+        def fail_last(g, step, c, order, stats):
+            nonlocal left
+            left -= 1
+            if not left:
+                failed.append(g.n)
+                raise LiftError("forced lift failure")
+            honest(g, step, c, order, stats)
+
+        monkeypatch.setitem(reductions._LIFTERS, KIND_L1A, fail_last)
+        with deadline(10):
+            coloring = wd3_color_planar(g)
+        assert failed == [58]
+        assert wd3_ok(g, coloring)
+        assert palette_size(coloring) <= 6
+
+    def test_refused_construction_falls_back_within_seconds(
+            self, monkeypatch):
+        def refuse(g, rotation):
+            raise PipelineIncompleteError("forced refusal")
+
+        monkeypatch.setattr(pipeline_module, "_construct_wd3", refuse)
+        g = triangulation(2000, random.Random(1))
+        with deadline(10):
+            coloring = wd3_color_planar(g)
         assert wd3_ok(g, coloring)
         assert palette_size(coloring) <= 6
 

@@ -238,6 +238,27 @@ def test_certify_smoke_two_kinds():
         assert report.to_json_dict()["kind"] == label
 
 
+def test_l4_lift_certified_with_both_shared_neighbors_of_degree_4plus():
+    """The double diamond: poles 0 and 1, and k disjoint edges a_i b_i
+    with each end joined to both poles.  Its first configuration is L4
+    with the poles, of degree 2k, as v2 and v4, which no host of
+    ``wdcolor.hosts`` gives; every canonical coloring of the reduced
+    graph lifts through the ``both-4plus`` branch."""
+    for k, colorings in ((2, 3), (3, 63)):
+        g = Graph.from_edges(
+            e for a in range(2, 2 + 2 * k, 2)
+            for e in ((a, a + 1), (0, a), (1, a), (0, a + 1), (1, a + 1)))
+        assert is_planar(g).is_planar
+        conf = detect_configuration(g)
+        assert conf.kind == "L4-adjacent-3faces"
+        assert {conf.roles()["v2"], conf.roles()["v4"]} == {0, 1}
+        reduced, step = apply_reduction(g, conf)
+        hits = {}
+        for c in canonical_colorings(reduced):
+            lift_coloring(g, step, c, stats=hits)
+        assert hits == {"L4-adjacent-3faces:both-4plus": colorings}, k
+
+
 def test_dependency_lifts_copy_no_graph(monkeypatch):
     """The L9 and L10 lifts list-color their dependency graphs on the
     graphs' own adjacency: no component is copied out as an induced

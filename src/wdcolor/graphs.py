@@ -91,7 +91,8 @@ class Graph(_Adjacency):
     """Simple undirected graph. Instances are immutable; all mutating
     operations return new graphs."""
 
-    __slots__ = ("_adj", "next_fresh", "_edge_count", "_sorted")
+    __slots__ = ("_adj", "next_fresh", "_edge_count", "_sorted",
+                 "_components")
 
     def __init__(self, adj: dict[int, frozenset[int]], next_fresh: int | None = None):
         self._adj = adj
@@ -99,6 +100,7 @@ class Graph(_Adjacency):
         self.next_fresh = top if next_fresh is None else max(next_fresh, top)
         self._edge_count = sum(len(nbrs) for nbrs in adj.values()) // 2
         self._sorted: tuple[int, ...] | None = None
+        self._components: tuple[frozenset[int], ...] | None = None
 
     @classmethod
     def _derived(cls, adj: dict[int, frozenset[int]], next_fresh: int,
@@ -110,6 +112,7 @@ class Graph(_Adjacency):
         g.next_fresh = next_fresh
         g._edge_count = m
         g._sorted = None
+        g._components = None
         return g
 
     # -- construction -------------------------------------------------
@@ -198,15 +201,18 @@ class Graph(_Adjacency):
     # -- traversal helpers ----------------------------------------------
 
     def connected_components(self) -> list[frozenset[int]]:
-        """The components, ascending by their smallest vertex."""
-        seen: set[int] = set()
-        comps = []
-        for s in sorted(self._adj):
-            if s not in seen:
-                comp = frozenset().union(*rings(self._adj, (s,)))
-                seen |= comp
-                comps.append(comp)
-        return comps
+        """The components, ascending by their smallest vertex (found once
+        per graph; each call returns a new list)."""
+        if self._components is None:
+            seen: set[int] = set()
+            comps = []
+            for s in self.vertices():
+                if s not in seen:
+                    comp = frozenset().union(*rings(self._adj, (s,)))
+                    seen |= comp
+                    comps.append(comp)
+            self._components = tuple(comps)
+        return list(self._components)
 
     def is_connected(self) -> bool:
         return len(self.connected_components()) <= 1

@@ -46,11 +46,13 @@ input palette never changes which vertices end up sharing a color, only
 what the shared colors are called.  ``certify_lemma`` exploits that to
 check a kind exhaustively on generated hosts while enumerating only
 canonical colorings of the reduced graph, and spot-checks the claim by
-re-lifting renamed inputs.
+re-lifting renamed inputs.  A host's dependency graphs are memoized by
+the neighbor sets of the recolored group, so its colorings share them.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import logging
@@ -203,15 +205,16 @@ class LiftColoring(dict):
 
     A dict that records every key written since ``begin``.  It also keeps
     the first-use color order of a lift between lifts, with the first
-    vertex of each color, and computes it again only after a mutation
-    that can move some color's first vertex: a write below the first
-    vertex of its color, a write of a color not in use, or a recolor or
-    deletion of a color's first vertex.  The order is then read off a
-    lazy min-heap of vertices per color, with no sort of the whole
-    coloring: every write pushes its vertex onto its color's heap, and
-    ``color_order`` pops the entries whose vertex no longer has that
-    color, recolored or deleted since.  Deleting a key is not recorded as
-    a write: a lift's check counts the colored vertices instead.
+    vertex of each color: both come from the sorted pass that builds it,
+    and are computed again only after a mutation that can move some
+    color's first vertex: a write below the first vertex of its color, a
+    write of a color not in use, or a recolor or deletion of a color's
+    first vertex.  The order is then read off a lazy min-heap of vertices
+    per color, with no sort of the whole coloring: every write pushes its
+    vertex onto its color's heap, and ``color_order`` pops the entries
+    whose vertex no longer has that color, recolored or deleted since.
+    Deleting a key is not recorded as a write: a lift's check counts the
+    colored vertices instead.
     """
 
     __slots__ = ("written", "_heaps", "_firsts", "_order")
@@ -227,11 +230,17 @@ class LiftColoring(dict):
         super().__init__(coloring)
         self.written: set[int] = set()
         self._heaps: dict[int, list[int]] = {}
-        for v in sorted(coloring):  # a sorted list is a heap
-            self._heaps.setdefault(coloring[v], []).append(v)
         # the first vertex of each color in use, valid while _order is kept
         self._firsts: dict[int, int] = {}
-        self._order: tuple[int, ...] | None = None
+        for v in sorted(coloring):  # a sorted list is a heap
+            col = coloring[v]
+            heap = self._heaps.get(col)
+            if heap is None:  # colors arrive in first-use order
+                self._heaps[col] = heap = []
+                self._firsts[col] = v
+            heap.append(v)
+        self._order: tuple[int, ...] | None = tuple(
+            [*self._firsts, *(c for c in PALETTE if c not in self._firsts)])
 
     def begin(self) -> None:
         """Forget the keys written so far."""
@@ -1018,6 +1027,75 @@ def unwind(g: EditableGraph,
 # --------------------------------------------------------------------------
 # the shared dependency-instance builder for simultaneous recoloring
 
+#: Dependency templates kept by ``_dependency_template``.  Certification
+#: reuses a few dozen, one per host and group, across all its colorings;
+#: the groups of ``wd3_color_planar`` seldom repeat.
+_TEMPLATE_CACHE_SIZE = 128
+
+
+class _DependencyTemplate(NamedTuple):
+    """What a group's dependency instance takes from the members' own
+    neighbor sets, whatever the coloring."""
+
+    #: per member in ascending order, its neighbor pairs in the order the
+    #: instance checks them: (True, member, outsider) for a restriction,
+    #: (False, x, y) for two outsiders that must differ; None for a member
+    #: whose degree is not three
+    walk: tuple[tuple[int, tuple[tuple[bool, int, int], ...] | None], ...]
+    #: the outsiders touching one or two members, ascending, with those
+    #: members
+    touched: tuple[tuple[int, tuple[int, ...]], ...]
+    dep: Graph
+
+
+@functools.lru_cache(maxsize=_TEMPLATE_CACHE_SIZE)
+def _dependency_template(sets: tuple[tuple[int, frozenset[int]], ...]
+                         ) -> _DependencyTemplate:
+    """The template of the group whose members and neighbor sets ``sets``
+    lists in ascending member order.  An outsider's touching members are
+    read off the members' sets: on an undirected graph ``adj[z] & group``
+    is the members whose sets hold ``z``, so the sets are the whole key."""
+    group = {s for s, _ in sets}
+    dep: dict[int, set[int]] = {s: set() for s, _ in sets}
+
+    def join(a: int, b: int) -> None:
+        dep[a].add(b)
+        dep[b].add(a)
+
+    walk = []
+    touching: dict[int, list[int]] = {}
+    for s, nbrs in sets:
+        for z in nbrs:
+            if z not in group:
+                touching.setdefault(z, []).append(s)
+        if len(nbrs) != 3:
+            walk.append((s, None))
+            continue
+        pairs = []
+        for x, y in itertools.combinations(sorted(nbrs), 2):
+            xin, yin = x in group, y in group
+            if xin and yin:
+                join(x, y)
+            elif xin or yin:
+                pairs.append((True, x, y) if xin else (True, y, x))
+            else:
+                pairs.append((False, x, y))
+        walk.append((s, tuple(pairs)))
+    touched = []
+    for z in sorted(touching):
+        ts = touching[z]
+        if len(ts) >= 3:
+            for a, b in itertools.combinations(ts[:3], 2):
+                join(a, b)
+        else:
+            touched.append((z, tuple(ts)))
+            if len(ts) == 2:
+                join(*ts)
+    return _DependencyTemplate(
+        tuple(walk), tuple(touched),
+        Graph({s: frozenset(nb) for s, nb in dep.items()}))
+
+
 def _dependency_instance(g: Graph | EditableGraph, coloring: Coloring,
                          group: frozenset[int],
                          order: tuple[int, ...]) -> tuple[Graph, Lists]:
@@ -1030,66 +1108,46 @@ def _dependency_instance(g: Graph | EditableGraph, coloring: Coloring,
     member must avoid that color (list restriction).  Outsiders touching
     the group in one, two, or three-plus places get, respectively, an
     avoid-set, a designated color plus a distinctness edge, or a triangle
-    of distinctness edges among three touching members.  Both are read
-    off ``g``'s adjacency, and the dependency graph is built from the
-    neighbor sets filled here.
+    of distinctness edges among three touching members.
+
+    The dependency graph and which pairs to check depend only on the
+    members' neighbor sets, so they come from ``_dependency_template``,
+    built once for those sets and kept for every coloring; the
+    colors, the outsiders' avoid-sets (which read an outsider's whole
+    neighbor set) and the lists are worked out on each call.
     """
     adj = g.adjacency()
-    members = sorted(group)
-    dep: dict[int, set[int]] = {s: set() for s in members}
-    restrict: dict[int, set[int]] = {s: set() for s in members}
-    for s in members:
-        nbrs = adj[s]
-        if len(nbrs) != 3:
+    t = _dependency_template(tuple((s, adj[s]) for s in sorted(group)))
+    restrict: dict[int, set[int]] = {s: set() for s, _ in t.walk}
+    for s, pairs in t.walk:
+        if pairs is None:
             raise LiftError(f"group member {s} does not have degree 3",
                             stage="dependency-instance")
-        for x, y in itertools.combinations(sorted(nbrs), 2):
-            xin, yin = x in group, y in group
-            if xin and yin:
-                dep[x].add(y)
-                dep[y].add(x)
-            elif xin:
+        for member, x, y in pairs:
+            if member:
                 cy = coloring.get(y)
                 if cy is None:
                     raise LiftError(f"uncolored outside vertex {y} next to"
                                     f" {s}", stage="dependency-instance")
                 restrict[x].add(cy)
-            elif yin:
-                cx = coloring.get(x)
-                if cx is None:
-                    raise LiftError(f"uncolored outside vertex {x} next to"
-                                    f" {s}", stage="dependency-instance")
-                restrict[y].add(cx)
-            else:
-                if coloring.get(x) == coloring.get(y):
-                    raise LiftError(
-                        f"outside neighbors {x},{y} of {s} share a color,"
-                        f" so {s} cannot see three", stage="dependency-instance")
-    outsiders = set().union(*map(adj.__getitem__, members)) - group
-    for z in sorted(outsiders):
-        touching = sorted(adj[z] & group)
-        t = len(touching)
-        if t >= 3:
-            for a, b in itertools.combinations(touching[:3], 2):
-                dep[a].add(b)
-                dep[b].add(a)
-            continue
-        f = _satisfy_through(g, coloring, z, pending=group, incoming=t,
-                             color_order=order)
+            elif coloring.get(x) == coloring.get(y):
+                raise LiftError(
+                    f"outside neighbors {x},{y} of {s} share a color,"
+                    f" so {s} cannot see three", stage="dependency-instance")
+    for z, touching in t.touched:
+        f = _satisfy_through(g, coloring, z, pending=group,
+                             incoming=len(touching), color_order=order)
         for s in touching:
             restrict[s] |= f
-        if t == 2:
-            a, b = touching
-            dep[a].add(b)
-            dep[b].add(a)
-    lists: Lists = {s: set(PALETTE) - restrict[s] for s in members}
-    for s in members:
-        if len(lists[s]) < max(1, len(dep[s])):
+    dep = t.dep.adjacency()
+    lists: Lists = {s: set(PALETTE) - r for s, r in restrict.items()}
+    for s, allowed in lists.items():
+        if len(allowed) < max(1, len(dep[s])):
             raise LiftError(
-                f"allowed colors {sorted(lists[s])} at {s} fall below its"
+                f"allowed colors {sorted(allowed)} at {s} fall below its"
                 f" dependency degree {len(dep[s])}",
                 stage="dependency-instance")
-    return Graph({s: frozenset(nb) for s, nb in dep.items()}), lists
+    return t.dep, lists
 
 
 def _free_hub_hook(g: Graph, coloring: Coloring, cycle: tuple[int, ...],
@@ -1449,7 +1507,9 @@ def lift_coloring(g: Graph | EditableGraph, step: ReductionStep,
     and is left as it is; the lift writes a copy and returns a new dict.
     A ``LiftColoring`` is lifted in place and returned itself: the lift
     loop of the driver passes one, which covers the reduced graph because
-    it did so from the start and every earlier lift checked it again.
+    it did so from the start and every earlier lift checked it again, and
+    ``certify_lemma`` passes a fresh one, which its constructor checked
+    against the reduced graph's vertex set.
 
     The output is always verified before it is returned, on what the lift
     wrote.  Every written vertex must be a vertex of ``g`` with a palette
@@ -1585,7 +1645,11 @@ def certify_lemma(kind: str, budget: int = 20) -> CertificateReport:
     every valid coloring of the reduced graph (one per palette-permutation
     class; lifting is permutation-equivariant up to color names, which is
     also spot-checked here) and confirm each lifts to a verified coloring
-    of the host.
+    of the host.  Each coloring is checked to cover the reduced graph from
+    the palette as it becomes the ``LiftColoring`` that its lift writes in
+    place; a coloring that fails that check is a lift failure.  Everything
+    that depends only on the host, such as a dependency lift's dependency
+    graph and components, is built once for all its colorings.
 
     ``kind`` is a short label L1..L10 (L1 covers both of its sub-kinds) or
     a full kind string.  Hosts come from ``hosts.host_for(full_kind,
@@ -1624,11 +1688,13 @@ def certify_lemma(kind: str, budget: int = 20) -> CertificateReport:
                 f"{want}#{idx}: host does not contain the pattern")
             continue
         reduced, step = apply_reduction(g, conf)
+        vertices = reduced.adjacency().keys()
         count_before = report.colorings_checked
         for c in canonical_colorings(reduced):
             report.colorings_checked += 1
             try:
-                lifted = lift_coloring(g, step, c, stats=report.case_hits)
+                lifted = lift_coloring(g, step, LiftColoring(c, vertices),
+                                       stats=report.case_hits)
             except LiftError as e:
                 if len(report.lift_failures) < 8:
                     report.lift_failures.append(

@@ -8,6 +8,7 @@ through these checkers before returning.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Mapping
 
 from .graphs import Graph
@@ -37,14 +38,15 @@ def _weak_dynamic_violations(adj: Mapping[int, frozenset[int]],
     """Violations of the k-weak-dynamic rule among the vertices ``vs``.
 
     ``adj`` is a whole adjacency (``Graph.adjacency()``) and ``c`` must
-    color every neighbor of ``vs``.  One pass in ascending vertex order.
-    A vertex's colors are counted only until ``min(d(v), k)`` are seen, so
-    a hub costs no more than a vertex of small degree once it is
-    satisfied; a violation has seen all its neighbors, so it reports the
-    exact count.
+    color every neighbor of ``vs``, a collection of distinct vertices.
+    One pass over ``vs`` in its own order; only the violations found are
+    sorted, so they come out in ascending vertex order.  A vertex's colors
+    are counted only until ``min(d(v), k)`` are seen, so a hub costs no
+    more than a vertex of small degree once it is satisfied; a violation
+    has seen all its neighbors, so it reports the exact count.
     """
     violations = []
-    for v in sorted(vs):
+    for v in vs:
         nbrs = adj[v]
         need = min(len(nbrs), k)
         if need:
@@ -55,6 +57,7 @@ def _weak_dynamic_violations(adj: Mapping[int, frozenset[int]],
                     break
             else:
                 violations.append(Violation(v, len(seen), need))
+    violations.sort(key=attrgetter("vertex"))
     return violations
 
 

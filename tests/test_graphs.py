@@ -93,6 +93,10 @@ def test_connected_components_and_bfs():
     g = Graph.from_edges([(0, 1), (2, 3)], vertices=range(5))
     comps = sorted(g.connected_components(), key=min)
     assert [sorted(c) for c in comps] == [[0, 1], [2, 3], [4]]
+    first = g.connected_components()
+    assert g.connected_components() == first
+    first.clear()  # the graph keeps its own copy
+    assert g.connected_components() == comps
     assert not g.is_connected()
     d = g.bfs_distances([0])
     assert d == {0: 0, 1: 1}

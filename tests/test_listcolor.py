@@ -20,7 +20,8 @@ from wdcolor.listcolor import (DependencyColoringError,
                                color_odd_cycle_with_lists, degree_choose,
                                greedy_with_slack, pick_color)
 from wdcolor.pipeline import wd3_color_planar
-from wdcolor.reductions import SHORT_KINDS, LiftError, certify_lemma
+from wdcolor.reductions import (PALETTE, SHORT_KINDS, LiftError,
+                                certify_lemma)
 
 
 def subsets(universe, size):
@@ -323,7 +324,11 @@ def assert_colors_as_on_copies(d, lists, order, hooks=(None, None)):
 
 def test_dependency_instances_of_the_lifts_match_the_graph_based_code(
         monkeypatch):
+    """On every lift of the certification runs, from a cold memo of
+    dependency templates, and on two graphs that share a group's neighbor
+    sets with the memo warm from the other one."""
     real = reductions._dependency_instance
+    reductions._dependency_template.cache_clear()
     seen = []
 
     def both(g, coloring, group, order):
@@ -340,6 +345,22 @@ def test_dependency_instances_of_the_lifts_match_the_graph_based_code(
     for label in SHORT_KINDS:
         assert certify_lemma(label, budget=20).ok, label
     assert len(seen) > 30000
+    # the outsider 3 touches the triangle once; with its extra colored
+    # neighbor 8 it already sees three colors and asks the triangle for none
+    a = Graph.from_edges([(0, 1), (0, 2), (1, 2), (0, 3), (1, 4), (2, 5),
+                          (3, 6), (3, 7)])
+    b = a.add_edge(3, 8)
+    coloring = {0: 1, 1: 2, 2: 3, 3: 4, 4: 5, 5: 6, 6: 1, 7: 2, 8: 3}
+    group = frozenset({0, 1, 2})
+    got = []
+    for warm, g in ((b, a), (a, b)):
+        reductions._dependency_template.cache_clear()
+        real(warm, coloring, group, PALETTE)
+        got.append(real(g, coloring, group, PALETTE))
+        assert reductions._dependency_template.cache_info().hits == 1
+        assert got[-1] == oracles.dependency_instance_by_probes(
+            g, coloring, group, PALETTE)
+    assert got[0][1] != got[1][1]
 
 
 def test_anchor_assemblies_match_the_graph_based_code(monkeypatch):

@@ -8,6 +8,7 @@ import pytest
 
 import oracles
 from oracles import reduce_fully
+from wdcolor import reductions
 from wdcolor.exact import wd_number_exact
 from wdcolor.generators import named, random_planar
 from wdcolor.graphs import Graph
@@ -236,6 +237,24 @@ def test_certify_smoke_two_kinds():
         assert report.hosts_checked == 6
         assert report.colorings_checked == report.lifts_succeeded > 0
         assert report.to_json_dict()["kind"] == label
+
+
+def test_certification_rejects_a_reduced_coloring_off_its_graph(monkeypatch):
+    """A reduced coloring that misses a vertex, or uses a color outside
+    the palette, is a lift failure in the report, not an exception."""
+
+    def broken(reduced):
+        c = next(canonical_colorings(reduced))
+        yield {v: col for v, col in c.items() if v != min(c)}
+        yield {**c, min(c): 7}
+
+    monkeypatch.setattr(reductions, "canonical_colorings", broken)
+    report = certify_lemma("L2", budget=1)
+    assert not report.ok
+    assert report.colorings_checked == 2 and report.lifts_succeeded == 0
+    assert len(report.lift_failures) == 2
+    assert "covers" in report.lift_failures[0]
+    assert "palette" in report.lift_failures[1]
 
 
 def test_l4_lift_certified_with_both_shared_neighbors_of_degree_4plus():

@@ -45,6 +45,14 @@ def test_violation_list_is_sorted_and_descriptive():
     assert [v.vertex for v in violations] == [0, 1, 2, 3, 4]
     for v in violations:
         assert v.seen == 1 and v.required == 2
+    # a set or dict of vertices is walked in its own order, and what it
+    # finds still comes out ascending
+    ring = (40, 3, 17, 8, 1)
+    adj = Graph.from_edges(zip(ring, ring[1:] + ring[:1])).adjacency()
+    for vs in (set(ring), dict.fromkeys(reversed(ring))):
+        assert list(vs) != sorted(vs)
+        found = _weak_dynamic_violations(adj, dict.fromkeys(ring, 1), 2, vs)
+        assert [v.vertex for v in found] == sorted(ring)
 
 
 def test_monochromatic_is_fine_when_k_or_degree_is_low():

@@ -106,7 +106,8 @@ def wd_number_exact(g: Graph, k: int, max_colors: int) -> ExactResult:
         witness = next(wd_colorings(g, k, c, order), None)
         if witness is not None:
             ok, _ = is_weak_dynamic(g, witness, k)
-            assert ok, "solver produced an invalid witness"
+            if not ok:
+                raise AssertionError("solver produced an invalid witness")
             return ExactResult(c, witness)
     return ExactResult(None, None)
 
@@ -244,7 +245,8 @@ def chromatic_number_exact(g: Graph, ub: int, *,
     for k in range(lb, ub + 1):
         witness = _k_colorable(g, k, node_budget)
         if witness is not None:
-            assert is_proper(g, witness)
+            if not is_proper(g, witness):
+                raise AssertionError("solver produced an improper witness")
             return ExactResult(k, witness)
     return ExactResult(None, None)
 
@@ -257,8 +259,10 @@ def list_color_exact(g: Graph, lists: dict[int, set[int]]) -> Coloring | None:
             raise KeyError(f"missing list for vertex {v}")
     color = _list_color_search(g, lists)
     if color is not None:
-        assert is_proper(g, color)
-        assert all(color[v] in lists[v] for v in g.vertices())
+        if not is_proper(g, color):
+            raise AssertionError("list search produced an improper coloring")
+        if not all(color[v] in lists[v] for v in g.vertices()):
+            raise AssertionError("list search colored outside a list")
     return color
 
 
@@ -281,5 +285,6 @@ def product_coloring(g: Graph, proper: Coloring, wd: Coloring, k: int) -> Colori
     w_idx = {c: i for i, c in enumerate(w_vals)}
     out = {v: p_idx[proper[v]] * len(w_vals) + w_idx[wd[v]] + 1
            for v in g.vertices()}
-    assert is_dynamic(g, out, k), "pair encoding failed the dynamic check"
+    if not is_dynamic(g, out, k):
+        raise AssertionError("pair encoding failed the dynamic check")
     return out

@@ -102,19 +102,6 @@ class Graph(_Adjacency):
         self._sorted: tuple[int, ...] | None = None
         self._components: tuple[frozenset[int], ...] | None = None
 
-    @classmethod
-    def _derived(cls, adj: dict[int, frozenset[int]], next_fresh: int,
-                 m: int) -> "Graph":
-        """A graph whose ``next_fresh`` and edge count the caller already
-        knows, so nothing is recounted."""
-        g = cls.__new__(cls)
-        g._adj = adj
-        g.next_fresh = next_fresh
-        g._edge_count = m
-        g._sorted = None
-        g._components = None
-        return g
-
     # -- construction -------------------------------------------------
 
     @classmethod
@@ -149,7 +136,7 @@ class Graph(_Adjacency):
     def delete_edge(self, u: int, v: int) -> "Graph":
         e = EditableGraph(self)
         e.delete_edge(u, v)
-        return e.release()
+        return e.snapshot()
 
     def delete_vertex(self, v: int) -> "Graph":
         return self.delete_vertices([v])
@@ -157,7 +144,7 @@ class Graph(_Adjacency):
     def delete_vertices(self, vs: Iterable[int]) -> "Graph":
         e = EditableGraph(self)
         e.delete_vertices(vs)
-        return e.release()
+        return e.snapshot()
 
     def induced_subgraph(self, vs: Iterable[int]) -> "Graph":
         keep = set(vs)
@@ -170,33 +157,30 @@ class Graph(_Adjacency):
         if u == v:
             raise ValueError("self-loop")
         adj = dict(self._adj)
-        new = not self.has_edge(u, v)
         adj[u] = adj.get(u, frozenset()) | {v}
         adj[v] = adj.get(v, frozenset()) | {u}
-        return Graph._derived(adj, max(self.next_fresh, u + 1, v + 1),
-                              self._edge_count + new)
+        return Graph(adj, self.next_fresh)
 
     def add_vertex(self, v: int) -> "Graph":
         if v in self._adj:
             return self
         adj = dict(self._adj)
         adj[v] = frozenset()
-        return Graph._derived(adj, max(self.next_fresh, v + 1),
-                              self._edge_count)
+        return Graph(adj, self.next_fresh)
 
     def contract_edge(self, u: int, v: int) -> tuple["Graph", int]:
         """Contract the edge uv into a fresh vertex adjacent to
         N(u) ∪ N(v) − {u, v}; parallel edges merge (result stays simple)."""
         e = EditableGraph(self)
         fresh = e.contract_edge(u, v)
-        return e.release(), fresh
+        return e.snapshot(), fresh
 
     def identify_vertices(self, u: int, v: int) -> tuple["Graph", int]:
         """Merge two distinct vertices (adjacency not required) into a fresh
         vertex; equivalent to contract_edge when uv is an edge."""
         e = EditableGraph(self)
         fresh = e.identify_vertices(u, v)
-        return e.release(), fresh
+        return e.snapshot(), fresh
 
     # -- traversal helpers ----------------------------------------------
 
@@ -260,16 +244,9 @@ class EditableGraph(_Adjacency):
         return tuple(sorted(self._adj))
 
     def snapshot(self) -> Graph:
-        """The current graph as an immutable ``Graph`` (one dict copy)."""
-        return Graph._derived(dict(self._adj), self.next_fresh,
-                              self._edge_count)
-
-    def release(self) -> Graph:
-        """Hand the adjacency over to an immutable ``Graph`` without a
-        copy; this editable graph must not be used afterwards."""
-        g = Graph._derived(self._adj, self.next_fresh, self._edge_count)
-        self._adj = None  # type: ignore[assignment]
-        return g
+        """The current graph as an immutable ``Graph`` (one dict copy and
+        an edge recount)."""
+        return Graph(dict(self._adj), self.next_fresh)
 
     # -- undo log ----------------------------------------------------------
 

@@ -57,10 +57,13 @@ def _check_result(adj: Adjacency, vs: Collection[int], lists: Lists,
     """Every vertex of ``vs`` colored from its list, and no edge of the
     graph that ``adj`` induces on ``vs`` monochromatic."""
     for v in vs:
-        assert v in c and c[v] in lists[v], f"vertex {v} colored outside its list"
+        if v not in c or c[v] not in lists[v]:
+            raise AssertionError(f"vertex {v} colored outside its list")
     for v in vs:
         for u in adj[v]:
-            assert c[u] != c[v], f"edge {min(u, v)}-{max(u, v)} monochromatic"
+            if c[u] == c[v]:
+                raise AssertionError(
+                    f"edge {min(u, v)}-{max(u, v)} monochromatic")
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +170,8 @@ def color_complete_with_lists(vertices: Sequence[int], lists: Lists,
         out[v] = pick_color(lists[v] - set(out.values()), color_order)
     last = vertices[-1]
     out[last] = pick_color(lists[last] - set(out.values()), color_order)
-    assert len(set(out.values())) == n, "complete-graph coloring collided"
+    if len(set(out.values())) != n:
+        raise AssertionError("complete-graph coloring collided")
     return out
 
 
@@ -192,7 +196,8 @@ def color_odd_cycle_with_lists(cycle: Sequence[int], lists: Lists,
             avoid.add(out[cycle[0]])
         out[cycle[i]] = pick_color(lists[cycle[i]] - avoid, color_order)
     for i in range(k):
-        assert out[cycle[i]] != out[cycle[(i + 1) % k]]
+        if out[cycle[i]] == out[cycle[(i + 1) % k]]:
+            raise AssertionError("odd-cycle coloring collided")
     return out
 
 

@@ -344,7 +344,8 @@ def _kempe_four_color(h: Graph) -> Coloring:
                 f"no Kempe-chain swap frees a color at anchor vertex {v},"
                 f" which has {len(nbrs)} colored neighbors")
         color[v] = free
-    assert is_proper(h, color)
+    if not is_proper(h, color):
+        raise AssertionError("anchor 4-coloring is not proper")
     return color
 
 

@@ -203,21 +203,16 @@ class ReductionStep(NamedTuple):
 class LiftColoring(dict):
     """The coloring that lifts write in place.
 
-    A dict that records every key written since ``begin``.  It also keeps
-    the first-use color order of a lift between lifts, with the first
-    vertex of each color: both come from the sorted pass that builds it,
-    and are computed again only after a mutation that can move some
-    color's first vertex: a write below the first vertex of its color, a
-    write of a color not in use, or a recolor or deletion of a color's
-    first vertex.  The order is then read off a lazy min-heap of vertices
-    per color, with no sort of the whole coloring: every write pushes its
-    vertex onto its color's heap, and ``color_order`` pops the entries
-    whose vertex no longer has that color, recolored or deleted since.
-    Deleting a key is not recorded as a write: a lift's check counts the
-    colored vertices instead.
+    A dict that records every key written since ``begin``, and keeps a
+    lazy min-heap of vertices per color, from which ``color_order`` reads
+    the first-use color order of a lift: every write pushes its vertex onto
+    its color's heap, and ``color_order`` pops the entries whose vertex no
+    longer has that color, recolored or deleted since.  Deleting a key is
+    not recorded as a write: a lift's check counts the colored vertices
+    instead.
     """
 
-    __slots__ = ("written", "_heaps", "_firsts", "_order")
+    __slots__ = ("written", "_heaps")
 
     def __init__(self, coloring: Coloring, vertices) -> None:
         """A copy of ``coloring``, which must color exactly ``vertices``
@@ -230,37 +225,22 @@ class LiftColoring(dict):
         super().__init__(coloring)
         self.written: set[int] = set()
         self._heaps: dict[int, list[int]] = {}
-        # the first vertex of each color in use, valid while _order is kept
-        self._firsts: dict[int, int] = {}
         for v in sorted(coloring):  # a sorted list is a heap
-            col = coloring[v]
-            heap = self._heaps.get(col)
-            if heap is None:  # colors arrive in first-use order
-                self._heaps[col] = heap = []
-                self._firsts[col] = v
-            heap.append(v)
-        self._order: tuple[int, ...] | None = tuple(
-            [*self._firsts, *(c for c in PALETTE if c not in self._firsts)])
+            self._heaps.setdefault(coloring[v], []).append(v)
 
     def begin(self) -> None:
         """Forget the keys written so far."""
         self.written = set()
 
+    # every way of writing goes through __setitem__, so no write escapes
+    # ``written`` or the heaps; the lift's check and the color order rely
+    # on both.  A deletion leaves at most a stale heap entry, which the
+    # next ``color_order`` drops.
+
     def __setitem__(self, v: int, col: int) -> None:
-        old = self.get(v)
         dict.__setitem__(self, v, col)
         self.written.add(v)
         heapq.heappush(self._heaps.setdefault(col, []), v)
-        if self._order is not None:
-            first = self._firsts.get(col)
-            if (first is None or v < first
-                    or (old != col and self._firsts.get(old) == v)):
-                self._order = None
-
-    # every way of writing goes through __setitem__, and every way of
-    # deleting through _deleting, so no write escapes ``written`` or the
-    # heaps, and no mutation that moves a first vertex keeps the order;
-    # the lift's check and the color order rely on both
 
     def update(self, *args, **kwargs) -> None:
         for v, col in dict(*args, **kwargs).items():
@@ -275,42 +255,18 @@ class LiftColoring(dict):
         self.update(other)
         return self
 
-    def _deleting(self, v: int) -> None:
-        if self._order is not None and self._firsts.get(self.get(v)) == v:
-            self._order = None
-
-    def __delitem__(self, v: int) -> None:
-        self._deleting(v)
-        dict.__delitem__(self, v)
-
-    def pop(self, v: int, *default):
-        self._deleting(v)
-        return dict.pop(self, v, *default)
-
-    def popitem(self) -> tuple[int, int]:
-        self._order = None
-        return dict.popitem(self)
-
-    def clear(self) -> None:
-        self._order = None
-        dict.clear(self)
-
     def color_order(self) -> tuple[int, ...]:
         """First-use order of colors over ascending vertex ids, then the
         rest of the palette numerically.  Permutation-equivariant by
         construction."""
-        if self._order is None:
-            firsts = {}
-            for col, heap in self._heaps.items():
-                while heap and self.get(heap[0]) != col:
-                    heapq.heappop(heap)
-                if heap:
-                    firsts[col] = heap[0]
-            order = sorted(firsts, key=firsts.__getitem__)
-            self._firsts = firsts
-            self._order = tuple(order
-                                + [c for c in PALETTE if c not in firsts])
-        return self._order
+        firsts = {}
+        for col, heap in self._heaps.items():
+            while heap and self.get(heap[0]) != col:
+                heapq.heappop(heap)
+            if heap:
+                firsts[col] = heap[0]
+        order = sorted(firsts, key=firsts.__getitem__)
+        return tuple(order + [c for c in PALETTE if c not in firsts])
 
 
 def _satisfy_through(g: Graph, coloring: Coloring, target: int,
@@ -940,7 +896,7 @@ def apply_reduction(g: Graph | EditableGraph, conf: Configuration
         return g, _reduce_in_place(g, conf)
     e = EditableGraph(g)
     step = _reduce_in_place(e, conf)
-    return e.release(), step
+    return e.snapshot(), step
 
 
 def _reduce_in_place(g: EditableGraph, conf: Configuration) -> ReductionStep:

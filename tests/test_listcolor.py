@@ -3,8 +3,12 @@ the degree-choosability machinery, and the routines that color on an
 adjacency against the Graph-based ones they replaced."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -34,6 +38,23 @@ def check_in_lists(g, lists, c):
         assert c[v] in lists[v]
     for u, v in g.edges():
         assert c[u] != c[v]
+
+
+def test_output_checks_survive_optimized_mode():
+    """Under ``python -O`` a wrong coloring still raises: the output
+    checks are explicit raises, not ``assert`` statements."""
+    script = (
+        "from wdcolor import listcolor\n"
+        "from wdcolor.graphs import Graph\n"
+        "listcolor.pick_color = lambda avail, order=None: 1\n"
+        "g = Graph.from_edges([(0, 1), (1, 2)])\n"
+        "listcolor.greedy_with_slack(g, {v: {1, 2} for v in range(3)}, 0)\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    run = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode != 0
+    assert "AssertionError" in run.stderr
 
 
 def test_pick_color_prefers_order_then_smallest():

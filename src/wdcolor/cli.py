@@ -21,6 +21,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import asdict
 
 import click
 
@@ -139,9 +140,7 @@ def verify(graph_file: str, coloring_file: str, k: int, mode: str) -> None:
     if mode in ("weak-dynamic", "dynamic"):
         ok, violations = is_weak_dynamic(g, coloring, k)
         out["weak_dynamic"] = ok
-        out["violations"] = [
-            {"vertex": v.vertex, "seen": v.seen, "required": v.required}
-            for v in violations]
+        out["violations"] = [asdict(v) for v in violations]
         problems += [f"vertex {v.vertex} sees {v.seen} colors,"
                      f" needs {v.required}" for v in violations]
     if mode in ("proper", "dynamic"):
@@ -190,7 +189,7 @@ def solve(graph_file: str, k: int, max_colors: int) -> None:
 def color(graph_file: str, trace_out: str | None) -> None:
     """Six-color 3-weak-dynamic coloring of a planar graph."""
     g = _load_graph_or_die(graph_file)
-    steps: list[dict] = []
+    steps: list[dict] | None = [] if trace_out is not None else None
     try:
         coloring = wd3_color_planar(g, trace=steps)
     except NonplanarInputError as exc:

@@ -13,9 +13,8 @@ always yields the identical graph.
 from __future__ import annotations
 
 import random
-from collections import deque
 
-from .graphs import Graph
+from .graphs import Graph, rings
 from .planarity import is_planar
 
 
@@ -83,20 +82,6 @@ def triangulation(n: int, rng: random.Random) -> Graph:
     return Graph.from_edges(sorted(edges), vertices=range(n))
 
 
-def _reaches(adj: dict[int, set[int]], s: int, t: int) -> bool:
-    """Breadth-first search from s that stops as soon as it meets t."""
-    seen = {s}
-    frontier = deque([s])
-    while frontier:
-        for y in adj[frontier.popleft()]:
-            if y == t:
-                return True
-            if y not in seen:
-                seen.add(y)
-                frontier.append(y)
-    return False
-
-
 def random_planar(n: int, target_density: float, seed: int) -> Graph:
     """Connected planar graph on ``n`` vertices, deterministic per seed.
 
@@ -125,7 +110,7 @@ def random_planar(n: int, target_density: float, seed: int) -> Graph:
         adj[u].discard(v)
         adj[v].discard(u)
         # the graph is connected, so it stays so iff uv is not a bridge
-        if _reaches(adj, u, v):
+        if any(v in ring for ring in rings(adj, (u,))):
             m -= 1
         else:
             adj[u].add(v)

@@ -8,8 +8,8 @@ identification allocate a fresh id (tracked by ``next_fresh``) that is never
 reused within the lifetime of a graph family derived from one root graph.
 
 ``rings`` is the package's one breadth-first walk: components, distances,
-the balls that detection and step records read, and the order in which
-list coloring works toward a core all take its rings.
+the balls that detection and step records read, list coloring's order
+toward a core and ``random_planar``'s bridge test all take its rings.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
 
-def rings(adj: Mapping[int, frozenset[int]],
+def rings(adj: Mapping[int, frozenset[int] | set[int]],
           sources: Iterable[int]) -> Iterator[set[int]]:
     """The vertices at distance 0, 1, 2, ... from ``sources``, one set per
     distance, nearest first, until the walk has reached every vertex it

@@ -58,7 +58,7 @@ import itertools
 import logging
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Iterator, NamedTuple
 
 from .exact import wd_colorings
@@ -1111,7 +1111,9 @@ def _free_hub_hook(g: Graph, coloring: Coloring, cycle: tuple[int, ...],
                    recolor_log: list[tuple[int, int, int]]):
     """Perturbation hook: recolor a free hub (degree-3 outside companion
     with two colored neighbors) next to the stuck positions, then rebuild
-    the whole instance.  Mutates ``coloring`` in place on success."""
+    the whole instance.  Mutates ``coloring`` in place on success.
+    ``tests/test_reductions.py`` compares it with the earlier two-pass
+    version kept in ``tests/oracles.py``."""
     k = len(cycle)
     pos = {v: i for i, v in enumerate(cycle)}
     cset = frozenset(cycle)
@@ -1123,22 +1125,12 @@ def _free_hub_hook(g: Graph, coloring: Coloring, cycle: tuple[int, ...],
             hubs.extend(_cycle_hubs(g.adjacency(), cycle))
         stuck_pos = sorted(pos[v] for v in stuck if v in pos)
         target_pos = sorted({(p + d) % k for p in stuck_pos for d in (-1, 1)})
-        cands: list[tuple[int, int]] = []
-        seen: set[int] = set()
-        for p in target_pos:
-            h = hubs[p]
-            if h in seen:
+        for h in dict.fromkeys(hubs[p] for p in target_pos):
+            outside = sorted(g.neighbors(h) - cset)
+            if g.degree(h) != 3 or len(outside) != 2:
                 continue
-            seen.add(h)
-            if g.degree(h) == 3 and len(set(g.neighbors(h)) - cset) == 2:
-                cands.append((p, h))
-        for _, h in cands:
-            outside = sorted(set(g.neighbors(h)) - cset)
-            avoid = {coloring[h]}
-            for x in outside:
-                avoid |= _satisfy_through(g, coloring, x,
-                                          pending=cset | {h},
-                                          color_order=order)
+            avoid = _avoid_set(g, coloring, h, (coloring[h],), outside, cset,
+                               order)
             for gamma in order:
                 if gamma in avoid or (h, gamma) in attempted:
                     continue
@@ -1300,16 +1292,14 @@ def _lift_l7(g, step, c, order, stats):
         raise LiftError("reduced coloring starves a companion vertex",
                         stage=f"{step.kind} pullback")
     pend = {v1, v2}
-    avoid1 = ({c[v3], c[v5]}
-              | _avoid_set(g, c, v1, (), (v4, v3), pend, order))
+    avoid1 = _avoid_set(g, c, v1, (c[v3], c[v5]), (v4, v3), pend, order)
     if len(avoid1) < 6:
         c[v1] = pick_color([x for x in PALETTE if x not in avoid1], order)
         _assign(g, c, v2, explicit=(c[v3], c[v4]), protect=(v5, v1),
                 pending={v2}, order=order, bound=4, stage=f"{step.kind} v2")
         _hit(stats, f"{step.kind}:first-open")
         return
-    avoid2 = ({c[v3], c[v4]}
-              | _avoid_set(g, c, v2, (), (v5, v3), pend, order))
+    avoid2 = _avoid_set(g, c, v2, (c[v3], c[v4]), (v5, v3), pend, order)
     if len(avoid2) < 6:
         c[v2] = pick_color([x for x in PALETTE if x not in avoid2], order)
         _assign(g, c, v1, explicit=(c[v3], c[v5]), protect=(v4, v2),
@@ -1424,10 +1414,9 @@ def _lift_l10(g, step, c, order, stats):
                                                 g.degree(x) >= 4, x))
             repaired = False
             for x in ranked:
-                avoid = set(fixed_cols)
-                for y in sorted(g.neighbors(x) - cset - {u}):
-                    avoid |= _satisfy_through(g, c, y, pending=cset | {x},
-                                              color_order=order)
+                avoid = _avoid_set(g, c, x, fixed_cols,
+                                   sorted(g.neighbors(x) - cset - {u}), cset,
+                                   order)
                 cands = [col for col in PALETTE if col not in avoid]
                 if not cands:
                     continue
@@ -1569,19 +1558,9 @@ class CertificateReport:
                 and self.lifts_succeeded == self.colorings_checked)
 
     def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "hosts_requested": self.hosts_requested,
-            "hosts_checked": self.hosts_checked,
-            "embed_failures": list(self.embed_failures),
-            "colorings_checked": self.colorings_checked,
-            "lifts_succeeded": self.lifts_succeeded,
-            "lift_failures": list(self.lift_failures),
-            "case_hits": dict(sorted(self.case_hits.items())),
-            "equivariance_checks": self.equivariance_checks,
-            "equivariance_failures": list(self.equivariance_failures),
-            "ok": self.ok,
-        }
+        return {**asdict(self),
+                "case_hits": dict(sorted(self.case_hits.items())),
+                "ok": self.ok}
 
 
 def _permute_coloring(c: Coloring, perm: dict[int, int]) -> Coloring:

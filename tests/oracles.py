@@ -25,7 +25,9 @@ from wdcolor.listcolor import (ColorOrder, DependencyColoringError, Lists,
 from wdcolor.reductions import (KIND_L1A, KIND_L1B, KIND_L2, KIND_L3, KIND_L4,
                                 KIND_L5, KIND_L6, KIND_L7, KIND_L8, KIND_L9,
                                 KIND_L10, PALETTE, LiftError, ReductionStep,
-                                _satisfy_through, reduce_in_place, unwind)
+                                _dependency_instance, _satisfy_through,
+                                reduce_in_place, unwind)
+from wdcolor.reductions import _cycle_hubs as _hubs_at_positions
 
 Coloring = dict[int, int]
 
@@ -948,6 +950,57 @@ def dependency_instance_by_probes(g: Graph, coloring: Coloring,
                 f" dependency degree {dep.degree(s)}",
                 stage="dependency-instance")
     return dep, lists
+
+
+def free_hub_hook_by_probes(g: Graph, coloring: Coloring,
+                            cycle: tuple[int, ...], order: tuple[int, ...],
+                            recolor_log: list[tuple[int, int, int]]):
+    """The free-hub perturbation hook as first written, in two passes: one
+    gathers the hubs next to the stuck positions that pass the degree gate,
+    the next tries to recolor each, with its avoid-set spelled out."""
+    k = len(cycle)
+    pos = {v: i for i, v in enumerate(cycle)}
+    cset = frozenset(cycle)
+    hubs: list[int] = []  # filled on the first call, which most lifts skip
+    attempted: set[tuple[int, int]] = set()
+
+    def hook(stuck: frozenset[int]) -> Lists | None:
+        if not hubs:
+            hubs.extend(_hubs_at_positions(g.adjacency(), cycle))
+        stuck_pos = sorted(pos[v] for v in stuck if v in pos)
+        target_pos = sorted({(p + d) % k for p in stuck_pos for d in (-1, 1)})
+        cands: list[tuple[int, int]] = []
+        seen: set[int] = set()
+        for p in target_pos:
+            h = hubs[p]
+            if h in seen:
+                continue
+            seen.add(h)
+            if g.degree(h) == 3 and len(set(g.neighbors(h)) - cset) == 2:
+                cands.append((p, h))
+        for _, h in cands:
+            outside = sorted(set(g.neighbors(h)) - cset)
+            avoid = {coloring[h]}
+            for x in outside:
+                avoid |= _satisfy_through(g, coloring, x,
+                                          pending=cset | {h},
+                                          color_order=order)
+            for gamma in order:
+                if gamma in avoid or (h, gamma) in attempted:
+                    continue
+                attempted.add((h, gamma))
+                old = coloring[h]
+                coloring[h] = gamma
+                try:
+                    _, lists = _dependency_instance(g, coloring, cset, order)
+                except LiftError:
+                    coloring[h] = old
+                    continue
+                recolor_log.append((h, old, gamma))
+                return lists
+        return None
+
+    return hook
 
 
 # ---------------------------------------------------------------------------

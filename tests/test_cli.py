@@ -21,6 +21,7 @@ from wdcolor.generators import random_planar
 from wdcolor.graphs import Graph
 from wdcolor.io import (parse_coloring, parse_graph, serialize_coloring,
                         serialize_graph_json)
+from wdcolor.reductions import ReductionStep
 
 
 @pytest.fixture()
@@ -123,6 +124,26 @@ class TestColorAndVerify:
         assert steps
         assert all("kind" in s and "matched" in s for s in steps)
 
+    def test_color_builds_step_records_only_for_trace_out(
+            self, runner, tmp_path, monkeypatch):
+        calls = []
+        record = ReductionStep.to_json_dict
+
+        def spy(step, before):
+            calls.append(step.kind)
+            return record(step, before)
+
+        monkeypatch.setattr(ReductionStep, "to_json_dict", spy)
+        gpath, tpath = tmp_path / "g.json", tmp_path / "trace.json"
+        gpath.write_text(serialize_graph_json(random_planar(60, 0.6, 5)))
+        plain = invoke(runner, "color", str(gpath))
+        assert plain.exit_code == 0 and calls == []
+        traced = invoke(runner, "color", str(gpath), "--trace-out",
+                        str(tpath))
+        assert traced.stdout == plain.stdout
+        steps = json.loads(tpath.read_text())["steps"]
+        assert len(steps) == len(calls) > 10
+
     def test_color_rejects_nonplanar(self, runner, tmp_path):
         gpath = tmp_path / "k5.json"
         invoke(runner, "gen", "--name", "k5", "-o", str(gpath))
@@ -139,6 +160,8 @@ class TestColorAndVerify:
         payload = json.loads(res.stdout)
         assert payload["valid"] is False
         assert len(payload["violations"]) == 5
+        assert payload["violations"][0] == {"vertex": 0, "seen": 1,
+                                            "required": 2}
         assert res.stderr.count("sees") == 5
 
     def test_verify_proper_mode(self, runner, c5_file, tmp_path):

@@ -297,6 +297,42 @@ def test_dependency_lifts_copy_no_graph(monkeypatch):
     assert calls == []
 
 
+def test_free_hub_hook_matches_the_two_pass_version():
+    """Certification never recolors a hub, so the hook is driven directly:
+    on the first canonical colorings of the reduced L9 and L10 hosts,
+    pulled back onto the host, from every nonempty stuck set of cycle
+    vertices, three calls in a row.  Each hook works on its own copy of
+    the coloring and log; the lists, colorings and logs must agree."""
+    calls = recolored = 0
+    for kind in (reductions.KIND_L9, reductions.KIND_L10):
+        for i in range(12):
+            g = host_for(kind, i)
+            reduced, step = apply_reduction(
+                g, detect_configuration(g, kind=kind))
+            r = step.roles()
+            cycle = reductions._cycle_of(r)
+            stucks = [frozenset(s) for size in range(1, len(cycle) + 1)
+                      for s in itertools.combinations(cycle, size)]
+            for c in itertools.islice(canonical_colorings(reduced), 150):
+                order = reductions.LiftColoring(
+                    c, reduced.adjacency().keys()).color_order()
+                base = dict(c)
+                if step.fresh is not None:
+                    base[r["w1"]] = base[r["w3"]] = base.pop(step.fresh)
+                for stuck in stucks:
+                    runs = []
+                    for make in (reductions._free_hub_hook,
+                                 oracles.free_hub_hook_by_probes):
+                        coloring, log = dict(base), []
+                        hook = make(g, coloring, cycle, order, log)
+                        got = [hook(stuck) for _ in range(3)]
+                        runs.append((got, coloring, log))
+                    assert runs[0] == runs[1], (kind, i, c, sorted(stuck))
+                    calls += 3
+                    recolored += len(runs[0][2])
+    assert calls > 100000 and recolored > 50000
+
+
 def test_certify_accepts_full_kind_strings():
     report = certify_lemma("L4-adjacent-3faces", budget=3)
     assert report.kind == "L4" and report.ok

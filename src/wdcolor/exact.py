@@ -93,6 +93,13 @@ def wd_colorings(g: Graph, k: int, ncolors: int,
             i += 1
 
 
+def _first_wd_coloring(g: Graph, k: int, ncolors: int) -> Coloring | None:
+    """The first k-weak-dynamic coloring with colors 1..ncolors along the
+    vertices by descending degree, or None; each caller re-checks it."""
+    order = sorted(g.vertices(), key=lambda v: (-g.degree(v), v))
+    return next(wd_colorings(g, k, ncolors, order), None)
+
+
 def wd_number_exact(g: Graph, k: int, max_colors: int) -> ExactResult:
     """Smallest palette size <= max_colors admitting a k-weak-dynamic
     coloring, with a witness; None value if the bound is exceeded."""
@@ -101,9 +108,8 @@ def wd_number_exact(g: Graph, k: int, max_colors: int) -> ExactResult:
     if g.n == 0:
         return ExactResult(0, {})
     lb = max(1, max(min(g.degree(v), k) for v in g.vertices()))
-    order = sorted(g.vertices(), key=lambda v: (-g.degree(v), v))
     for c in range(lb, max_colors + 1):
-        witness = next(wd_colorings(g, k, c, order), None)
+        witness = _first_wd_coloring(g, k, c)
         if witness is not None:
             ok, _ = is_weak_dynamic(g, witness, k)
             if not ok:

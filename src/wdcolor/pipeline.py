@@ -26,8 +26,8 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush, nsmallest
 from typing import Mapping
 
-from .exact import (SearchBudgetExceeded, chromatic_number_exact,
-                    wd_colorings)
+from .exact import (SearchBudgetExceeded, _first_wd_coloring,
+                    chromatic_number_exact)
 from .graphs import EditableGraph, Graph
 from .listcolor import DependencyColoringError, color_dependency_graph
 from .planarity import is_planar, validate_rotation
@@ -438,8 +438,7 @@ def _exact_wd3_cap6(g: Graph, why: str) -> Coloring:
     the minimum would take an exhaustive search to rule out."""
     logger.info("falling back to the exact solver (%s) on n=%d m=%d",
                 why, g.n, g.m)
-    order = sorted(g.vertices(), key=lambda v: (-g.degree(v), v))
-    coloring = next(wd_colorings(g, 3, len(PALETTE), order), None)
+    coloring = _first_wd_coloring(g, 3, len(PALETTE))
     if coloring is None:
         raise InvariantBreachError(
             "exact solver found no 3-weak-dynamic coloring within six"

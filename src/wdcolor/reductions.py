@@ -1,43 +1,30 @@
 """Reducible local patterns: detection, reduction, and coloring lifts.
 
-Each reducible pattern kind carries a stable string identifier (see
-``KIND_ORDER``).  ``detect_configuration`` scans the kinds in that fixed
-order and returns the first match, scanning anchor vertices in ascending
-id order inside each kind, so detection is fully deterministic.
-``apply_reduction`` shrinks the graph (strictly fewer edges) and records a
-replayable ``ReductionStep``; ``lift_coloring`` extends a valid coloring of
-the reduced graph back to the original graph, verifying the result before
-returning.
-
-Each kind is defined once, by one matcher at a seed: an anchor vertex for
-L1a-L8, a chordless cycle of 3-vertices for L9 and L10.  Detection runs it
-at every seed; validation runs it again at the seed a configuration's roles
-name, so ``apply_reduction`` accepts only the roles detection gives there.
+Each kind is defined once, by one row of ``_KINDS``, in detection order
+(``KIND_ORDER`` lists the kinds' stable string identifiers): its matcher at
+a seed (an anchor vertex for L1a-L8, a chordless cycle of 3-vertices for
+L9 and L10), the reach of what the matcher reads, the step's edit as data
+and the lifter.  ``detect_configuration`` returns the first match over the
+kinds in order and each kind's seeds in order, so detection is fully
+deterministic; validation runs the matcher again at the seed a
+configuration's roles name, so ``apply_reduction`` accepts only the roles
+detection gives there.  Every step makes the same edit from its row (cut
+an edge, delete vertices, then merge a pair), leaving strictly fewer
+edges, and records a replayable ``ReductionStep``; ``lift_coloring``
+extends a valid coloring of the reduced graph back to the original graph,
+verifying the result before returning.
 
 A reduce-and-lift step costs work in proportion to the step, not to the
 graph.  The driver reduces one ``EditableGraph`` in place
 (``reduce_in_place``): each step replaces only the neighbor sets within
-the closed neighborhood N[M] of the matched vertices M, plus the fresh
-vertex of a contraction or identification, and records the sets it
-replaced in an undo entry.  A ``DetectionIndex`` answers all eleven kinds
-and picks what the full scan would.  It keeps the matching anchors of
-kinds L1a-L8, with the roles their match gave, and re-matches, when a kind
-is next asked, only the anchors near the vertices those entries name; L9
-and L10, which order by cycle length, rescan after their first miss only
-the cycles near those vertices.  On a graph no step has edited yet, each
-kind's first look is the full scan itself, so an irreducible component is
-scanned once, by the index.  After the last step, the full scan runs once
-more, on the core, to check the index's incremental answer.  At a hub a
-matcher makes one pass over the neighbors and sorts at most the
-3-neighbors.  The driver then lifts one
-``LiftColoring`` in place while ``unwind`` pops the undo entries, so each
-lift sees exactly the graph before its step.  The coloring records the
-keys a lift writes, the set D, and a lift is verified on N[D] and the
-matched vertices only: any other vertex has the same neighbors, the same
-demand and the same seen colors as in the reduced graph, where the input
-coloring was valid.  The driver re-checks the whole graph once at the end.
-The public functions on an immutable ``Graph`` and a plain dict run the
-same edits and the same checks on a copy.
+the closed neighborhood of the matched vertices, plus the fresh vertex of
+a contraction or identification, under one undo entry, and a
+``DetectionIndex`` picks every step, re-matching only near those sets.
+The driver then lifts one ``LiftColoring`` in place while ``unwind`` pops
+the undo entries, so each lift sees exactly the graph before its step and
+is verified only around what it wrote; the driver re-checks the whole
+graph once at the end.  The public functions on an immutable ``Graph``
+and a plain dict run the same edits and the same checks on a copy.
 
 Every lift step draws colors through ``pick_color`` under a color order
 derived from the input coloring's first-use order, which makes the whole
@@ -84,26 +71,6 @@ KIND_L7 = "L7-triangle-deg4-apex"
 KIND_L8 = "L8-triangle-deg5plus-apex"
 KIND_L9 = "L9-3regular-cycle-with-free-vertex"
 KIND_L10 = "L10-3regular-cycle"
-
-KIND_ORDER: tuple[str, ...] = (
-    KIND_L1A, KIND_L1B, KIND_L2, KIND_L3, KIND_L4, KIND_L5,
-    KIND_L6, KIND_L7, KIND_L8, KIND_L9, KIND_L10,
-)
-
-#: Short labels accepted by certify_lemma and the command line; "L1" covers
-#: both of its sub-kinds.
-SHORT_KINDS: dict[str, tuple[str, ...]] = {
-    "L1": (KIND_L1A, KIND_L1B),
-    "L2": (KIND_L2,),
-    "L3": (KIND_L3,),
-    "L4": (KIND_L4,),
-    "L5": (KIND_L5,),
-    "L6": (KIND_L6,),
-    "L7": (KIND_L7,),
-    "L8": (KIND_L8,),
-    "L9": (KIND_L9,),
-    "L10": (KIND_L10,),
-}
 
 
 class ReductionError(Exception):
@@ -179,12 +146,11 @@ class ReductionStep(NamedTuple):
         roles = dict(self.matched)
         members = set(roles.values())
         ball = _ball(adj, members, 2)
-        if self.kind in (KIND_L1B, KIND_L2):
-            removed = [sorted((roles["v1"], roles["v2"]))]
-        else:
-            removed = [list(e) for e in sorted(
-                {(min(a, b), max(a, b))
-                 for a in self.removed_vertices for b in adj[a]})]
+        cut = _KINDS[self.kind].cut
+        removed = ([sorted(roles[x] for x in cut)] if cut else
+                   [list(e) for e in sorted(
+                       {(min(a, b), max(a, b))
+                        for a in self.removed_vertices for b in adj[a]})])
         return {
             "kind": self.kind,
             "matched": roles,
@@ -354,7 +320,7 @@ def _only(s) -> int:
 
 
 # Each kind L1a-L8 is matched at an anchor vertex whose degree lies in the
-# kind's range (see ``_ANCHORED``): ``_match_*(adj, v)`` gives the roles
+# kind's range (see ``_Kind``): ``_match_*(adj, v)`` gives the roles
 # of the kind's first match anchored at ``v``, in the kind's own inner
 # order, or None.  The full scan of a kind picks its smallest matching
 # anchor.
@@ -496,42 +462,6 @@ def _match_apex_triangle(adj, v3: int):
             roles += [("v6", v6), ("v7", v7)]
         return roles
     return None
-
-
-class _Anchored(NamedTuple):
-    """How one kind is matched at an anchor, and what the match reads.
-
-    ``match(adj, v)`` is called on anchors of degree ``lo`` to ``hi``.  The
-    anchor of a match is its smallest vertex among the ``anchor`` roles.
-    It reads whole neighbor sets within ``sets`` of the anchor only, and
-    beyond them, up to ``degrees``, only degree classes (see
-    ``_degree_class``).
-    """
-
-    kind: str
-    match: Callable
-    anchor: tuple[str, ...]
-    lo: int
-    hi: float
-    sets: int
-    degrees: int
-
-
-#: The anchored kinds in detection order.  The far reads: L1b and L2 the
-#: degrees of the anchor's neighbors, L3 those of the far side's
-#: neighbors, L5 those of the hubs, L6 of v5 and v6, L7/L8 of v4 and v5.
-_ANCHORED: tuple[_Anchored, ...] = (
-    _Anchored(KIND_L1A, _match_l1a, ("v1",), 1, 1, 0, 0),
-    _Anchored(KIND_L1B, _match_l1b, ("v1",), 2, 2, 0, 1),
-    _Anchored(KIND_L2, _match_l2, ("v1",), 4, math.inf, 0, 1),
-    _Anchored(KIND_L3, _match_l3, ("v2", "v3"), 3, 3, 1, 2),
-    _Anchored(KIND_L4, _match_l4, ("v1",), 3, 3, 1, 1),
-    _Anchored(KIND_L5, _match_l5, ("v1",), 3, 3, 1, 2),
-    _Anchored(KIND_L6, _match_l6, ("v3",), 3, 3, 1, 2),
-    _Anchored(KIND_L7, _match_apex_triangle, ("v3",), 4, 4, 1, 2),
-    _Anchored(KIND_L8, _match_apex_triangle, ("v3",), 5, math.inf, 1, 2),
-)
-_ANCHORED_AT = {row.kind: i for i, row in enumerate(_ANCHORED)}
 
 
 def _degree_class(nbrs: frozenset[int] | None) -> int:
@@ -689,27 +619,56 @@ def _match_l10(adj, cycle: tuple[int, ...]):
     return None
 
 
-_AT_CYCLE = {KIND_L9: _match_l9, KIND_L10: _match_l10}
+class _Kind(NamedTuple):
+    """One configuration kind, a row of ``_KINDS``.
+
+    ``match(adj, seed)`` gives the roles of the kind's first match at a
+    seed, or None.  The seeds of a kind with ``anchor`` roles are the
+    vertices of degree ``lo`` to ``hi``, and a match's anchor is its
+    smallest vertex among those roles; L9 and L10, with none, are seeded
+    by the chordless cycles of 3-vertices.  The matcher reads whole
+    neighbor sets within ``sets`` of the seed only, and beyond them, up to
+    ``degrees``, only degree classes (see ``_degree_class``).  The step
+    cuts the edge between the ``cut`` roles, deletes the ``removed`` roles
+    (the seed cycle when None), then merges the ``merge`` pair; ``lift``
+    colors back what the step took.
+    """
+
+    kind: str
+    short: str
+    match: Callable
+    anchor: tuple[str, ...]
+    lo: int
+    hi: float
+    sets: int
+    degrees: int
+    cut: tuple[str, ...]
+    removed: tuple[str, ...] | None
+    merge: tuple[str, ...]
+    lift: Callable
+
+    def match_at(self, adj, v: int):
+        """The roles of the first match anchored at ``v``; None when there
+        is none, or when ``v`` lies outside the kind's degree range."""
+        if self.lo <= len(adj[v]) <= self.hi:
+            return self.match(adj, v)
+        return None
 
 
-def _scan(g: Graph | EditableGraph, kind: str,
+def _scan(g: Graph | EditableGraph, row: _Kind,
           near=None) -> Configuration | None:
-    """The first match of ``kind`` over its seeds in order: the anchors in
+    """The first match of a kind over its seeds in order: the anchors in
     the kind's degree range, ascending, or the chordless cycles of
     3-vertices, shortest first (those ``near`` lets in, if given)."""
     adj = g.adjacency()
-    match = _AT_CYCLE.get(kind)
-    if match is not None:
-        seeds = _chordless_deg3_cycles(g, near)
-    elif kind in _ANCHORED_AT:
-        _, match, _, lo, hi, _, _ = _ANCHORED[_ANCHORED_AT[kind]]
-        seeds = (v for v in g.vertices() if lo <= len(adj[v]) <= hi)
+    if row.anchor:
+        match, seeds = row.match_at, g.vertices()
     else:
-        raise ReductionError(f"unknown configuration kind {kind!r}")
+        match, seeds = row.match, _chordless_deg3_cycles(g, near)
     for seed in seeds:
         roles = match(adj, seed)
         if roles is not None:
-            return Configuration(kind, tuple(roles))
+            return Configuration(row.kind, tuple(roles))
     return None
 
 
@@ -725,12 +684,11 @@ def detect_configuration(g: Graph | EditableGraph,
     used to exercise one rule in isolation.
     """
     if kind is not None:
-        return _scan(g, kind)
-    for k in KIND_ORDER:
-        conf = _scan(g, k)
-        if conf is not None:
-            return conf
-    return None
+        if kind not in _KINDS:
+            raise ReductionError(f"unknown configuration kind {kind!r}")
+        return _scan(g, _KINDS[kind])
+    return next(filter(None, (_scan(g, row) for row in _KINDS.values())),
+                None)
 
 
 class DetectionIndex:
@@ -751,12 +709,12 @@ class DetectionIndex:
     the changes since its own last look, so the later kinds pay nothing
     for steps the earlier kinds settle.  L9 and L10 order by cycle length
     and keep no anchors: once one has matched nowhere, it rescans only the
-    components of 3-vertices that meet a vertex within 1 of a set replaced
-    since, as its matcher reads only the sets of the cycle and its hubs.
-    Until its first miss it scans the whole graph.  So on a graph with no
-    undo entry yet, every kind's first answer is the full scan's: an
-    anchored kind matches every anchor in its degree range, and a cycle
-    kind walks every cycle.
+    components of 3-vertices that meet a vertex within ``sets`` of a set
+    replaced since its last miss, as its matcher reads only the sets of
+    the cycle and its hubs.  Until its first miss it scans the whole
+    graph.  So on a graph with no undo entry yet, every kind's first
+    answer is the full scan's: an anchored kind matches every anchor in
+    its degree range, and a cycle kind walks every cycle.
 
     The index is valid while the graph's undo log only grows.
     """
@@ -764,54 +722,50 @@ class DetectionIndex:
     def __init__(self, g: EditableGraph) -> None:
         self._g = g
         self._adj = g.adjacency()
-        kinds = len(_ANCHORED)
+        # per kind, by row position: the undo depth of its last look (of
+        # its last miss, for a cycle kind), None before the first
+        kinds = len(_KINDS)
         self._depth: list[int | None] = [None] * kinds
         self._cands: list[dict[int, list]] = [{} for _ in range(kinds)]
         self._heaps: list[list[int]] = [[] for _ in range(kinds)]
-        self._missed: dict[str, int] = {}  # cycle kind -> depth of last miss
 
     def pick(self) -> Configuration | None:
         """The first configuration in kind order, as the full scan's; None
         when the graph is reduction-free."""
-        for kind in KIND_ORDER:
-            conf = self.first(kind)
-            if conf is not None:
-                return conf
-        return None
+        return next(filter(None, map(self.first, _KINDS)), None)
 
     def first(self, kind: str) -> Configuration | None:
         """The configuration of one kind that the full scan would pick."""
-        i = _ANCHORED_AT.get(kind)
-        if i is None:
-            seen, depth = self._missed.get(kind), self._g.depth
-            near = None if seen is None else self._near(seen, 1, 1)[1]
-            conf = _scan(self._g, kind, near)
+        i, row = KIND_ORDER.index(kind), _KINDS[kind]
+        if not row.anchor:
+            seen = self._depth[i]
+            near = None if seen is None else self._near(seen, row)[1]
+            conf = _scan(self._g, row, near)
             if conf is None:
-                self._missed[kind] = depth
+                self._depth[i] = self._g.depth
             return conf
-        self._catch_up(i)
+        self._catch_up(i, row)
         heap, cands = self._heaps[i], self._cands[i]
         while heap and heap[0] not in cands:
             heapq.heappop(heap)
-        return (Configuration(_ANCHORED[i].kind, tuple(cands[heap[0]]))
-                if heap else None)
+        return Configuration(kind, tuple(cands[heap[0]])) if heap else None
 
-    def _catch_up(self, i: int) -> None:
+    def _catch_up(self, i: int, row: _Kind) -> None:
         depth = self._g.depth
         seen = self._depth[i]
         if seen == depth:
             return
         self._depth[i] = depth
-        _, match, _, lo, hi, sets, degrees = _ANCHORED[i]
         adj, cands, heap = self._adj, self._cands[i], self._heaps[i]
         if seen is None:
             anchors = adj.keys()
         else:
-            gone, anchors = self._near(seen, sets, degrees)
+            gone, anchors = self._near(seen, row)
             for v in gone:
                 cands.pop(v, None)
+        match_at = row.match_at
         for v in anchors:
-            roles = match(adj, v) if lo <= len(adj[v]) <= hi else None
+            roles = match_at(adj, v)
             if roles is None:
                 cands.pop(v, None)
             else:
@@ -819,11 +773,10 @@ class DetectionIndex:
                     heapq.heappush(heap, v)
                 cands[v] = roles
 
-    def _near(self, seen: int, sets: int,
-              degrees: int) -> tuple[set[int], set[int]]:
-        """The vertices deleted since depth ``seen``, and the anchors to
-        match again for a kind of the given reach."""
-        adj = self._adj
+    def _near(self, seen: int, row: _Kind) -> tuple[set[int], set[int]]:
+        """The vertices deleted since depth ``seen``, and the seeds to
+        match again for the kind of ``row``, by its reach."""
+        adj, sets, degrees = self._adj, row.sets, row.degrees
         before = self._g.changed_since(seen)
         present = before.keys() & adj.keys()
         gone = before.keys() - present
@@ -850,25 +803,21 @@ def validate_configuration(g: Graph | EditableGraph,
     3-vertices, and is matched as the cycle search walks it.  So permuted
     roles, or a pattern that is not the first match at its seed, are stale.
     """
+    row = _KINDS.get(conf.kind)
+    if row is None:
+        return False
     adj = g.adjacency()
     roles = conf.roles()
-    match = _AT_CYCLE.get(conf.kind)
-    if match is not None:
+    if row.anchor:
+        if not roles.keys() >= set(row.anchor):
+            return False
+        seed = min(roles[r] for r in row.anchor)
+        found = row.match_at(adj, seed) if seed in adj else None
+    else:
         seed = _cycle_of(roles)
         if not _is_chordless_deg3_cycle(adj, seed):
             return False
-        found = match(adj, _canonical_cycle(seed))
-    else:
-        i = _ANCHORED_AT.get(conf.kind)
-        if i is None:
-            return False
-        _, match, anchor, lo, hi, _, _ = _ANCHORED[i]
-        if not roles.keys() >= set(anchor):
-            return False
-        seed = min(roles[r] for r in anchor)
-        if seed not in adj or not lo <= len(adj[seed]) <= hi:
-            return False
-        found = match(adj, seed)
+        found = row.match(adj, _canonical_cycle(seed))
     return found is not None and tuple(found) == conf.matched
 
 
@@ -900,42 +849,32 @@ def apply_reduction(g: Graph | EditableGraph, conf: Configuration
 
 
 def _reduce_in_place(g: EditableGraph, conf: Configuration) -> ReductionStep:
+    """The edit of the kind's row: cut its edge, delete its removed
+    vertices, then merge its pair, which is contracted if adjacent,
+    identified if two vertices that are not, and left if one vertex."""
+    row = _KINDS[conf.kind]
     r = conf.roles()
-    removed_v: tuple[int, ...] = ()
-    contracted = identified = None
-    fresh = None
+    removed_v = tuple(sorted(_cycle_of(r) if row.removed is None
+                             else [r[x] for x in row.removed]))
+    contracted = identified = fresh = None
     adj = g.adjacency()
     local = tuple((v, adj[v]) for v in sorted({v for _, v in conf.matched}))
     m = g.m
     g.checkpoint()
-    if conf.kind == KIND_L1A:
-        removed_v = (r["v1"],)
-    elif conf.kind in (KIND_L1B, KIND_L2):
-        g.delete_edge(r["v1"], r["v2"])
-    elif conf.kind == KIND_L3:
-        removed_v = tuple(sorted((r["v2"], r["v3"])))
-    elif conf.kind == KIND_L4:
-        contracted = (r["v1"], r["v3"])
-        fresh = g.contract_edge(r["v1"], r["v3"])
-    elif conf.kind == KIND_L5:
-        removed_v = tuple(sorted((r["v1"], r["v2"], r["v3"])))
-    elif conf.kind == KIND_L6:
-        removed_v = (r["v3"],)
-    elif conf.kind == KIND_L7:
-        contracted = (r["v1"], r["v2"])
-        fresh = g.contract_edge(r["v1"], r["v2"])
-    elif conf.kind == KIND_L8:
-        removed_v = tuple(sorted((r["v1"], r["v2"])))
-    elif conf.kind in (KIND_L9, KIND_L10):
-        removed_v = tuple(sorted(_cycle_of(r)))
-    else:
-        g.undo()
-        raise ReductionError(f"unknown kind {conf.kind}")
+    if row.cut:
+        a, b = row.cut
+        g.delete_edge(r[a], r[b])
     if removed_v:
         g.delete_vertices(removed_v)
-    if conf.kind == KIND_L10 and r["w1"] != r["w3"]:
-        identified = (r["w1"], r["w3"])
-        fresh = g.identify_vertices(r["w1"], r["w3"])
+    if row.merge:
+        a, b = row.merge
+        a, b = r[a], r[b]
+        if b in adj[a]:
+            contracted = (a, b)
+            fresh = g.contract_edge(a, b)
+        elif a != b:
+            identified = (a, b)
+            fresh = g.identify_vertices(a, b)
     if g.m >= m:
         g.undo()
         raise ReductionError(
@@ -1214,7 +1153,6 @@ def _lift_l3(g, step, c, order, stats):
 def _lift_l4(g, step, c, order, stats):
     r = step.roles()
     v1, v2, v3, v4 = r["v1"], r["v2"], r["v3"], r["v4"]
-    c.pop(step.fresh, None)
     if c[v2] == c[v4]:
         raise LiftError(f"shared neighbors {v2},{v4} carry one color in the"
                         f" reduced coloring", stage=f"{step.kind} pullback")
@@ -1282,7 +1220,6 @@ def _lift_l7(g, step, c, order, stats):
     r = step.roles()
     v1, v2, v3, v4, v5 = r["v1"], r["v2"], r["v3"], r["v4"], r["v5"]
     v6, v7 = r["v6"], r["v7"]
-    c.pop(step.fresh, None)
     if len({c[v3], c[v4], c[v5]}) != 3:
         raise LiftError("the merged vertex's three neighbors do not carry"
                         " three colors", stage=f"{step.kind} pullback")
@@ -1388,12 +1325,8 @@ def _lift_l10(g, step, c, order, stats):
     cycle = _cycle_of(r)
     cset = frozenset(cycle)
     w1, w3 = r["w1"], r["w3"]
-    if step.fresh is not None:
-        cz = c.pop(step.fresh)
-        c[w1] = cz
-        c[w3] = cz
-    # repair pass: forcing one color onto both identified companions can
-    # leave a nearby outside vertex too few distinct colors even after the
+    # repair pass: the pullback's one color on both identified companions
+    # can leave a nearby outside vertex too few distinct colors even after the
     # cycle is freshly colored (its colored neighborhood collapsed).  While
     # some outside vertex u has fewer distinct colored-neighbor colors than
     # min(deg,3) minus its cycle contacts, recolor one of its repeated-color
@@ -1429,17 +1362,50 @@ def _lift_l10(g, step, c, order, stats):
                     f"outside vertex {u} cannot reach enough distinct"
                     f" neighbor colors and no neighbor is recolorable",
                     stage=f"{step.kind} repair")
-    _recolor_group(g, c, cycle, order, use_hook=True, stats=stats,
-                   kind=step.kind)
-    _hit(stats, f"{step.kind}:base")
+    _lift_l9(g, step, c, order, stats)
 
 
-_LIFTERS = {
-    KIND_L1A: _lift_l1a, KIND_L1B: _lift_l1b, KIND_L2: _lift_l2,
-    KIND_L3: _lift_l3, KIND_L4: _lift_l4, KIND_L5: _lift_l5,
-    KIND_L6: _lift_l6, KIND_L7: _lift_l7, KIND_L8: _lift_l8,
-    KIND_L9: _lift_l9, KIND_L10: _lift_l10,
-}
+# --------------------------------------------------------------------------
+# the kinds
+
+#: Every kind's row, in detection order.  The far reads: L1b and L2 the
+#: degrees of the anchor's neighbors, L3 those of the far side's
+#: neighbors, L5 those of the hubs, L6 of v5 and v6, L7/L8 of v4 and v5.
+_KINDS: dict[str, _Kind] = {row.kind: row for row in (
+    # kind, short, matcher, anchor, lo, hi, sets, degrees,
+    # cut, removed, merge, lifter
+    _Kind(KIND_L1A, "L1", _match_l1a, ("v1",), 1, 1, 0, 0,
+          (), ("v1",), (), _lift_l1a),
+    _Kind(KIND_L1B, "L1", _match_l1b, ("v1",), 2, 2, 0, 1,
+          ("v1", "v2"), (), (), _lift_l1b),
+    _Kind(KIND_L2, "L2", _match_l2, ("v1",), 4, math.inf, 0, 1,
+          ("v1", "v2"), (), (), _lift_l2),
+    _Kind(KIND_L3, "L3", _match_l3, ("v2", "v3"), 3, 3, 1, 2,
+          (), ("v2", "v3"), (), _lift_l3),
+    _Kind(KIND_L4, "L4", _match_l4, ("v1",), 3, 3, 1, 1,
+          (), (), ("v1", "v3"), _lift_l4),
+    _Kind(KIND_L5, "L5", _match_l5, ("v1",), 3, 3, 1, 2,
+          (), ("v1", "v2", "v3"), (), _lift_l5),
+    _Kind(KIND_L6, "L6", _match_l6, ("v3",), 3, 3, 1, 2,
+          (), ("v3",), (), _lift_l6),
+    _Kind(KIND_L7, "L7", _match_apex_triangle, ("v3",), 4, 4, 1, 2,
+          (), (), ("v1", "v2"), _lift_l7),
+    _Kind(KIND_L8, "L8", _match_apex_triangle, ("v3",), 5, math.inf, 1, 2,
+          (), ("v1", "v2"), (), _lift_l8),
+    _Kind(KIND_L9, "L9", _match_l9, (), 3, 3, 1, 1,
+          (), None, (), _lift_l9),
+    _Kind(KIND_L10, "L10", _match_l10, (), 3, 3, 1, 1,
+          (), None, ("w1", "w3"), _lift_l10),
+)}
+
+KIND_ORDER: tuple[str, ...] = tuple(_KINDS)
+
+#: Short labels accepted by certify_lemma and the command line; "L1" covers
+#: both of its sub-kinds.
+SHORT_KINDS: dict[str, tuple[str, ...]] = {
+    short: tuple(row.kind for row in rows)
+    for short, rows in itertools.groupby(_KINDS.values(),
+                                         lambda row: row.short)}
 
 
 def lift_coloring(g: Graph | EditableGraph, step: ReductionStep,
@@ -1454,7 +1420,9 @@ def lift_coloring(g: Graph | EditableGraph, step: ReductionStep,
     loop of the driver passes one, which covers the reduced graph because
     it did so from the start and every earlier lift checked it again, and
     ``certify_lemma`` passes a fresh one, which its constructor checked
-    against the reduced graph's vertex set.
+    against the reduced graph's vertex set.  Before the kind's lifter
+    runs, the fresh vertex of a contraction or identification loses its
+    color, which both vertices of an identified pair take back.
 
     The output is always verified before it is returned, on what the lift
     wrote.  Every written vertex must be a vertex of ``g`` with a palette
@@ -1491,8 +1459,12 @@ def lift_coloring(g: Graph | EditableGraph, step: ReductionStep,
     # the L2 lift writes nothing and reads no color order
     order = c.color_order() if step.kind != KIND_L2 else ()
     c.begin()
+    if step.fresh is not None:
+        col = c.pop(step.fresh)
+        for v in step.identified or ():
+            c[v] = col
     try:
-        _LIFTERS[step.kind](g, step, c, order, stats)
+        _KINDS[step.kind].lift(g, step, c, order, stats)
     except LiftError as e:
         raise LiftError(f"{step.kind} lift failed: {e}", kind=step.kind,
                         matched=step.matched, stage=e.stage,
@@ -1594,20 +1566,15 @@ def certify_lemma(kind: str, budget: int = 20) -> CertificateReport:
     nonplanar host, or a host without the pattern is reported as an embed
     failure, never raised.
     """
-    short = kind
-    if kind in KIND_ORDER:
-        short = next(s for s, ks in SHORT_KINDS.items() if kind in ks)
+    short = _KINDS[kind].short if kind in _KINDS else kind
     if short not in SHORT_KINDS:
         raise ValueError(f"unknown kind {kind!r}")
     targets = SHORT_KINDS[short]
     from .hosts import host_for  # hosts imports this module
     report = CertificateReport(kind=short, hosts_requested=budget)
     rng = random.Random(0xC0 + sum(map(ord, short)))
-    per_kind_index = {t: 0 for t in targets}
     for i in range(budget):
-        want = targets[i % len(targets)]
-        idx = per_kind_index[want]
-        per_kind_index[want] += 1
+        want, idx = targets[i % len(targets)], i // len(targets)
         g = host_for(want, idx)
         if g is None:
             report.embed_failures.append(

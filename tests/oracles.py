@@ -24,7 +24,8 @@ from wdcolor.listcolor import (ColorOrder, DependencyColoringError, Lists,
                                _finish_gallai_block, pick_color)
 from wdcolor.reductions import (KIND_L1A, KIND_L1B, KIND_L2, KIND_L3, KIND_L4,
                                 KIND_L5, KIND_L6, KIND_L7, KIND_L8, KIND_L9,
-                                KIND_L10, PALETTE, LiftError, ReductionStep,
+                                KIND_L10, PALETTE, Configuration, LiftError,
+                                ReductionError, ReductionStep, _cycle_of,
                                 _dependency_instance, _satisfy_through,
                                 reduce_in_place, unwind)
 from wdcolor.reductions import _cycle_hubs as _hubs_at_positions
@@ -1154,6 +1155,59 @@ def satisfy_through_full(g: Graph, coloring: Coloring, target: int, pending,
     if len(fixed) <= need:
         return set(fixed)
     return set(sorted(fixed, key=color_order.index)[:need])
+
+
+# ---------------------------------------------------------------------------
+# the reduction edit, kind by kind
+# ---------------------------------------------------------------------------
+
+
+def reduce_in_place_by_cases(g: EditableGraph,
+                             conf: Configuration) -> ReductionStep:
+    """``wdcolor.reductions._reduce_in_place`` as first written: one
+    branch per kind, where the package now reads the kind's row."""
+    r = conf.roles()
+    removed_v: tuple[int, ...] = ()
+    contracted = identified = None
+    fresh = None
+    adj = g.adjacency()
+    local = tuple((v, adj[v]) for v in sorted({v for _, v in conf.matched}))
+    m = g.m
+    g.checkpoint()
+    if conf.kind == KIND_L1A:
+        removed_v = (r["v1"],)
+    elif conf.kind in (KIND_L1B, KIND_L2):
+        g.delete_edge(r["v1"], r["v2"])
+    elif conf.kind == KIND_L3:
+        removed_v = tuple(sorted((r["v2"], r["v3"])))
+    elif conf.kind == KIND_L4:
+        contracted = (r["v1"], r["v3"])
+        fresh = g.contract_edge(r["v1"], r["v3"])
+    elif conf.kind == KIND_L5:
+        removed_v = tuple(sorted((r["v1"], r["v2"], r["v3"])))
+    elif conf.kind == KIND_L6:
+        removed_v = (r["v3"],)
+    elif conf.kind == KIND_L7:
+        contracted = (r["v1"], r["v2"])
+        fresh = g.contract_edge(r["v1"], r["v2"])
+    elif conf.kind == KIND_L8:
+        removed_v = tuple(sorted((r["v1"], r["v2"])))
+    elif conf.kind in (KIND_L9, KIND_L10):
+        removed_v = tuple(sorted(_cycle_of(r)))
+    else:
+        g.undo()
+        raise ReductionError(f"unknown kind {conf.kind}")
+    if removed_v:
+        g.delete_vertices(removed_v)
+    if conf.kind == KIND_L10 and r["w1"] != r["w3"]:
+        identified = (r["w1"], r["w3"])
+        fresh = g.identify_vertices(r["w1"], r["w3"])
+    if g.m >= m:
+        g.undo()
+        raise ReductionError(
+            f"{conf.kind} reduction failed to decrease the edge count")
+    return ReductionStep(conf.kind, conf.matched, removed_v, contracted,
+                         identified, fresh, local)
 
 
 # ---------------------------------------------------------------------------

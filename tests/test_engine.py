@@ -256,13 +256,13 @@ def test_driver_catches_a_far_recoloring_and_falls_back(monkeypatch, caplog):
     still return a valid coloring."""
     g = random_planar(14, 0.6, 3)
     lifts = len(reduce_fully(g)[1])
-    honest = dict(reductions._LIFTERS)
+    honest = dict(reductions._KINDS)
     calls: list[str] = []
     corrupted: list[int] = []
 
     def spoil(kind):
         def lifter(h, step, c, order, stats):
-            honest[kind](h, step, c, order, stats)
+            honest[kind].lift(h, step, c, order, stats)
             calls.append(kind)
             if len(calls) != lifts:
                 return
@@ -281,7 +281,8 @@ def test_driver_catches_a_far_recoloring_and_falls_back(monkeypatch, caplog):
         return lifter
 
     for kind in KIND_ORDER:
-        monkeypatch.setitem(reductions._LIFTERS, kind, spoil(kind))
+        monkeypatch.setitem(reductions._KINDS, kind,
+                            honest[kind]._replace(lift=spoil(kind)))
     with caplog.at_level(logging.WARNING, logger="wdcolor.pipeline"):
         coloring = wd3_color_planar(g)
     assert corrupted and len(calls) == lifts

@@ -82,13 +82,14 @@ def test_local_verdict_equals_full_verdict_under_any_recoloring(monkeypatch):
     rng = random.Random(11)
     outcomes = {"rejected": 0, "accepted": 0}
     for g, step, c_reduced in cases:
-        honest = reductions._LIFTERS[step.kind]
+        row = reductions._KINDS[step.kind]
 
-        def recolor_anywhere(g, step, c, order, stats, honest=honest):
+        def recolor_anywhere(g, step, c, order, stats, honest=row.lift):
             honest(g, step, c, order, stats)
             c[rng.choice(g.vertices())] = rng.choice(PALETTE)
 
-        monkeypatch.setitem(reductions._LIFTERS, step.kind, recolor_anywhere)
+        monkeypatch.setitem(reductions._KINDS, step.kind,
+                            row._replace(lift=recolor_anywhere))
         try:
             lifted = lift_coloring(g, step, c_reduced)
         except LiftError as e:
@@ -109,13 +110,14 @@ def test_far_recoloring_is_caught(monkeypatch):
     assert step.kind == "L1a-degree1"
     assert closed_neighborhood(g, [v for _, v in step.matched]) == {3, 4, 5}
     c_reduced = wd_number_exact(reduced, 3, 6).witness
-    honest = reductions._LIFTERS[step.kind]
+    row = reductions._KINDS[step.kind]
 
     def lifter(g, step, c, order, stats):
-        honest(g, step, c, order, stats)
+        row.lift(g, step, c, order, stats)
         c[0] = c[1]                     # vertex 2 now sees two colors
 
-    monkeypatch.setitem(reductions._LIFTERS, step.kind, lifter)
+    monkeypatch.setitem(reductions._KINDS, step.kind,
+                        row._replace(lift=lifter))
     with pytest.raises(LiftError, match="vertex=2"):
         lift_coloring(g, step, c_reduced)
 

@@ -752,7 +752,7 @@ class TestDriverFallbacks:
         g = triangulation(60, random.Random(1))
         e = EditableGraph(g)
         left = sum(s.kind == KIND_L1A for s in reduce_in_place(e))
-        honest = reductions._LIFTERS[KIND_L1A]
+        row = reductions._KINDS[KIND_L1A]
         failed = []
 
         def fail_last(g, step, c, order, stats):
@@ -761,9 +761,10 @@ class TestDriverFallbacks:
             if not left:
                 failed.append(g.n)
                 raise LiftError("forced lift failure")
-            honest(g, step, c, order, stats)
+            row.lift(g, step, c, order, stats)
 
-        monkeypatch.setitem(reductions._LIFTERS, KIND_L1A, fail_last)
+        monkeypatch.setitem(reductions._KINDS, KIND_L1A,
+                            row._replace(lift=fail_last))
         with deadline(10):
             coloring = wd3_color_planar(g)
         assert failed == [58]

@@ -11,14 +11,15 @@ from oracles import reduce_fully
 from wdcolor import reductions
 from wdcolor.exact import wd_number_exact
 from wdcolor.generators import named, random_planar
-from wdcolor.graphs import Graph
+from wdcolor.graphs import EditableGraph, Graph
 from wdcolor.hosts import host_for
 from wdcolor.planarity import is_planar
-from wdcolor.reductions import (KIND_ORDER, SHORT_KINDS, LiftError,
-                                ReductionError, StaleConfigurationError,
-                                apply_reduction, canonical_colorings,
-                                certify_lemma, detect_configuration,
-                                lift_coloring, validate_configuration)
+from wdcolor.reductions import (KIND_L10, KIND_ORDER, SHORT_KINDS,
+                                Configuration, LiftError, ReductionError,
+                                StaleConfigurationError, apply_reduction,
+                                canonical_colorings, certify_lemma,
+                                detect_configuration, lift_coloring,
+                                reduce_in_place, validate_configuration)
 from wdcolor.verify import is_weak_dynamic
 
 
@@ -276,6 +277,85 @@ def test_l4_lift_certified_with_both_shared_neighbors_of_degree_4plus():
         for c in canonical_colorings(reduced):
             lift_coloring(g, step, c, stats=hits)
         assert hits == {"L4-adjacent-3faces:both-4plus": colorings}, k
+
+
+def coinciding_hubs() -> Graph:
+    """The 4-cycle 0-1-2-3 of 3-vertices whose even positions share the
+    4+ hub 4 and whose odd positions share the 3-hub 5: L10 with w1 = w3,
+    which no host of ``wdcolor.hosts`` gives."""
+    return Graph.from_edges([(0, 1), (1, 2), (2, 3), (3, 0), (4, 0), (4, 2),
+                             (4, 6), (4, 7), (5, 1), (5, 3), (5, 8)])
+
+
+def test_l10_lift_certified_with_coinciding_4plus_hubs():
+    """The step deletes the cycle and merges nothing, and every canonical
+    coloring of the reduced graph lifts."""
+    g = coinciding_hubs()
+    assert is_planar(g).is_planar
+    conf = detect_configuration(g, kind=KIND_L10)
+    assert conf.roles()["w1"] == conf.roles()["w3"] == 4
+    reduced, step = apply_reduction(g, conf)
+    assert step.identified is None and step.fresh is None
+    lifted = 0
+    for c in canonical_colorings(reduced):
+        assert is_weak_dynamic(g, lift_coloring(g, step, c), 3)[0]
+        lifted += 1
+    assert lifted == 37
+
+
+def test_the_edit_of_each_row_is_the_edit_by_cases():
+    """The table-driven edit against the per-kind branches it replaced
+    (``tests/oracles.py``): on every configuration at every seed of the
+    first 20 hosts of each kind and of ``coinciding_hubs``, and at every
+    step of two reductions, one with an L10 identification, one with L7
+    and L9 steps, the steps and the graphs after them must be equal.  The
+    kind order and the short labels that the rows derive are pinned as
+    they were written out."""
+    assert KIND_ORDER == (
+        "L1a-degree1", "L1b-2vertex-3minus", "L2-adjacent-4plus",
+        "L3-4334", "L4-adjacent-3faces", "L5-3regular-triangle",
+        "L6-triangle-pair", "L7-triangle-deg4-apex",
+        "L8-triangle-deg5plus-apex", "L9-3regular-cycle-with-free-vertex",
+        "L10-3regular-cycle")
+    assert SHORT_KINDS == {"L1": KIND_ORDER[:2], **{
+        f"L{i}": (KIND_ORDER[i],) for i in range(2, 11)}}
+
+    def same_edit(g, conf):
+        table, cases = EditableGraph(g), EditableGraph(g)
+        step = reductions._reduce_in_place(table, conf)
+        assert step == oracles.reduce_in_place_by_cases(cases, conf), conf
+        assert table.adjacency() == cases.adjacency(), conf
+        assert (table.m, table.next_fresh) == (cases.m, cases.next_fresh)
+        return step
+
+    def shape(step):
+        return step.kind, bool(step.contracted), bool(step.identified)
+
+    shapes = set()
+    hosts = [host_for(kind, i) for kind in KIND_ORDER for i in range(20)]
+    for g in hosts + [coinciding_hubs()]:
+        adj = g.adjacency()
+        for row in reductions._KINDS.values():
+            if row.anchor:
+                found = [row.match_at(adj, v) for v in g.vertices()]
+            else:
+                found = [row.match(adj, cycle) for cycle in
+                         reductions._chordless_deg3_cycles(g)]
+            for roles in filter(None, found):
+                conf = Configuration(row.kind, tuple(roles))
+                shapes.add(shape(same_edit(g, conf)))
+    for seed, want in ((1, {(KIND_L10, False, True)}),
+                       (6, {(KIND_ORDER[7], True, False),
+                            (KIND_ORDER[9], False, False)})):
+        e = EditableGraph(random_planar(500, 1.0, seed))
+        steps = reduce_in_place(e)
+        for step in reductions.unwind(e, steps):
+            conf = Configuration(step.kind, step.matched)
+            assert same_edit(e.snapshot(), conf) == step
+        assert want <= {shape(step) for step in steps}, seed
+        shapes |= want
+    assert shapes == {(kind, kind in KIND_ORDER[4:8:3], False)
+                      for kind in KIND_ORDER} | {(KIND_L10, False, True)}
 
 
 def test_dependency_lifts_copy_no_graph(monkeypatch):

@@ -22,6 +22,7 @@ import math
 import sys
 import time
 from dataclasses import asdict
+from typing import Callable, TypeVar
 
 import click
 
@@ -34,6 +35,8 @@ from .pipeline import (InvariantBreachError, NonplanarInputError,
                        wd3_color_planar)
 from .reductions import SHORT_KINDS, certify_lemma, reduce_in_place, unwind
 from .verify import is_weak_dynamic, palette_size
+
+_T = TypeVar("_T")
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -62,9 +65,9 @@ def _emit(obj: object) -> None:
     click.echo(json.dumps(obj, indent=2, sort_keys=True))
 
 
-def _load_graph_or_die(path: str) -> Graph:
+def _load_or_die(load: Callable[[str], _T], path: str) -> _T:
     try:
-        return load_graph(path)
+        return load(path)
     except FormatError as exc:
         _fail(EXIT_USAGE, f"{path}: {exc}")
     except OSError as exc:
@@ -126,11 +129,8 @@ def gen(name: str | None, use_random: bool, n: int, density: float,
               default="weak-dynamic", show_default=True)
 def verify(graph_file: str, coloring_file: str, k: int, mode: str) -> None:
     """Check a coloring file against a graph file."""
-    g = _load_graph_or_die(graph_file)
-    try:
-        coloring = load_coloring(coloring_file)
-    except FormatError as exc:
-        _fail(EXIT_USAGE, f"{coloring_file}: {exc}")
+    g = _load_or_die(load_graph, graph_file)
+    coloring = _load_or_die(load_coloring, coloring_file)
     missing = [v for v in g.vertices() if v not in coloring]
     if missing:
         _fail(EXIT_USAGE,
@@ -166,7 +166,7 @@ def verify(graph_file: str, coloring_file: str, k: int, mode: str) -> None:
               show_default=True, help="Palette-size cap for the search.")
 def solve(graph_file: str, k: int, max_colors: int) -> None:
     """Exact minimum palette size (weak-dynamic), with a witness."""
-    g = _load_graph_or_die(graph_file)
+    g = _load_or_die(load_graph, graph_file)
     res = wd_number_exact(g, k, max_colors)
     _emit({
         "wd": res.value,
@@ -188,7 +188,7 @@ def solve(graph_file: str, k: int, max_colors: int) -> None:
               help="Write the reduction steps used, as JSON.")
 def color(graph_file: str, trace_out: str | None) -> None:
     """Six-color 3-weak-dynamic coloring of a planar graph."""
-    g = _load_graph_or_die(graph_file)
+    g = _load_or_die(load_graph, graph_file)
     steps: list[dict] | None = [] if trace_out is not None else None
     try:
         coloring = wd3_color_planar(g, trace=steps)
@@ -214,7 +214,7 @@ def color(graph_file: str, trace_out: str | None) -> None:
               help="Include every step (kind and vertex roles) in the JSON.")
 def reduce(graph_file: str, with_trace: bool) -> None:
     """Shrink a graph to an irreducible core."""
-    g = _load_graph_or_die(graph_file)
+    g = _load_or_die(load_graph, graph_file)
     e = EditableGraph(g)
     steps = reduce_in_place(e)
     cur = e.snapshot()

@@ -4,8 +4,9 @@
 engine edits in place and restores through an undo log.
 
 Vertex identities are stable: deletion never reindexes, and contraction /
-identification allocate a fresh id (tracked by ``next_fresh``) that is never
-reused within the lifetime of a graph family derived from one root graph.
+identification allocate a fresh id (``next_fresh``, which a ``snapshot``
+carries and ``undo`` restores), so an id comes back only once ``undo`` has
+removed the vertex that had it.
 
 ``rings`` is the package's one breadth-first walk: components, distances,
 the balls that detection and step records read, list coloring's order
@@ -88,8 +89,9 @@ class _Adjacency:
 
 
 class Graph(_Adjacency):
-    """Simple undirected graph. Instances are immutable; all mutating
-    operations return new graphs."""
+    """Simple undirected graph. Instances are immutable; an
+    ``EditableGraph`` makes the edits, and its ``snapshot`` is a new
+    ``Graph``."""
 
     __slots__ = ("_adj", "next_fresh", "_edge_count", "_sorted",
                  "_components")
@@ -127,60 +129,12 @@ class Graph(_Adjacency):
             self._sorted = tuple(sorted(self._adj))
         return self._sorted
 
-    # -- derived graphs --------------------------------------------------
-
-    # Derived graphs copy the vertex dict at C speed and rebuild only the
-    # entries they touch; every other neighbor set is shared with the source.
-    # The reduction edits are made once, by EditableGraph.
-
-    def delete_edge(self, u: int, v: int) -> "Graph":
-        e = EditableGraph(self)
-        e.delete_edge(u, v)
-        return e.snapshot()
-
-    def delete_vertex(self, v: int) -> "Graph":
-        return self.delete_vertices([v])
-
-    def delete_vertices(self, vs: Iterable[int]) -> "Graph":
-        e = EditableGraph(self)
-        e.delete_vertices(vs)
-        return e.snapshot()
-
     def induced_subgraph(self, vs: Iterable[int]) -> "Graph":
         keep = set(vs)
         for v in keep:
             self._require(v)
         adj = {u: self._adj[u] & keep for u in keep}
         return Graph(adj, self.next_fresh)
-
-    def add_edge(self, u: int, v: int) -> "Graph":
-        if u == v:
-            raise ValueError("self-loop")
-        adj = dict(self._adj)
-        adj[u] = adj.get(u, frozenset()) | {v}
-        adj[v] = adj.get(v, frozenset()) | {u}
-        return Graph(adj, self.next_fresh)
-
-    def add_vertex(self, v: int) -> "Graph":
-        if v in self._adj:
-            return self
-        adj = dict(self._adj)
-        adj[v] = frozenset()
-        return Graph(adj, self.next_fresh)
-
-    def contract_edge(self, u: int, v: int) -> tuple["Graph", int]:
-        """Contract the edge uv into a fresh vertex adjacent to
-        N(u) ∪ N(v) − {u, v}; parallel edges merge (result stays simple)."""
-        e = EditableGraph(self)
-        fresh = e.contract_edge(u, v)
-        return e.snapshot(), fresh
-
-    def identify_vertices(self, u: int, v: int) -> tuple["Graph", int]:
-        """Merge two distinct vertices (adjacency not required) into a fresh
-        vertex; equivalent to contract_edge when uv is an edge."""
-        e = EditableGraph(self)
-        fresh = e.identify_vertices(u, v)
-        return e.snapshot(), fresh
 
     # -- traversal helpers ----------------------------------------------
 

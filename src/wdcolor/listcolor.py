@@ -210,7 +210,7 @@ def _precolor_then_greedy(b: Graph, lists: Lists, pre: Coloring, slack: int,
                           color_order: ColorOrder) -> Coloring:
     """Fix ``pre`` and color the rest of ``b`` greedily off ``slack``, which
     must have lost more neighbors than colors to ``pre``."""
-    rest = b.delete_vertices(pre)
+    rest = b.induced_subgraph(b.adjacency().keys() - pre)
     left = {v: lists[v] - {pre[u] for u in b.neighbors(v) if u in pre}
             for v in rest.vertices()}
     out = greedy_with_slack(rest, left, slack, color_order)
@@ -244,7 +244,8 @@ def _color_block(b: Graph, lists: Lists, color_order: ColorOrder) -> Coloring:
     v, x, y = next((v, x, y) for v in b.vertices()
                    for x, y in combinations(sorted(b.neighbors(v)), 2)
                    if not b.has_edge(x, y)
-                   and b.delete_vertices((x, y)).is_connected())
+                   and b.induced_subgraph(b.adjacency().keys() - {x, y})
+                   .is_connected())
     c = pick_color(same, color_order)
     return _precolor_then_greedy(b, lists, {x: c, y: c}, v, color_order)
 

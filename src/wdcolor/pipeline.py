@@ -462,21 +462,18 @@ def _color_component_wd3(g: Graph, rotation: Mapping[int, tuple[int, ...]],
     e = EditableGraph(g)
     steps = reduce_in_place(e)
     cur = e.snapshot()
-    if cur.n == 0:
-        coloring: Coloring = {}
-    else:
-        if steps:
-            rotation = is_planar(cur).rotation
-        try:
-            if rotation is None:
-                raise InvariantBreachError("the reduced core is not planar")
-            coloring = _construct_wd3(cur, rotation)
-        except PipelineIncompleteError as exc:
-            coloring = _exact_wd3_cap6(cur, f"construction refused: {exc}")
-        except InvariantBreachError as exc:
-            logger.warning("construction invariant breached on the core"
-                           " (n=%d m=%d): %s", cur.n, cur.m, exc)
-            coloring = _exact_wd3_cap6(cur, "invariant breach")
+    if steps:
+        rotation = is_planar(cur).rotation
+    try:
+        if rotation is None:
+            raise InvariantBreachError("the reduced core is not planar")
+        coloring = _construct_wd3(cur, rotation)
+    except PipelineIncompleteError as exc:
+        coloring = _exact_wd3_cap6(cur, f"construction refused: {exc}")
+    except InvariantBreachError as exc:
+        logger.warning("construction invariant breached on the core"
+                       " (n=%d m=%d): %s", cur.n, cur.m, exc)
+        coloring = _exact_wd3_cap6(cur, "invariant breach")
     c = LiftColoring(coloring, cur.adjacency().keys())
     records = []
     for step in unwind(e, steps):

@@ -305,9 +305,9 @@ def _assign(g: Graph, coloring: Coloring, w: int, *, explicit=(), protect=(),
     return coloring[w]
 
 
-def _hit(stats: dict | None, label: str) -> None:
-    log.debug("lift branch %s", label)
+def _hit(stats: dict | None, kind: str, branch: str) -> None:
     if stats is not None:
+        label = f"{kind}:{branch}"
         stats[label] = stats.get(label, 0) + 1
 
 
@@ -1103,7 +1103,7 @@ def _recolor_group(g: Graph, coloring: Coloring, cycle: tuple[int, ...],
                         stage="dependency-coloring") from e
     coloring.update(part)
     if recolor_log:
-        _hit(stats, f"{kind}:hub-recolor")
+        _hit(stats, kind, "hub-recolor")
 
 
 # --------------------------------------------------------------------------
@@ -1113,7 +1113,7 @@ def _lift_l1a(g, step, c, order, stats):
     r = step.roles()
     _assign(g, c, r["v1"], protect=(r["u1"],), pending={r["v1"]},
             order=order, bound=2, stage=f"{step.kind} v1")
-    _hit(stats, f"{step.kind}:base")
+    _hit(stats, step.kind, "base")
 
 
 def _lift_l1b(g, step, c, order, stats):
@@ -1124,11 +1124,11 @@ def _lift_l1b(g, step, c, order, stats):
     others = sorted(g.neighbors(v2) - {v1})
     _assign(g, c, v2, protect=tuple([v1] + others), pending={v2},
             order=order, bound=5, stage=f"{step.kind} v2")
-    _hit(stats, f"{step.kind}:base")
+    _hit(stats, step.kind, "base")
 
 
 def _lift_l2(g, step, c, order, stats):
-    _hit(stats, f"{step.kind}:base")
+    _hit(stats, step.kind, "base")
 
 
 def _lift_l3(g, step, c, order, stats):
@@ -1147,7 +1147,7 @@ def _lift_l3(g, step, c, order, stats):
             pending={v2, v3}, order=order, bound=4, stage=f"{step.kind} v2")
     _assign(g, c, v3, explicit=(c[v1], c[v5]), protect=(v6, v4, v2),
             pending={v3}, order=order, bound=4, stage=f"{step.kind} v3")
-    _hit(stats, f"{step.kind}:base")
+    _hit(stats, step.kind, "base")
 
 
 def _lift_l4(g, step, c, order, stats):
@@ -1162,7 +1162,7 @@ def _lift_l4(g, step, c, order, stats):
                 stage=f"{step.kind} v1")
         _assign(g, c, v3, explicit=(c[v2], c[v4]), protect=(v4,),
                 pending={v3}, order=order, bound=4, stage=f"{step.kind} v3")
-        _hit(stats, f"{step.kind}:both-4plus")
+        _hit(stats, step.kind, "both-4plus")
         return
     low = sorted(x for x in (v2, v4) if g.degree(x) == 3)
     a2 = low[0]
@@ -1171,7 +1171,7 @@ def _lift_l4(g, step, c, order, stats):
             pending={v1, v3}, order=order, bound=5, stage=f"{step.kind} v3")
     _assign(g, c, v1, explicit=(c[a2], c[a4]), protect=(a2, a4),
             pending={v1}, order=order, bound=5, stage=f"{step.kind} v1")
-    _hit(stats, f"{step.kind}:low-side")
+    _hit(stats, step.kind, "low-side")
 
 
 def _lift_l5(g, step, c, order, stats):
@@ -1192,12 +1192,12 @@ def _lift_l5(g, step, c, order, stats):
         _assign(g, c, a1, explicit=(c[a2], c[a3], c[h2], c[h3]),
                 protect=(h1,), pending={a1}, order=order, bound=4,
                 stage=f"{step.kind} rich-corner")
-        _hit(stats, f"{step.kind}:rich-hub")
+        _hit(stats, step.kind, "rich-hub")
         return
     group = tuple(corners + [hub_of[v] for v in corners])
     _recolor_group(g, c, group, order, use_hook=False, stats=stats,
                    kind=step.kind)
-    _hit(stats, f"{step.kind}:all-3-hubs")
+    _hit(stats, step.kind, "all-3-hubs")
 
 
 def _lift_l6(g, step, c, order, stats):
@@ -1213,7 +1213,7 @@ def _lift_l6(g, step, c, order, stats):
             pending={v3, v4}, order=order, bound=5, stage=f"{step.kind} v3")
     _assign(g, c, v4, explicit=(c[v1], c[v2]), protect=(v6,),
             pending={v4}, order=order, bound=4, stage=f"{step.kind} v4")
-    _hit(stats, f"{step.kind}:base")
+    _hit(stats, step.kind, "base")
 
 
 def _lift_l7(g, step, c, order, stats):
@@ -1234,14 +1234,14 @@ def _lift_l7(g, step, c, order, stats):
         c[v1] = pick_color([x for x in PALETTE if x not in avoid1], order)
         _assign(g, c, v2, explicit=(c[v3], c[v4]), protect=(v5, v1),
                 pending={v2}, order=order, bound=4, stage=f"{step.kind} v2")
-        _hit(stats, f"{step.kind}:first-open")
+        _hit(stats, step.kind, "first-open")
         return
     avoid2 = _avoid_set(g, c, v2, (c[v3], c[v4]), (v5, v3), pend, order)
     if len(avoid2) < 6:
         c[v2] = pick_color([x for x in PALETTE if x not in avoid2], order)
         _assign(g, c, v1, explicit=(c[v3], c[v5]), protect=(v4, v2),
                 pending={v1}, order=order, bound=4, stage=f"{step.kind} v1")
-        _hit(stats, f"{step.kind}:second-open")
+        _hit(stats, step.kind, "second-open")
         return
     # both forbidden sets exhaust the palette; the six surrounding colors
     # then split it exactly, which pins every color's role
@@ -1266,7 +1266,7 @@ def _lift_l7(g, step, c, order, stats):
         c[v2] = a1
         c[v1] = pick_color([x for x in PALETTE
                             if x not in {a1, a2, a3, a4}], order)
-        _hit(stats, f"{step.kind}:tight-a")
+        _hit(stats, step.kind, "tight-a")
         return
     _assign(g, c, v5, explicit=(a3,), protect=(v10, v11),
             pending={v1, v2, v5}, order=order, bound=5,
@@ -1276,7 +1276,7 @@ def _lift_l7(g, step, c, order, stats):
         c[v1] = a3
         c[v2] = pick_color([x for x in PALETTE
                             if x not in {a1, a2, a3, a4}], order)
-        _hit(stats, f"{step.kind}:tight-b")
+        _hit(stats, step.kind, "tight-b")
         return
     _assign(g, c, v3, explicit=(a4,), protect=(v6, v7), pending={v1, v2, v3},
             order=order, bound=5, stage=f"{step.kind} recolor-v3")
@@ -1284,11 +1284,11 @@ def _lift_l7(g, step, c, order, stats):
     if gamma != a3:
         c[v1] = a3
         c[v2] = pick_color([x for x in (a1, a5, a6) if x != gamma], order)
-        _hit(stats, f"{step.kind}:tight-c1")
+        _hit(stats, step.kind, "tight-c1")
     else:
         c[v1] = a5
         c[v2] = a1
-        _hit(stats, f"{step.kind}:tight-c2")
+        _hit(stats, step.kind, "tight-c2")
 
 
 def _lift_l8(g, step, c, order, stats):
@@ -1310,14 +1310,14 @@ def _lift_l8(g, step, c, order, stats):
             explicit=tuple([c[v3], c[v4]]
                            + [c[x] for x in sorted(g.neighbors(v5) - {v2})]),
             pending={v2}, order=order, bound=4, stage=f"{step.kind} v2")
-    _hit(stats, f"{step.kind}:base")
+    _hit(stats, step.kind, "base")
 
 
 def _lift_l9(g, step, c, order, stats):
     cycle = _cycle_of(step.roles())
     _recolor_group(g, c, cycle, order, use_hook=True, stats=stats,
                    kind=step.kind)
-    _hit(stats, f"{step.kind}:base")
+    _hit(stats, step.kind, "base")
 
 
 def _lift_l10(g, step, c, order, stats):
@@ -1355,7 +1355,7 @@ def _lift_l10(g, step, c, order, stats):
                     continue
                 c[x] = pick_color(cands, order)
                 repaired = True
-                _hit(stats, f"{step.kind}:repair")
+                _hit(stats, step.kind, "repair")
                 break
             if not repaired:
                 raise LiftError(

@@ -284,14 +284,6 @@ def naive_list_colorable(g: Graph, lists: dict[int, set[int]]) -> bool:
     return False
 
 
-def naive_hypergraph_proper(hyperedges, c: Coloring) -> bool:
-    """No hyperedge of two or more vertices is monochromatic."""
-    for he in hyperedges:
-        if len(he) >= 2 and len({c[v] for v in he}) < 2:
-            return False
-    return True
-
-
 def canonical_form(c: Coloring) -> tuple[tuple[int, int], ...]:
     """Rename colors into first-use order over ascending vertex ids."""
     rename: dict[int, int] = {}
@@ -402,7 +394,7 @@ def random_planar_by_copies(n: int, target_density: float,
     for u, v in order:
         if g.m <= target:
             break
-        candidate = g.delete_edge(u, v)
+        candidate, _ = edited(g, EditableGraph.delete_edge, u, v)
         if candidate.is_connected():
             g = candidate
     return g
@@ -1227,3 +1219,21 @@ def reduce_fully(g: Graph) -> tuple[Graph, list[tuple[Graph, ReductionStep]]]:
     stack = [(e.snapshot(), step) for step in unwind(e, steps)]
     stack.reverse()
     return core, stack
+
+
+# ---------------------------------------------------------------------------
+# graph fixtures
+# ---------------------------------------------------------------------------
+
+
+def edited(g: Graph, edit: Callable, *args):
+    """``g`` after one ``EditableGraph`` edit, as a snapshot, and what the
+    edit returned (a merge's fresh vertex); ``g`` stays as it was."""
+    e = EditableGraph(g)
+    out = edit(e, *args)
+    return e.snapshot(), out
+
+
+def plus_edges(g: Graph, *edges: tuple[int, int]) -> Graph:
+    """``g`` with ``edges`` added, as one ``Graph.from_edges`` build."""
+    return Graph.from_edges([*g.edges(), *edges], g.vertices())

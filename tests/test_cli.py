@@ -16,6 +16,7 @@ from click.testing import CliRunner
 
 from hubs import bipyramid, radial
 from oracles import reduce_fully
+from wdcolor import cli as cli_module
 from wdcolor.cli import cli
 from wdcolor.generators import random_planar
 from wdcolor.graphs import Graph
@@ -205,6 +206,22 @@ class TestColorAndVerify:
         assert res.exit_code == 1
         assert "misses" in res.stderr
 
+
+    def test_verify_unreadable_coloring_is_usage_error(self, runner, c5_file,
+                                                       tmp_path, monkeypatch):
+        path = tmp_path / "locked.json"
+        path.write_text(serialize_coloring({v: 1 for v in range(5)}))
+
+        def unreadable(p):
+            raise PermissionError(13, "Permission denied", str(p))
+
+        monkeypatch.setattr(cli_module, "load_coloring", unreadable)
+        res = invoke(runner, "verify", str(c5_file), str(path))
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert "Permission denied" in res.stderr and str(path) in res.stderr
+        assert "Traceback" not in res.stderr
+        assert res.stdout == ""
 
 class TestSolve:
     def test_five_cycle_k2(self, runner, c5_file):

@@ -16,7 +16,7 @@ import oracles
 from hubs import HUB_FAMILIES, radial
 from wdcolor import listcolor, pipeline, reductions
 from wdcolor.exact import list_color_exact
-from wdcolor.generators import triangulation
+from wdcolor.generators import named, triangulation
 from wdcolor.graphs import Graph, block_kind, blocks
 from wdcolor.listcolor import (DependencyColoringError,
                                color_complete_with_lists,
@@ -274,6 +274,51 @@ def test_equal_lists_share_a_color_on_a_pair_that_keeps_the_block_whole(
     check_in_lists(g, lists, degree_choose(g, lists))
 
 
+_C4 = Graph.from_edges(_cycle(4))
+_CUBE = named("cube")
+_K4_MINUS_03 = Graph.from_edges([(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
+
+
+@pytest.mark.parametrize("g,lists,order,expected", [
+    (_C4, {v: {1, 2} for v in range(4)}, None,
+     {0: 1, 1: 2, 2: 1, 3: 2}),
+    (_C4, {0: {1, 2}, 1: {1, 3}, 2: {2, 3}, 3: {1, 2}}, None,
+     {0: 2, 1: 1, 2: 2, 3: 1}),
+    (_CUBE, {v: {1, 2, 3} for v in range(8)}, None,
+     {0: 2, 1: 1, 2: 2, 3: 1, 4: 1, 5: 2, 6: 1, 7: 2}),
+    (_K4_MINUS_03, {0: {1, 2}, 1: {1, 2, 3}, 2: {1, 2, 3}, 3: {2, 3}}, None,
+     {0: 2, 1: 3, 2: 1, 3: 2}),
+    (_C4, {v: {1, 2} for v in range(4)}, (3, 1, 2, 4, 5, 6),
+     {0: 1, 1: 2, 2: 1, 3: 2}),
+    (_C4, {0: {1, 2}, 1: {1, 3}, 2: {2, 3}, 3: {1, 2}}, (3, 1, 2, 4, 5, 6),
+     {0: 2, 1: 1, 2: 3, 3: 1}),
+    (_CUBE, {v: {1, 2, 3} for v in range(8)}, (3, 1, 2, 4, 5, 6),
+     {0: 1, 1: 3, 2: 1, 3: 3, 4: 3, 5: 1, 6: 3, 7: 1}),
+    (_K4_MINUS_03, {0: {1, 2}, 1: {1, 2, 3}, 2: {1, 2, 3}, 3: {2, 3}},
+     (3, 1, 2, 4, 5, 6), {0: 2, 1: 3, 2: 1, 3: 2}),
+], ids=["C4-even-cycle", "C4-precolor", "cube-lovasz-pair", "K4-e-precolor",
+        "C4-even-cycle-ordered", "C4-precolor-ordered",
+        "cube-lovasz-pair-ordered", "K4-e-precolor-ordered"])
+def test_tight_blocks_color_as_pinned(monkeypatch, g, lists, order,
+                                      expected):
+    """Every list has exactly its vertex's degree and no block is complete
+    or an odd cycle, so ``degree_choose`` must go through ``_color_block``:
+    the even-cycle alternation, a precolored vertex whose list its neighbor
+    lacks, or a Lovász pair sharing one color.  The colorings are pinned."""
+    calls = []
+
+    def spy(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    real = listcolor._color_block
+    monkeypatch.setattr(listcolor, "_color_block", spy)
+    got = degree_choose(g, lists, order)
+    assert calls, "the tight block path did not run"
+    assert got == expected
+    check_in_lists(g, lists, got)
+
+
 def _gallai_tree(n, rng):
     """A connected graph on n vertices whose blocks are all complete graphs
     or odd cycles, glued at random cut vertices."""
@@ -370,7 +415,7 @@ def test_dependency_instances_of_the_lifts_match_the_graph_based_code(
     # neighbor 8 it already sees three colors and asks the triangle for none
     a = Graph.from_edges([(0, 1), (0, 2), (1, 2), (0, 3), (1, 4), (2, 5),
                           (3, 6), (3, 7)])
-    b = a.add_edge(3, 8)
+    b = oracles.plus_edges(a, (3, 8))
     coloring = {0: 1, 1: 2, 2: 3, 3: 4, 4: 5, 5: 6, 6: 1, 7: 2, 8: 3}
     group = frozenset({0, 1, 2})
     got = []

@@ -7,8 +7,8 @@ down why that is sound.
 * A reduction changes adjacency only inside the closed neighborhood of
   the matched vertices (plus the fresh vertex it may create), which is
   what makes the local verdict complete.
-* Derived graphs carry their edge count and ``next_fresh`` instead of
-  recounting, and never touch the graph they were derived from.
+* The snapshot of an ``EditableGraph`` edit has the right edge count and
+  ``next_fresh``, and the edit never touches the graph it started from.
 """
 
 from __future__ import annotations
@@ -18,11 +18,11 @@ import random
 import pytest
 
 import oracles
-from oracles import reduce_fully
+from oracles import edited, reduce_fully
 from wdcolor import reductions
 from wdcolor.exact import wd_number_exact
 from wdcolor.generators import random_planar, triangulation
-from wdcolor.graphs import Graph
+from wdcolor.graphs import EditableGraph, Graph
 from wdcolor.hosts import host_for
 from wdcolor.reductions import (KIND_ORDER, PALETTE, LiftError,
                                 apply_reduction, detect_configuration,
@@ -160,23 +160,23 @@ def recount(g: Graph) -> int:
 
 
 def derived_graphs(g: Graph, rng: random.Random):
-    """(name, derived graph, next_fresh it must carry) for random edits."""
+    """(name, derived graph, next_fresh it must carry) for random edits,
+    each an ``EditableGraph`` edit and its snapshot."""
     vs = list(g.vertices())
     top = g.next_fresh
     u, v = rng.choice(list(g.edges()))
-    yield "delete_edge", g.delete_edge(u, v), top
+    yield "delete_edge", edited(g, EditableGraph.delete_edge, u, v)[0], top
     dead = rng.sample(vs, rng.randint(1, max(1, len(vs) // 3)))
-    yield "delete_vertices", g.delete_vertices(dead), top
-    yield "delete_vertex", g.delete_vertex(dead[0]), top
+    yield ("delete_vertices",
+           edited(g, EditableGraph.delete_vertices, dead)[0], top)
+    yield ("delete_vertex",
+           edited(g, EditableGraph.delete_vertices, dead[:1])[0], top)
     yield "induced_subgraph", g.induced_subgraph(vs[::2]), top
     a, b = rng.sample(vs, 2)
-    yield "add_edge", g.add_edge(a, b), top
-    yield "add_edge new", g.add_edge(a, top + 5), top + 6
-    yield "add_vertex", g.add_vertex(top + 2), top + 3
-    merged, fresh = g.contract_edge(u, v)
+    merged, fresh = edited(g, EditableGraph.contract_edge, u, v)
     assert fresh == top
     yield "contract_edge", merged, top + 1
-    merged, fresh = g.identify_vertices(a, b)
+    merged, fresh = edited(g, EditableGraph.identify_vertices, a, b)
     assert fresh == top and not merged.has_vertex(a)
     yield "identify_vertices", merged, top + 1
 
@@ -186,7 +186,8 @@ def test_derived_graphs_carry_counts_and_leave_the_source_alone():
     for seed in range(60):
         g = random_planar(rng.randint(3, 40), rng.random(), seed)
         if rng.random() < 0.5 and g.n >= 4:
-            g, _ = g.contract_edge(*next(g.edges()))   # ids with gaps
+            g, _ = edited(g, EditableGraph.contract_edge,
+                          *next(g.edges()))   # ids with gaps
         before = snapshot(g)
         for name, h, next_fresh in derived_graphs(g, rng):
             adj = h.adjacency()
@@ -199,10 +200,10 @@ def test_derived_graphs_carry_counts_and_leave_the_source_alone():
 def test_untouched_neighbor_sets_are_shared():
     g = random_planar(30, 0.8, 1)
     u, v = next(g.edges())
-    h = g.delete_edge(u, v)
+    h, _ = edited(g, EditableGraph.delete_edge, u, v)
     assert all(h.neighbors(w) is g.neighbors(w)
                for w in g.vertices() if w not in (u, v))
-    h = g.delete_vertices([u])
+    h, _ = edited(g, EditableGraph.delete_vertices, [u])
     assert all(h.neighbors(w) is g.neighbors(w)
                for w in h.vertices() if w not in g.neighbors(u))
 

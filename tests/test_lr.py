@@ -134,7 +134,7 @@ def test_more_than_3n_minus_6_edges_is_nonplanar():
     same_as_networkx(tri)
     u, v = next((u, v) for u, v in itertools.combinations(range(40), 2)
                 if not tri.has_edge(u, v))
-    assert lr_planarity(tri.add_edge(u, v).adjacency()) is None
+    assert lr_planarity(oracles.plus_edges(tri, (u, v)).adjacency()) is None
 
 
 def star(leaves: int) -> Graph:

@@ -558,7 +558,7 @@ class TestDriver:
 
     def test_empty_and_single_vertex(self):
         assert wd3_color_planar(Graph.empty()) == {}
-        g = Graph.empty().add_vertex(9)
+        g = Graph.from_edges([], vertices=[9])
         assert wd3_color_planar(g) == {9: 1}
 
     def test_disconnected_with_isolated_vertex(self):
@@ -790,6 +790,6 @@ def test_rejection_names_a_minor_only_when_the_certificate_has_one():
     u, v = next((u, v) for u in g.vertices() for v in g.vertices()
                 if u < v and not g.has_edge(u, v))
     with pytest.raises(NonplanarInputError) as info:
-        wd3_color_planar(g.add_edge(u, v))
+        wd3_color_planar(oracles.plus_edges(g, (u, v)))
     assert str(info.value) in ("input is not planar (contains a K5 minor)",
                                "input is not planar (contains a K33 minor)")

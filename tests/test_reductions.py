@@ -95,7 +95,7 @@ def test_apply_reduction_strictly_shrinks():
 def test_apply_reduction_stale_configuration_rejected():
     g = named("c5")
     conf = detect_configuration(g)
-    mutated = g.add_edge(0, 2)
+    mutated = oracles.plus_edges(g, (0, 2))
     with pytest.raises(StaleConfigurationError):
         apply_reduction(mutated, conf)
 
@@ -132,7 +132,7 @@ def test_lift_replays_only_on_the_neighbor_sets_of_its_step():
             if w is None:
                 continue
             with pytest.raises(StaleConfigurationError):
-                lift_coloring(g.add_edge(v, w), step, base)
+                lift_coloring(oracles.plus_edges(g, (v, w)), step, base)
             checked += 1
     assert checked > 20
 

@@ -111,7 +111,7 @@ def test_cycle_seed_check_accepts_exactly_chordless_cycles_of_3_vertices():
             assert not is_seed(adj, cycle + cycle[:1])
             assert not is_seed(adj, cycle[:1] + cycle[1:-1] + cycle[:1])
             assert not is_seed(adj, cycle[:-1])
-            pendant = g.add_edge(cycle[0], g.next_fresh)
+            pendant = oracles.plus_edges(g, (cycle[0], g.next_fresh))
             assert not is_seed(pendant.adjacency(), cycle)
     assert cycles > 100
     # chords: a 4-cycle of K4, and a 5-cycle of the triangular prism with

@@ -71,7 +71,7 @@ def _load_or_die(load: Callable[[str], _T], path: str) -> _T:
     except FormatError as exc:
         _fail(EXIT_USAGE, f"{path}: {exc}")
     except OSError as exc:
-        _fail(EXIT_USAGE, str(exc))
+        _fail(EXIT_USAGE, f"{path}: {exc.strerror or exc}")
     raise AssertionError("unreachable")
 
 

@@ -1,7 +1,9 @@
 """Simple undirected graphs with integer vertex ids.
 
 ``Graph`` is immutable.  ``EditableGraph`` is one graph that the reduction
-engine edits in place and restores through an undo log.
+engine edits in place and restores through an undo log.  Its edits append
+the neighbor sets they replace to one flat journal, which ``undo`` cuts
+back and the detection index reads forward, one cursor per kind.
 
 Vertex identities are stable: deletion never reindexes, and contraction /
 identification allocate a fresh id (``next_fresh``, which a ``snapshot``
@@ -178,20 +180,24 @@ class EditableGraph(_Adjacency):
     It starts from a C-level copy of a ``Graph``'s vertex dict.  Neighbor
     sets stay frozensets shared with their source: an edit replaces the
     sets of the vertices it touches, costing O(degree), never O(n).  Each
-    edit records the sets it replaces (None for a vertex it creates) in
-    the newest undo entry, which ``checkpoint`` opens; ``undo`` drops that
-    entry and restores the graph, edge count and ``next_fresh`` included,
-    as they were when it was opened.  Edits made before any checkpoint
-    are not recorded.
+    edit appends to ``journal`` one ``(vertex, old set)`` entry per set it
+    replaces (old None for a vertex it creates), so the first entry of a
+    vertex at or after a position holds its set at that position.  An
+    undo entry, which ``checkpoint`` opens, is ``(m, next_fresh, journal
+    position)``; ``undo`` drops the newest entry, restores the graph, edge
+    count and ``next_fresh`` included, as they were when it was opened,
+    and cuts the journal back to that position.  Edits made before any
+    checkpoint are not journaled.
     """
 
-    __slots__ = ("_adj", "next_fresh", "_edge_count", "_undo")
+    __slots__ = ("_adj", "next_fresh", "_edge_count", "_undo", "journal")
 
     def __init__(self, g: Graph) -> None:
         self._adj = dict(g._adj)
         self.next_fresh = g.next_fresh
         self._edge_count = g._edge_count
-        self._undo: list[tuple[int, int, list[tuple[int, frozenset[int] | None]]]] = []
+        self._undo: list[tuple[int, int, int]] = []
+        self.journal: list[tuple[int, frozenset[int] | None]] = []
 
     def vertices(self) -> tuple[int, ...]:
         """All vertices, ascending (sorted on every call)."""
@@ -204,37 +210,26 @@ class EditableGraph(_Adjacency):
 
     # -- undo log ----------------------------------------------------------
 
-    @property
-    def depth(self) -> int:
-        """The number of undo entries."""
-        return len(self._undo)
-
     def checkpoint(self) -> None:
-        """Open an undo entry; later edits record into it."""
-        self._undo.append((self._edge_count, self.next_fresh, []))
+        """Open an undo entry; later edits are journaled after it."""
+        self._undo.append((self._edge_count, self.next_fresh,
+                           len(self.journal)))
 
     def undo(self) -> None:
         """Revert every edit since the newest checkpoint, and drop it."""
-        m, next_fresh, saved = self._undo.pop()
-        adj = self._adj
-        for v, old in reversed(saved):
+        m, next_fresh, pos = self._undo.pop()
+        adj, journal = self._adj, self.journal
+        for v, old in reversed(journal[pos:]):
             if old is None:
                 del adj[v]
             else:
                 adj[v] = old
+        del journal[pos:]
         self._edge_count = m
         self.next_fresh = next_fresh
 
-    def changed_since(self, depth: int) -> dict[int, frozenset[int] | None]:
-        """Every vertex whose neighbor set an edit replaced, created or
-        deleted in the undo entries from ``depth`` on, with the set it had
-        at ``depth`` (None if it did not exist then)."""
-        # newest first, so the oldest saved set is the one that stays
-        return {v: old for _, _, saved in reversed(self._undo[depth:])
-                for v, old in reversed(saved)}
-
     def _saved(self) -> list[tuple[int, frozenset[int] | None]]:
-        return self._undo[-1][2] if self._undo else []
+        return self.journal if self._undo else []
 
     # -- edits ---------------------------------------------------------------
 

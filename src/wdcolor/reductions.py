@@ -424,7 +424,7 @@ def _match_l6(adj, v3: int):
     if len(adj[v1]) < 4:
         return None
     v2, v4 = sorted(threes)
-    if not (v2 in adj[v1] and v4 in adj[v1]) or v4 in adj[v2]:
+    if not (v1 in adj[v2] and v1 in adj[v4]) or v4 in adj[v2]:
         return None
     v5 = _only(adj[v2] - {v1, v3})
     v6 = _only(adj[v4] - {v1, v3})
@@ -464,15 +464,27 @@ def _match_apex_triangle(adj, v3: int):
     return None
 
 
-def _degree_class(nbrs: frozenset[int] | None) -> int:
-    """All that a matcher sees of a non-anchor vertex's degree, which it
-    compares only with 3 and 4; -1 for a vertex that does not exist."""
-    return -1 if nbrs is None else min(len(nbrs), 4)
-
-
 def _ball(adj, centers, radius: int) -> set[int]:
     """The vertices within ``radius`` of ``centers``."""
     return set().union(*itertools.islice(rings(adj, centers), radius + 1))
+
+
+def _reach(adj, centers, radius: int) -> set[int]:
+    """The vertices within ``radius`` >= 1 of ``centers`` along paths whose
+    inner vertices have degree at most 4: a ball that grows through the
+    centers and then stops at hubs."""
+    ball = set(centers)
+    ring = centers
+    while True:
+        nxt: set[int] = set()
+        for v in ring:
+            nxt |= adj[v]
+        nxt -= ball
+        ball |= nxt
+        radius -= 1
+        if not radius:
+            return ball
+        ring = [v for v in nxt if len(adj[v]) <= 4]
 
 
 def _chordless_deg3_cycles(g: Graph, near=None
@@ -628,7 +640,12 @@ class _Kind(NamedTuple):
     smallest vertex among those roles; L9 and L10, with none, are seeded
     by the chordless cycles of 3-vertices.  The matcher reads whole
     neighbor sets within ``sets`` of the seed only, and beyond them, up to
-    ``degrees``, only degree classes (see ``_degree_class``).  The step
+    ``degrees``, only degree classes: it compares a degree there only with
+    3 and 4, so it sees min(degree, 4).  Apart from their anchor, the
+    matchers of L1a-L8 read whole neighbor sets only at vertices of degree
+    at most 4, so every vertex they read lies at the end of a path from
+    the anchor whose inner vertices have degree at most 4; the cycle
+    matchers of L9 and L10 read hub sets too.  The step
     cuts the edge between the ``cut`` roles, deletes the ``removed`` roles
     (the seed cycle when None), then merges the ``merge`` pair; ``lift``
     colors back what the step took.
@@ -699,94 +716,113 @@ class DetectionIndex:
     match, each with the roles its match gave, and a heap for the
     smallest; ``first`` hands out the roles kept at the heap top and runs
     no matcher.  Between two looks at a kind, its answer can change only
-    at an anchor within ``sets`` of a vertex whose neighbor set an edit
-    replaced, or within ``degrees`` of one whose degree class changed: the
-    first read that differs follows a path of neighbor sets that read the
-    same in both graphs, so the path exists in both and the changed vertex
-    at its end is as near now as before.  An anchor whose reads are all
-    the same gives the same roles, so the kept roles stay current.  A kind
-    catches up with the graph's undo log only when it is asked, reading
-    the changes since its own last look, so the later kinds pay nothing
-    for steps the earlier kinds settle.  L9 and L10 order by cycle length
-    and keep no anchors: once one has matched nowhere, it rescans only the
-    components of 3-vertices that meet a vertex within ``sets`` of a set
-    replaced since its last miss, as its matcher reads only the sets of
-    the cycle and its hubs.  Until its first miss it scans the whole
-    graph.  So on a graph with no undo entry yet, every kind's first
-    answer is the full scan's: an anchored kind matches every anchor in
-    its degree range, and a cycle kind walks every cycle.
+    at an anchor from which the first read that differs follows a path of
+    neighbor sets that read the same in both graphs: so the path exists
+    in both, and by the invariant of ``_Kind`` its inner vertices have
+    degree at most 4.  It ends at a vertex whose neighbor set an edit
+    replaced, at most ``sets`` away, or at one whose degree class changed,
+    at most ``degrees`` away; and a replaced vertex of degree 5 or more,
+    then and now, is read whole only as the anchor itself.  An anchor
+    whose reads are all the same gives the same roles, so the kept roles
+    stay current.  A kind catches up only when it is asked, reading the
+    graph's journal from its own cursor in one pass over the new entries,
+    so the later kinds pay nothing for steps the earlier kinds settle.
+    L9 and L10 order by cycle length and keep no anchors: once one has
+    matched nowhere, it rescans only the components of 3-vertices that
+    meet a vertex within ``sets`` of a set replaced since its last miss,
+    as its matcher reads only the sets of the cycle and its hubs.  Until
+    its first miss it scans the whole graph.  So on a graph with no edit
+    yet, every kind's first answer is the full scan's: an anchored kind
+    matches every anchor in its degree range, and a cycle kind walks every
+    cycle.
 
-    The index is valid while the graph's undo log only grows.
+    The index is valid while the graph's journal only grows.
     """
 
     def __init__(self, g: EditableGraph) -> None:
         self._g = g
         self._adj = g.adjacency()
-        # per kind, by row position: the undo depth of its last look (of
-        # its last miss, for a cycle kind), None before the first
-        kinds = len(_KINDS)
-        self._depth: list[int | None] = [None] * kinds
+        self._rows = tuple(_KINDS.values())
+        # per kind, by row position: the journal length at its last look
+        # (at its last miss, for a cycle kind), None before the first
+        kinds = len(self._rows)
+        self._cursor: list[int | None] = [None] * kinds
         self._cands: list[dict[int, list]] = [{} for _ in range(kinds)]
         self._heaps: list[list[int]] = [[] for _ in range(kinds)]
 
     def pick(self) -> Configuration | None:
         """The first configuration in kind order, as the full scan's; None
         when the graph is reduction-free."""
-        return next(filter(None, map(self.first, _KINDS)), None)
+        for i, row in enumerate(self._rows):
+            conf = self._first(i, row)
+            if conf is not None:
+                return conf
+        return None
 
     def first(self, kind: str) -> Configuration | None:
         """The configuration of one kind that the full scan would pick."""
-        i, row = KIND_ORDER.index(kind), _KINDS[kind]
+        i = KIND_ORDER.index(kind)
+        return self._first(i, self._rows[i])
+
+    def _first(self, i: int, row: _Kind) -> Configuration | None:
         if not row.anchor:
-            seen = self._depth[i]
-            near = None if seen is None else self._near(seen, row)[1]
+            journal, adj = self._g.journal, self._adj
+            seen = self._cursor[i]
+            near = None if seen is None else _ball(
+                adj, {v for v, _ in journal[seen:] if v in adj}, row.sets)
             conf = _scan(self._g, row, near)
             if conf is None:
-                self._depth[i] = self._g.depth
+                self._cursor[i] = len(journal)
             return conf
         self._catch_up(i, row)
         heap, cands = self._heaps[i], self._cands[i]
         while heap and heap[0] not in cands:
             heapq.heappop(heap)
-        return Configuration(kind, tuple(cands[heap[0]])) if heap else None
+        return Configuration(row.kind, tuple(cands[heap[0]])) if heap else None
 
     def _catch_up(self, i: int, row: _Kind) -> None:
-        depth = self._g.depth
-        seen = self._depth[i]
-        if seen == depth:
+        """Match again every anchor whose answer the journal entries since
+        the kind's last look can change: every anchor at its first."""
+        journal = self._g.journal
+        seen = self._cursor[i]
+        if seen == len(journal):
             return
-        self._depth[i] = depth
+        self._cursor[i] = len(journal)
         adj, cands, heap = self._adj, self._cands[i], self._heaps[i]
         if seen is None:
             anchors = adj.keys()
         else:
-            gone, anchors = self._near(seen, row)
-            for v in gone:
-                cands.pop(v, None)
-        match_at = row.match_at
+            # the first entry of a vertex holds its set at the last look
+            anchors = set()
+            spread: list[int] = []
+            reclassed: list[int] = []
+            for v, old in journal[seen:]:
+                if v in anchors:
+                    continue
+                nbrs = adj.get(v)
+                if nbrs is None:
+                    cands.pop(v, None)
+                    continue
+                anchors.add(v)
+                was, now = -1 if old is None else len(old), len(nbrs)
+                if was <= 4 or now <= 4:
+                    spread.append(v)
+                    # min(degree, 4) moved; -1 for a vertex created since
+                    if was != now and (was < 4 or now < 4):
+                        reclassed.append(v)
+            if row.sets and spread:
+                anchors |= _reach(adj, spread, row.sets)
+            if row.degrees > row.sets and reclassed:
+                anchors |= _reach(adj, reclassed, row.degrees)
+        lo, hi, match = row.lo, row.hi, row.match
         for v in anchors:
-            roles = match_at(adj, v)
+            roles = match(adj, v) if lo <= len(adj[v]) <= hi else None
             if roles is None:
                 cands.pop(v, None)
             else:
                 if v not in cands:
                     heapq.heappush(heap, v)
                 cands[v] = roles
-
-    def _near(self, seen: int, row: _Kind) -> tuple[set[int], set[int]]:
-        """The vertices deleted since depth ``seen``, and the seeds to
-        match again for the kind of ``row``, by its reach."""
-        adj, sets, degrees = self._adj, row.sets, row.degrees
-        before = self._g.changed_since(seen)
-        present = before.keys() & adj.keys()
-        gone = before.keys() - present
-        anchors = _ball(adj, present, sets) if sets else present
-        if degrees > sets:
-            reclassed = [v for v in present if _degree_class(before[v])
-                         != _degree_class(adj[v])]
-            if reclassed:
-                anchors |= _ball(adj, reclassed, degrees)
-        return gone, anchors
 
 
 # --------------------------------------------------------------------------

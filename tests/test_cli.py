@@ -8,6 +8,7 @@ a graph file for gen), diagnostics on stderr, exit codes 0 = success,
 from __future__ import annotations
 
 import csv
+import errno
 import io
 import json
 
@@ -222,6 +223,22 @@ class TestColorAndVerify:
         assert "Permission denied" in res.stderr and str(path) in res.stderr
         assert "Traceback" not in res.stderr
         assert res.stdout == ""
+
+    def test_verify_names_the_file_of_an_error_without_a_filename(
+            self, runner, c5_file, tmp_path, monkeypatch):
+        path = tmp_path / "flaky.json"
+        path.write_text(serialize_coloring({v: 1 for v in range(5)}))
+
+        def failing(p):
+            raise OSError(errno.EIO, "Input/output error")
+
+        monkeypatch.setattr(cli_module, "load_coloring", failing)
+        res = invoke(runner, "verify", str(c5_file), str(path))
+        assert res.exit_code == 1
+        assert f"{path}: Input/output error" in res.stderr
+        assert str(c5_file) not in res.stderr
+        assert res.stdout == ""
+
 
 class TestSolve:
     def test_five_cycle_k2(self, runner, c5_file):

@@ -7,7 +7,8 @@
   kind.  After a miss, a cycle kind (L9, L10) rescans only the components
   of 3-vertices near the edits, and finds there what the full scan finds.
 * ``EditableGraph.undo`` restores each graph before its step exactly, and
-  ``changed_since`` names every vertex whose neighbor set changed.
+  the journal after each checkpoint names every vertex whose neighbor set
+  changed since, its first entry holding the set it had then.
 * Lifting in place through one ``LiftColoring`` gives the colorings that
   the public ``lift_coloring`` gives on immutable graphs and plain dicts.
 * The driver survives a lifter that recolors a vertex far from its step.
@@ -18,10 +19,17 @@
   their range, the roles of the matchers as first written.
 * ``reduce_in_place`` runs the full scan ``detect_configuration`` only
   after a step: on an irreducible graph the index's first pick is it.
+* The anchored matchers read whole neighbor sets within ``sets`` of the
+  anchor, beyond it only at vertices of degree at most 4, and degrees
+  within ``degrees``: the invariant that lets the index's reach stop at
+  hubs.  On hub families, whose hubs fall from degree 5 to 4 and below,
+  the index still picks what the full scan picks, and a bipyramid's steps
+  cost a few matcher calls each, not one per rim vertex.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 import random
@@ -34,7 +42,7 @@ from oracles import reduce_fully
 from wdcolor import reductions
 from wdcolor.exact import wd_number_exact
 from wdcolor.generators import named, random_planar, triangulation
-from wdcolor.graphs import EditableGraph, Graph
+from wdcolor.graphs import EditableGraph, Graph, rings
 from wdcolor.hosts import host_for
 from wdcolor.pipeline import wd3_color_planar
 from wdcolor.reductions import (KIND_L2, KIND_L9, KIND_L10, KIND_ORDER,
@@ -148,14 +156,16 @@ def random_edit(e: EditableGraph, rng: random.Random) -> None:
         e.delete_vertices(rng.sample(vs, rng.randint(1, min(3, len(vs)))))
 
 
-def test_editable_graph_undo_and_changed_since():
+def test_editable_graph_undo_and_journal():
     rng = random.Random(17)
     for seed in range(40):
         e = EditableGraph(random_planar(rng.randint(4, 30), rng.random(),
                                         seed))
         states = [adjacency_state(e)]
+        marks = []
         for _ in range(rng.randint(1, 8)):
             e.checkpoint()
+            marks.append(len(e.journal))
             for _ in range(rng.randint(1, 2)):
                 random_edit(e, rng)
             adj = e.adjacency()
@@ -163,15 +173,18 @@ def test_editable_graph_undo_and_changed_since():
             assert e.m == sum(len(n) for n in adj.values()) // 2
             states.append(adjacency_state(e))
         now = states[-1][0]
-        for depth, (then, _, _) in enumerate(states[:-1]):
-            changed = e.changed_since(depth)
+        for mark, (then, _, _) in zip(marks, states):
+            first: dict = {}
+            for v, old in e.journal[mark:]:
+                first.setdefault(v, old)
             assert {v for v in then.keys() | now.keys()
-                    if then.get(v) != now.get(v)} <= changed.keys()
-            assert all(old == then.get(v) for v, old in changed.items())
-        while e.depth:
+                    if then.get(v) != now.get(v)} <= first.keys()
+            assert all(old == then.get(v) for v, old in first.items())
+        while marks:
             states.pop()
             e.undo()
             assert adjacency_state(e) == states[-1]
+            assert len(e.journal) == marks.pop()
 
 
 def test_in_place_lifts_equal_public_lifts():
@@ -426,3 +439,113 @@ def test_an_irreducible_graph_is_scanned_once(monkeypatch):
     e = EditableGraph(random_planar(60, 0.8, 2))
     assert reduce_in_place(e)
     assert len(calls) == 1 and scan(e.snapshot()) is None
+
+
+class ReadLog:
+    """An adjacency that records, per vertex, whether a matcher read its
+    whole neighbor set (iteration, ``in``, set algebra) or its length
+    only."""
+
+    def __init__(self, adj) -> None:
+        self.adj = adj
+        self.sets: set[int] = set()
+        self.lengths: set[int] = set()
+
+    def __getitem__(self, v: int) -> ProbedSet:
+        return ProbedSet(self, v)
+
+
+class ProbedSet:
+    """One neighbor set, read through a ``ReadLog``."""
+
+    def __init__(self, log: ReadLog, v: int) -> None:
+        self.log, self.v = log, v
+
+    def __len__(self) -> int:
+        self.log.lengths.add(self.v)
+        return len(self.log.adj[self.v])
+
+    def whole(self) -> frozenset[int]:
+        self.log.sets.add(self.v)
+        return self.log.adj[self.v]
+
+
+def _whole_read(name: str):
+    def read(self, *args):
+        args = [a.whole() if isinstance(a, ProbedSet) else a for a in args]
+        return getattr(self.whole(), name)(*args)
+    return read
+
+
+for _name in ("__iter__", "__contains__", "__eq__", "__ne__", "__le__",
+              "__lt__", "__ge__", "__gt__", "__sub__", "__rsub__",
+              "__and__", "__rand__", "__or__", "__ror__", "__xor__",
+              "__rxor__", "difference", "intersection", "union",
+              "symmetric_difference", "isdisjoint", "issubset",
+              "issuperset"):
+    setattr(ProbedSet, _name, _whole_read(_name))
+
+
+def test_anchored_matchers_read_whole_sets_only_near_and_below_hubs():
+    rows = [row for row in reductions._KINDS.values() if row.anchor]
+    matched = dict.fromkeys(row.kind for row in rows)
+    hub_reads = 0
+    for g in matcher_test_graphs():
+        adj = g.adjacency()
+        for v in g.vertices():
+            near = itertools.islice(rings(adj, (v,)), 3)
+            dist = {w: r for r, ring in enumerate(near) for w in ring}
+            for row in rows:
+                if not row.lo <= len(adj[v]) <= row.hi:
+                    continue
+                log = ReadLog(adj)
+                roles = row.match(log, v)
+                assert roles == row.match(adj, v)
+                where = (row.kind, v)
+                assert all(dist.get(w, 3) <= row.sets for w in log.sets), where
+                assert all(len(adj[w]) <= 4 for w in log.sets - {v}), where
+                assert all(dist.get(w, 3) <= row.degrees
+                           for w in log.lengths), where
+                hub_reads += any(len(adj[w]) >= 5 for w in log.lengths)
+                matched[row.kind] = matched[row.kind] or roles is not None
+    assert all(matched.values()), matched
+    assert hub_reads > 100
+
+
+def test_index_picks_what_the_full_scan_picks_on_hubs():
+    steps = 0
+    for family in HUB_FAMILIES.values():
+        for d in (5, 6, 7, 9, 12, 17, 30):
+            e = EditableGraph(family(d))
+            index = DetectionIndex(e)
+            while True:
+                snap = e.snapshot()
+                for kind in KIND_ORDER:
+                    want = detect_configuration(snap, kind=kind)
+                    assert index.first(kind) == want, (family.__name__, d)
+                conf = index.pick()
+                assert conf == detect_configuration(snap)
+                if conf is None:
+                    break
+                apply_reduction(e, conf)
+                steps += 1
+    assert steps > 400
+
+
+def test_a_bipyramid_step_costs_a_few_matcher_calls(monkeypatch):
+    """Each step edits a pole's set; a reach through the poles would match
+    the whole rim again, about 1000 calls a step at this size."""
+    calls = []
+
+    def counted(match):
+        def spy(adj, seed):
+            calls.append(seed)
+            return match(adj, seed)
+        return spy
+
+    for kind, row in list(reductions._KINDS.items()):
+        monkeypatch.setitem(reductions._KINDS, kind,
+                            row._replace(match=counted(row.match)))
+    steps = reduce_in_place(EditableGraph(bipyramid(2000)))
+    assert len(steps) >= 2000
+    assert len(calls) <= 16 * len(steps), len(calls) / len(steps)
